@@ -1,0 +1,11 @@
+"""Make the package source and the benchmark modules importable.
+
+Run from the root of the checkout: ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))
+sys.path.insert(0, str(HERE.parent))
