@@ -2,8 +2,19 @@
 
 Search is exhaustive and exact; scores are computed in double precision
 and ties are broken by ascending document id, so a ranking is a pure
-function of the store. Metrics follow their textbook definitions; the
-test suite holds an independently coded oracle for each one.
+function of the store. ``search_run`` converts the document matrix to
+float64 once per run (with row norms cached for cosine) and ranks the ids
+once, then scores each query with one matrix-vector product, finds the
+k-th best score with a partition and sorts only the rows that reach it,
+ties by id rank. ``topk_search`` is the single-query reference: the same
+scores, then a full sort on (score, id string). Each query keeps its own
+matrix-vector product because a blocked matrix-matrix product can round
+differently in the last bits and so reorder near-ties.
+
+Embedding pads each sentence to a width that depends only on its own
+length, so a vector never depends on the rest of its batch. Metrics follow
+their textbook definitions; the test suite holds an independently coded
+oracle for each one.
 """
 
 from __future__ import annotations
@@ -39,6 +50,9 @@ class EmbeddingStore:
             raise ValueError("store needs one id per matrix row")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("duplicate document id in store")
+        finite = np.isfinite(self.matrix).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite vector for id {self.ids[int(np.argmin(finite))]!r}")
 
     @property
     def dim(self) -> int:
@@ -55,21 +69,42 @@ def embed_corpus(
 ) -> EmbeddingStore:
     """Encode clean sentences (no masking at inference).
 
-    Every batch is padded to the model's max_len, so a sentence's vector
-    does not depend on what else shared its batch.
+    Each sentence is padded to its bucket width: the smallest power of two
+    that holds its tokens, at least 16 and at most the model's max_len.
+    Sentences are batched within a bucket and their vectors are put back
+    in input order. The width depends only on the sentence, so a vector
+    never depends on what else shared its batch. Pad columns are blocked
+    in attention, so a vector also matches the one the sentence gets at
+    width max_len; at the desk shape the tests check that the two are
+    equal bit for bit. At some other shapes the BLAS can pick a different
+    kernel for the narrower products, and the two may differ in the last
+    bit.
     """
     if ids is None:
         ids = [str(i) for i in range(len(sentences))]
     if len(ids) != len(sentences):
         raise ValueError("need exactly one id per sentence")
     seqs = [encode_text(s, vocab, enc_config.max_len) for s in sentences]
-    rows = []
+    widths = np.array([_bucket_width(len(s), enc_config.max_len) for s in seqs], dtype=np.int64)
+    matrix = np.empty((len(seqs), enc_config.hidden_dim), dtype=np.float32)
     with ad.no_grad():
-        for start in range(0, len(seqs), batch_size):
-            batch = make_batch(seqs[start : start + batch_size], pad_to=enc_config.max_len)
-            sentence_vecs, _ = encode(params, enc_config, batch.ids, batch.real)
-            rows.append(sentence_vecs.data.astype(np.float32))
-    return EmbeddingStore(ids=list(ids), matrix=np.concatenate(rows, axis=0))
+        for width in np.unique(widths):
+            rows = np.flatnonzero(widths == width)
+            for start in range(0, len(rows), batch_size):
+                chunk = rows[start : start + batch_size]
+                batch = make_batch([seqs[i] for i in chunk], pad_to=int(width))
+                sentence_vecs, _ = encode(params, enc_config, batch.ids, batch.real)
+                matrix[chunk] = sentence_vecs.data
+    return EmbeddingStore(ids=list(ids), matrix=matrix)
+
+
+def _bucket_width(length: int, max_len: int) -> int:
+    """Smallest power of two >= length, at least 16 and at most max_len.
+
+    The floor puts the shortest sentences into one bucket, so they fill
+    whole batches.
+    """
+    return min(max(16, 1 << (length - 1).bit_length()), max_len)
 
 
 def save_embeddings(path: str | Path, store: EmbeddingStore) -> None:
@@ -95,38 +130,62 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
             if not tab:
                 raise RunFormatError(f"{path}:{lineno}: expected 'id<TAB>components'")
             try:
-                rows.append(np.array([np.float32(x) for x in rest.split()], dtype=np.float32))
+                row = np.array([np.float32(x) for x in rest.split()], dtype=np.float32)
             except ValueError:
                 raise RunFormatError(f"{path}:{lineno}: bad vector component") from None
+            if rows and len(row) != len(rows[0]):
+                raise RunFormatError(f"{path}:{lineno}: expected {len(rows[0])} components, got {len(row)}")
+            if not np.isfinite(row).all():
+                raise RunFormatError(f"{path}:{lineno}: non-finite vector component")
+            rows.append(row)
             ids.append(doc_id)
     if not rows:
         raise RunFormatError(f"{path}: no vectors found")
     return EmbeddingStore(ids=ids, matrix=np.stack(rows))
 
 
+class _Scorer:
+    """Float64 similarity of queries against one store.
+
+    The float64 copy of the matrix, and for cosine its row norms, are made
+    once; every query then costs one matrix-vector product. ``score_all``
+    and ``search_run`` both score through this, so they agree bit for bit.
+    """
+
+    def __init__(self, store: EmbeddingStore, metric: str):
+        if metric not in ("dot", "cosine"):
+            raise ValueError(f"unknown similarity metric {metric!r}")
+        self.metric = metric
+        self.docs = store.matrix.astype(np.float64)
+        if metric == "cosine":
+            norms = np.linalg.norm(self.docs, axis=1)
+            self.zero_rows = norms == 0.0
+            self.divisors = np.where(self.zero_rows, 1.0, norms)
+
+    def __call__(self, query: np.ndarray) -> np.ndarray:
+        q = np.asarray(query, dtype=np.float64)
+        if self.metric == "dot":
+            return self.docs @ q
+        qn = float(np.linalg.norm(q))
+        if qn == 0.0:
+            return np.zeros(len(self.docs))
+        scores = self.docs @ q / qn / self.divisors
+        scores[self.zero_rows] = 0.0
+        return scores
+
+
 def score_all(query: np.ndarray, store: EmbeddingStore, metric: str = "dot") -> np.ndarray:
     """Similarity of one query against every stored vector, in float64."""
-    q = np.asarray(query, dtype=np.float64)
-    docs = store.matrix.astype(np.float64)
-    if metric == "dot":
-        return docs @ q
-    if metric == "cosine":
-        qn = float(np.linalg.norm(q))
-        dn = np.linalg.norm(docs, axis=1)
-        if qn == 0.0:
-            return np.zeros(len(store.ids))
-        scores = docs @ q / qn
-        safe = dn > 0.0
-        scores[safe] /= dn[safe]
-        scores[~safe] = 0.0
-        return scores
-    raise ValueError(f"unknown similarity metric {metric!r}")
+    return _Scorer(store, metric)(query)
 
 
 def topk_search(
     query: np.ndarray, store: EmbeddingStore, k: int, metric: str = "dot"
 ) -> list[tuple[str, float]]:
-    """The k best documents, highest score first, ties by ascending id."""
+    """The k best documents, highest score first, ties by ascending id.
+
+    A full sort of every score; ``search_run`` must return exactly this.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     scores = score_all(query, store, metric)
@@ -159,10 +218,33 @@ def search_run(
     queries: EmbeddingStore, docs: EmbeddingStore, k: int, metric: str = "dot",
     labels: dict[str, dict[str, int]] | None = None,
 ) -> RankingRun:
-    candidates = {
-        qid: topk_search(queries.matrix[i], docs, k, metric)
-        for i, qid in enumerate(queries.ids)
-    }
+    """Top k documents for every query; each list equals ``topk_search``'s.
+
+    The store is converted and its ids ranked once for the whole run. Per
+    query, one matrix-vector product gives the scores, a partition finds
+    the k-th best, and only rows scoring at least that much are sorted, by
+    score descending and then by the rank of their id. Every row tied with
+    the k-th score is a candidate, so a tie at the cut is broken by id, as
+    the full sort would.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if queries.dim != docs.dim:
+        raise ValueError(f"query dim {queries.dim} does not match document dim {docs.dim}")
+    scorer = _Scorer(docs, metric)
+    n = len(docs.ids)
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[np.argsort(np.array(docs.ids))] = np.arange(n)
+    candidates = {}
+    for qid, query in zip(queries.ids, queries.matrix):
+        scores = scorer(query)
+        if k < n:
+            kth = np.partition(scores, n - k)[n - k]
+            rows = np.flatnonzero(scores >= kth)
+        else:
+            rows = np.arange(n)
+        top = rows[np.lexsort((id_rank[rows], -scores[rows]))[:k]]
+        candidates[qid] = [(docs.ids[i], float(scores[i])) for i in top]
     return RankingRun(candidates=candidates, labels=labels or {})
 
 

@@ -341,6 +341,24 @@ class TestEvalCli:
                      "--labels", str(labels_path), "--k", "ten"])
         assert code == 2
 
+    def test_ragged_embedding_file_is_exit_2(self, tmp_path, capsys):
+        labels_path = _self_labels(tmp_path / "labels.tsv", 2)
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("0\t1.0 2.0 3.0\n1\t1.0 2.0\n")
+        code = main(["eval", "--queries", str(emb), "--docs", str(emb), "--labels", str(labels_path)])
+        assert code == 2
+        assert "emb.tsv:2: expected 3 components, got 2" in capsys.readouterr().err
+
+    def test_dimension_mismatch_is_exit_2(self, tmp_path, capsys):
+        labels_path = _self_labels(tmp_path / "labels.tsv", 2)
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("0\t1.0 2.0\n")
+        docs = tmp_path / "docs.tsv"
+        docs.write_text("0\t1.0 2.0 3.0\n1\t3.0 2.0 1.0\n")
+        code = main(["eval", "--queries", str(queries), "--docs", str(docs), "--labels", str(labels_path)])
+        assert code == 2
+        assert "query dim 2 does not match document dim 3" in capsys.readouterr().err
+
     def test_malformed_run_file_is_exit_2(self, tmp_path, capsys):
         labels_path = _self_labels(tmp_path / "labels.tsv", 2)
         run_path = tmp_path / "run.tsv"

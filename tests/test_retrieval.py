@@ -9,11 +9,14 @@ import logging
 import numpy as np
 import pytest
 
+from dualmae.autodiff import no_grad
+from dualmae.encoder import encode
 from dualmae.model import DecoderConfig, EncoderConfig, init_params
 from dualmae.retrieval import (
     EmbeddingStore,
     RankingRun,
     RunFormatError,
+    _bucket_width,
     embed_corpus,
     load_embeddings,
     load_labels,
@@ -27,7 +30,7 @@ from dualmae.retrieval import (
     search_run,
     topk_search,
 )
-from dualmae.text import build_vocabulary
+from dualmae.text import build_vocabulary, encode_text, make_batch
 
 
 class TestEmbeddingStore:
@@ -46,6 +49,14 @@ class TestEmbeddingStore:
     def test_dim(self):
         store = EmbeddingStore(ids=["a"], matrix=np.zeros((1, 7), dtype=np.float32))
         assert store.dim == 7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected_by_id(self, bad):
+        mat = np.ones((3, 2), dtype=np.float32)
+        mat[1, 1] = bad
+        mat[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite vector for id 'b'"):
+            EmbeddingStore(ids=["a", "b", "c"], matrix=mat)
 
 
 class TestEmbeddingFiles:
@@ -81,6 +92,19 @@ class TestEmbeddingFiles:
         path = tmp_path / "emb.tsv"
         path.write_text("\n\n")
         with pytest.raises(RunFormatError, match="no vectors"):
+            load_embeddings(path)
+
+    def test_ragged_row_names_line_and_widths(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("doc0\t1.0 2.0 3.0\ndoc1\t1.0 2.0 3.0\ndoc2\t1.0 2.0\n")
+        with pytest.raises(RunFormatError, match=r"emb\.tsv:3: expected 3 components, got 2$"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_component_names_line(self, tmp_path, bad):
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"doc0\t1.0 2.0\ndoc1\t{bad} 2.0\n")
+        with pytest.raises(RunFormatError, match=r"emb\.tsv:2: non-finite"):
             load_embeddings(path)
 
 
@@ -447,6 +471,48 @@ class TestEmbedCorpus:
             embed_corpus(self.SENTENCES, params, config, vocab, ids=["only-one"])
 
 
+class TestEmbedBuckets:
+    """Length-bucketed embedding against encoding each sentence alone at
+    max_len, at the desk model shape."""
+
+    MAX_LEN = 128
+    # token counts ([CLS] and [SEP] included) at and one past each bucket
+    # edge, a short one, and one truncated at max_len; interleaved so that
+    # neighbours in the input land in different buckets
+    LENGTHS = [17, 3, 64, 33, 16, 128, 65, 32, 200, 15, 129]
+
+    def _setup(self):
+        words = [f"w{i:02d}" for i in range(40)]
+        rng = np.random.default_rng(5)
+        sentences = [" ".join(rng.choice(words, n - 2)) for n in self.LENGTHS]
+        config = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=256,
+                               max_len=self.MAX_LEN, vocab_size=48)
+        vocab = build_vocabulary(sentences, max_size=48)
+        dec = DecoderConfig(mode="enhanced", layers=1, heads=4)
+        params = init_params(config, dec, np.random.default_rng(0))
+        return sentences, config, vocab, params
+
+    def test_bucket_widths(self):
+        widths = [_bucket_width(n, self.MAX_LEN) for n in self.LENGTHS]
+        assert widths == [32, 16, 64, 64, 16, 128, 128, 32, 128, 16, 128]
+        assert _bucket_width(20, 24) == 24
+
+    def test_vectors_equal_encoding_alone_at_max_len(self):
+        sentences, config, vocab, params = self._setup()
+        seqs = [encode_text(text, vocab, self.MAX_LEN) for text in sentences]
+        assert [len(s) for s in seqs] == [min(n, self.MAX_LEN) for n in self.LENGTHS]
+        reference = []
+        with no_grad():
+            for seq in seqs:
+                batch = make_batch([seq], pad_to=self.MAX_LEN)
+                vec, _ = encode(params, config, batch.ids, batch.real)
+                reference.append(vec.data[0].astype(np.float32))
+        reference = np.stack(reference)
+        for bs in (1, 3, 32):
+            store = embed_corpus(sentences, params, config, vocab, batch_size=bs)
+            assert store.matrix.tobytes() == reference.tobytes()
+
+
 class TestSearchRun:
     def test_search_run_ranks_every_query(self):
         rng = np.random.default_rng(8)
@@ -461,3 +527,47 @@ class TestSearchRun:
         assert set(run.candidates) == {"qa", "qb"}
         for qid, i in (("qa", 0), ("qb", 1)):
             assert run.candidates[qid] == topk_search(queries.matrix[i], docs, 3)
+
+    def test_matches_topk_search_exactly(self):
+        """search_run's selection must give topk_search's lists exactly, ties
+        at the cut included. Quantized values make exact ties common, some
+        rows repeat under a second id, some are zero (cosine scores them 0),
+        and the ids are decimal strings whose string order is not their
+        numeric order."""
+        rng = np.random.default_rng(31)
+        ties_at_cut = 0
+        for trial in range(120):
+            # the first trials use a one-row store
+            n_base = 1 if trial < 5 else int(rng.integers(2, 30))
+            n_repeats = 0 if trial < 5 else int(rng.integers(0, n_base + 1))
+            d = int(rng.integers(1, 6))
+            base = np.round(rng.standard_normal((n_base, d)), 1)
+            base[rng.random(n_base) < 0.15] = 0.0
+            repeats = base[rng.integers(0, n_base, size=n_repeats)]
+            mat = np.concatenate([base, repeats]).astype(np.float32)
+            n = len(mat)
+            docs = EmbeddingStore(ids=[str(i) for i in rng.permutation(n) * 7], matrix=mat)
+            qmat = np.round(rng.standard_normal((4, d)), 1).astype(np.float32)
+            qmat[3] = mat[int(rng.integers(n))]
+            queries = EmbeddingStore(ids=["q0", "q1", "q2", "q3"], matrix=qmat)
+            for metric in ("dot", "cosine"):
+                for k in sorted({1, int(rng.integers(1, n + 1)), n, n + 3}):
+                    run = search_run(queries, docs, k, metric)
+                    for i, qid in enumerate(queries.ids):
+                        expected = topk_search(qmat[i], docs, k, metric)
+                        assert run.candidates[qid] == expected
+                        full = topk_search(qmat[i], docs, n, metric)
+                        ties_at_cut += k < n and full[k - 1][1] == full[k][1]
+        assert ties_at_cut > 100
+
+    def test_k_must_be_positive_even_without_queries(self):
+        docs = EmbeddingStore(ids=["a"], matrix=np.ones((1, 2), dtype=np.float32))
+        queries = EmbeddingStore(ids=[], matrix=np.zeros((0, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="k must be positive"):
+            search_run(queries, docs, k=0)
+
+    def test_dimension_mismatch_is_named(self):
+        docs = EmbeddingStore(ids=["a"], matrix=np.ones((1, 3), dtype=np.float32))
+        queries = EmbeddingStore(ids=["q"], matrix=np.ones((1, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="^query dim 2 does not match document dim 3$"):
+            search_run(queries, docs, k=1)
