@@ -81,20 +81,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self) -> None:
-        backward(self)
-
-    # A few operators for readability in model code; the full API is the
-    # module-level functions.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def parameter(data, dtype=np.float32) -> Tensor:
     """A leaf tensor that collects gradients."""

@@ -10,6 +10,11 @@ checkpoint reproduces the input byte for byte.
 Optimizer moments ride along as ``opt.m.<name>`` / ``opt.v.<name>``
 tensors; without them a resumed run could not retrace the uninterrupted
 loss curve exactly.
+
+Loading is all or nothing. The ``config.*`` lines must hold exactly the
+flat config keys, every other line save writes must be present, and the
+tensor set and shapes must be exactly the config's parameters plus their
+two moments; anything else raises ``CheckpointError`` naming the item.
 """
 
 from __future__ import annotations
@@ -21,13 +26,23 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .config import TrainConfig, config_as_flat_dict, resolve_configs
-from .model import DecoderConfig, EncoderConfig, ModelParams
+from .config import ConfigError, TrainConfig, config_as_flat_dict, configs_from_flat_dict
+from .model import DecoderConfig, EncoderConfig, ModelParams, param_shapes
 from .optim import AdamW
 
 MAGIC = "dualmae-ckpt-v1"
 
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
+
+# every manifest line besides config.* and tensor lines; all are required
+_SCALARS = (
+    "progress.step",
+    "progress.epoch",
+    "progress.step_in_epoch",
+    "optimizer.steps",
+    "vocab.file",
+    "rng.state",
+)
 
 
 class CheckpointError(ValueError):
@@ -60,12 +75,6 @@ def _dtype_tag(dtype: np.dtype) -> str:
     raise CheckpointError(f"unsupported tensor dtype {dtype}")
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
@@ -89,7 +98,7 @@ def save_checkpoint(
 
     manifest_lines: list[str] = []
     for key, value in config_as_flat_dict(train, encoder, decoder).items():
-        manifest_lines.append(f"config.{key} = {_format_value(value)}")
+        manifest_lines.append(f"config.{key} = {value}")
     manifest_lines.append(f"progress.step = {progress.step}")
     manifest_lines.append(f"progress.epoch = {progress.epoch}")
     manifest_lines.append(f"progress.step_in_epoch = {progress.step_in_epoch}")
@@ -122,7 +131,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if newline < 0:
         raise CheckpointError(f"{path}: not a checkpoint")
     header = blob[:newline].decode("ascii", errors="replace").split()
-    if len(header) != 2 or header[0] != MAGIC:
+    if len(header) != 2 or header[0] != MAGIC or not header[1].isdigit():
         raise CheckpointError(f"{path}: bad header, expected '{MAGIC} <manifest-bytes>'")
     manifest_len = int(header[1])
     manifest_start = newline + 1
@@ -140,22 +149,28 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             raise CheckpointError(f"{path}:{lineno}: malformed manifest line")
         if key == "tensor":
             parts = value.split()
-            if len(parts) != 5:
+            if len(parts) != 5 or not (parts[3].isdigit() and parts[4].isdigit()):
                 raise CheckpointError(f"{path}:{lineno}: malformed tensor line")
             tensor_rows.append((parts[0], parts[1], parts[2], int(parts[3]), int(parts[4])))
         elif key.startswith("config."):
             config_values[key[len("config.") :]] = value
-        else:
+        elif key in _SCALARS:
             scalars[key] = value
+        else:
+            raise CheckpointError(f"{path}:{lineno}: unknown manifest line {key!r}")
+    for name in _SCALARS:
+        if name not in scalars:
+            raise CheckpointError(f"{path}: missing manifest line {name!r}")
 
-    # manifest values arrive as strings; re-coerce through the config layer
-    from .config import _KEYS, _coerce
-
-    coerced = {k: _coerce(k, v, str(path)) for k, v in config_values.items() if k in _KEYS}
-    train, encoder, decoder = resolve_configs(preset="full", file_values=coerced, env={})
+    try:
+        train, encoder, decoder = configs_from_flat_dict(config_values)
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: {e}") from None
 
     arrays: dict[str, np.ndarray] = {}
     for name, tag, dims, offset, nbytes in tensor_rows:
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
         if tag not in _DTYPES:
             raise CheckpointError(f"{path}: unknown dtype tag {tag!r} for {name}")
         shape = () if dims == "scalar" else tuple(int(n) for n in dims.split("x"))
@@ -164,32 +179,39 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             raise CheckpointError(f"{path}: payload truncated at tensor {name}")
         arrays[name] = np.frombuffer(raw, dtype=_DTYPES[tag]).reshape(shape).copy()
 
-    param_tensors = {
-        name: ad.parameter(arr, dtype=arr.dtype)
-        for name, arr in arrays.items()
-        if not name.startswith("opt.")
-    }
-    params = ModelParams(param_tensors)
+    # the tensor set is exactly the config's parameters plus two moments each
+    shapes = dict(param_shapes(encoder, decoder))
+    expected: dict[str, tuple[int, ...]] = {}
+    for name, shape in shapes.items():
+        expected[name] = expected[f"opt.m.{name}"] = expected[f"opt.v.{name}"] = shape
+    for name in arrays:
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}; the config has no such parameter")
+    for name, shape in expected.items():
+        if name not in arrays:
+            what = "optimizer state" if name.startswith("opt.") else "parameter"
+            raise CheckpointError(f"{path}: missing {what} {name!r}")
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {arrays[name].shape}, the config expects {shape}"
+            )
 
-    optimizer = AdamW(
-        lr=train.learning_rate,
-        weight_decay=train.weight_decay,
-    )
-    optimizer.step_count = int(scalars.get("optimizer.steps", "0"))
-    for name in params.names():
-        m = arrays.get(f"opt.m.{name}")
-        v = arrays.get(f"opt.v.{name}")
-        if m is None or v is None:
-            raise CheckpointError(f"{path}: missing optimizer state for {name}")
-        optimizer.moments[name] = (m, v)
+    params = ModelParams({name: ad.parameter(arrays[name], dtype=arrays[name].dtype) for name in shapes})
+    optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
+    for name in shapes:
+        optimizer.moments[name] = (arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"])
 
-    rng = np.random.default_rng()
-    rng.bit_generator.state = json.loads(scalars["rng.state"])
+    def scalar(name, parse):
+        try:
+            return parse(scalars[name])
+        except (ValueError, TypeError, KeyError):
+            raise CheckpointError(f"{path}: unreadable manifest line {name!r}") from None
 
+    optimizer.step_count = scalar("optimizer.steps", int)
     progress = Progress(
-        step=int(scalars.get("progress.step", "0")),
-        epoch=int(scalars.get("progress.epoch", "0")),
-        step_in_epoch=int(scalars.get("progress.step_in_epoch", "0")),
+        step=scalar("progress.step", int),
+        epoch=scalar("progress.epoch", int),
+        step_in_epoch=scalar("progress.step_in_epoch", int),
     )
     return LoadedCheckpoint(
         params=params,
@@ -197,7 +219,13 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         encoder=encoder,
         decoder=decoder,
         optimizer=optimizer,
-        rng=rng,
+        rng=scalar("rng.state", _generator),
         progress=progress,
-        vocab_file=scalars.get("vocab.file", "vocab.txt"),
+        vocab_file=scalars["vocab.file"],
     )
+
+
+def _generator(state_json: str) -> np.random.Generator:
+    rng = np.random.default_rng()
+    rng.bit_generator.state = json.loads(state_json)
+    return rng

@@ -1,10 +1,17 @@
 """Run configuration: dataclasses, presets, and the flat key=value file.
 
-A run is fully described by three dataclasses. The config file is a flat
-list of ``key = value`` lines with no sections; unknown keys are rejected
-by name so a typo cannot silently fall back to a default. Precedence,
-lowest to highest: preset, config file, --set overrides, the
-DUALMAE_SEED environment variable.
+A run is fully described by three dataclasses: ``TrainConfig`` here,
+``EncoderConfig`` and ``DecoderConfig`` in ``model``. ``_KEYS`` is the one
+table of flat keys, mapping each to exactly one (dataclass, field, type);
+its order is the order of a checkpoint's ``config.*`` lines.
+``config_as_flat_dict`` writes the configs as flat text, and its exact
+inverse ``configs_from_flat_dict`` rebuilds them from a checkpoint through
+the same builder that ``resolve_configs`` uses.
+
+The config file is a flat list of ``key = value`` lines with no sections;
+unknown keys are rejected by name so a typo cannot silently fall back to a
+default. Precedence, lowest to highest: preset, config file, --set
+overrides, the DUALMAE_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -25,10 +32,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    mode: str = "enhanced"
     mask_ratio_encoder: float = 0.15
     mask_ratio_decoder: float = 0.5
-    decoder_layers: int = 1
     epochs: int = 8
     batch_size: int = 32
     learning_rate: float = 1e-4
@@ -38,16 +43,10 @@ class TrainConfig:
     encoder_mlm_weight: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("basic", "enhanced"):
-            raise ConfigError(f"mode must be 'basic' or 'enhanced', got {self.mode!r}")
         for name in ("mask_ratio_encoder", "mask_ratio_decoder"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ConfigError(f"{name} must lie strictly inside (0, 1), got {value}")
-        if self.decoder_layers < 1:
-            raise ConfigError("decoder_layers must be at least 1")
-        if self.mode == "enhanced" and self.decoder_layers != 1:
-            raise ConfigError("enhanced mode uses exactly one decoder layer")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.learning_rate < 0 or self.weight_decay < 0 or self.encoder_mlm_weight < 0:
@@ -56,82 +55,56 @@ class TrainConfig:
             raise ConfigError("warmup_steps and seed cannot be negative")
 
 
-# key -> (python type, which dataclass consumes it)
-_KEYS: dict[str, tuple[type, str]] = {
-    "layers": (int, "encoder"),
-    "hidden_dim": (int, "encoder"),
-    "heads": (int, "encoder"),
-    "ffn_dim": (int, "encoder"),
-    "max_len": (int, "encoder"),
-    "vocab_size": (int, "encoder"),
-    "decoder_heads": (int, "decoder"),
-    "mode": (str, "train"),
-    "mask_ratio_encoder": (float, "train"),
-    "mask_ratio_decoder": (float, "train"),
-    "decoder_layers": (int, "train"),
-    "epochs": (int, "train"),
-    "batch_size": (int, "train"),
-    "learning_rate": (float, "train"),
-    "weight_decay": (float, "train"),
-    "warmup_steps": (int, "train"),
-    "seed": (int, "train"),
-    "encoder_mlm_weight": (float, "train"),
+# flat key -> (dataclass, field, python type), in checkpoint manifest order
+_KEYS: dict[str, tuple[type, str, type]] = {
+    "layers": (EncoderConfig, "layers", int),
+    "hidden_dim": (EncoderConfig, "hidden_dim", int),
+    "heads": (EncoderConfig, "heads", int),
+    "ffn_dim": (EncoderConfig, "ffn_dim", int),
+    "max_len": (EncoderConfig, "max_len", int),
+    "vocab_size": (EncoderConfig, "vocab_size", int),
+    "decoder_heads": (DecoderConfig, "heads", int),
+    "mode": (DecoderConfig, "mode", str),
+    "mask_ratio_encoder": (TrainConfig, "mask_ratio_encoder", float),
+    "mask_ratio_decoder": (TrainConfig, "mask_ratio_decoder", float),
+    "decoder_layers": (DecoderConfig, "layers", int),
+    "epochs": (TrainConfig, "epochs", int),
+    "batch_size": (TrainConfig, "batch_size", int),
+    "learning_rate": (TrainConfig, "learning_rate", float),
+    "weight_decay": (TrainConfig, "weight_decay", float),
+    "warmup_steps": (TrainConfig, "warmup_steps", int),
+    "seed": (TrainConfig, "seed", int),
+    "encoder_mlm_weight": (TrainConfig, "encoder_mlm_weight", float),
 }
 
+
+def _flat_values(train: TrainConfig, encoder: EncoderConfig, decoder: DecoderConfig) -> dict[str, object]:
+    owners = {TrainConfig: train, EncoderConfig: encoder, DecoderConfig: decoder}
+    return {key: getattr(owners[cls], name) for key, (cls, name, _) in _KEYS.items()}
+
+
 PRESETS: dict[str, dict[str, object]] = {
-    # the published full-scale recipe; not meant to be trained here
-    "full": {
-        "layers": 12,
-        "hidden_dim": 768,
-        "heads": 12,
-        "ffn_dim": 3072,
-        "max_len": 512,
-        "vocab_size": 30522,
-        "decoder_heads": 12,
-        "mode": "enhanced",
-        "mask_ratio_encoder": 0.15,
-        "mask_ratio_decoder": 0.5,
-        "decoder_layers": 1,
-        "epochs": 8,
-        "batch_size": 32,
-        "learning_rate": 1e-4,
-        "weight_decay": 0.01,
-        "warmup_steps": 0,
-        "seed": 42,
-        "encoder_mlm_weight": 0.0,
-    },
-    # small enough to train on one core while keeping every mechanism intact
-    "desk": {
-        "layers": 2,
-        "hidden_dim": 64,
-        "heads": 4,
-        "ffn_dim": 256,
-        "max_len": 128,
-        "vocab_size": 2048,
-        "decoder_heads": 4,
-        "mode": "enhanced",
-        "mask_ratio_encoder": 0.15,
-        "mask_ratio_decoder": 0.5,
-        "decoder_layers": 1,
-        "epochs": 8,
-        "batch_size": 32,
-        "learning_rate": 1e-3,
-        "weight_decay": 0.01,
-        "warmup_steps": 0,
-        "seed": 42,
-        "encoder_mlm_weight": 0.0,
-    },
+    # the published full-scale recipe, held by the dataclass defaults; not
+    # meant to be trained here
+    "full": _flat_values(TrainConfig(), EncoderConfig(), DecoderConfig()),
+}
+# small enough to train on one core while keeping every mechanism intact
+PRESETS["desk"] = PRESETS["full"] | {
+    "layers": 2,
+    "hidden_dim": 64,
+    "heads": 4,
+    "ffn_dim": 256,
+    "max_len": 128,
+    "vocab_size": 2048,
+    "decoder_heads": 4,
+    "learning_rate": 1e-3,
 }
 
 
 def _coerce(key: str, raw: str, where: str) -> object:
-    kind, _ = _KEYS[key]
+    kind = _KEYS[key][2]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"bad value for {key!r} in {where}: {raw!r}") from None
 
@@ -169,6 +142,27 @@ def parse_overrides(pairs: Iterable[str]) -> dict[str, object]:
     return values
 
 
+def _build(
+    values: Mapping[str, object], coerce: bool = False
+) -> tuple[TrainConfig, EncoderConfig, DecoderConfig]:
+    """The three validated configs from exactly one value per flat key;
+    ``coerce`` parses text values by the key's type first."""
+    for key in _KEYS:
+        if key not in values:
+            raise ConfigError(f"missing config key {key!r}")
+    for key in values:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+    kwargs: dict[type, dict[str, object]] = {EncoderConfig: {}, TrainConfig: {}, DecoderConfig: {}}
+    for key, (cls, name, _) in _KEYS.items():
+        kwargs[cls][name] = _coerce(key, values[key], "flat config") if coerce else values[key]
+    try:
+        encoder, train, decoder = (cls(**fields) for cls, fields in kwargs.items())
+    except ValueError as e:  # the model configs raise plain ValueError
+        raise ConfigError(str(e)) from None
+    return train, encoder, decoder
+
+
 def resolve_configs(
     preset: str = "full",
     file_values: Mapping[str, object] | None = None,
@@ -187,34 +181,19 @@ def resolve_configs(
             merged["seed"] = int(env[SEED_ENV_VAR])
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}") from None
-
-    enc_kwargs = {k: merged[k] for k, (_, where) in _KEYS.items() if where == "encoder"}
-    train_kwargs = {k: merged[k] for k, (_, where) in _KEYS.items() if where == "train"}
-    try:
-        encoder = EncoderConfig(**enc_kwargs)
-        train = TrainConfig(**train_kwargs)
-        decoder = DecoderConfig(
-            mode=train.mode,
-            layers=train.decoder_layers,
-            heads=int(merged["decoder_heads"]),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    return train, encoder, decoder
+    return _build(merged)
 
 
 def config_as_flat_dict(
     train: TrainConfig, encoder: EncoderConfig, decoder: DecoderConfig
-) -> dict[str, object]:
-    """The inverse of resolve_configs, for checkpoints and reports."""
-    out: dict[str, object] = {}
-    for key, (_, where) in _KEYS.items():
-        if where == "encoder":
-            out[key] = getattr(encoder, key)
-        elif where == "train":
-            out[key] = getattr(train, key)
-        else:
-            out[key] = decoder.heads
-    return out
+) -> dict[str, str]:
+    """Every flat key with its value as text, in ``_KEYS`` order. A
+    float's ``str`` is its shortest exact repr, so the text parses back
+    to the same value."""
+    return {key: str(value) for key, value in _flat_values(train, encoder, decoder).items()}
+
+
+def configs_from_flat_dict(flat: Mapping[str, str]) -> tuple[TrainConfig, EncoderConfig, DecoderConfig]:
+    """The exact inverse of ``config_as_flat_dict``: requires exactly the
+    flat key set, coerces each text value, and builds the three configs."""
+    return _build(flat, coerce=True)

@@ -100,8 +100,8 @@ def decode_enhanced(
     Returns (logits, loss); the loss covers all real positions beyond 0,
     pads excluded.
     """
-    if dec_config.mode != "enhanced" or dec_config.layers != 1:
-        raise ValueError("enhanced decoding uses a single two-stream layer")
+    if dec_config.mode != "enhanced":
+        raise ValueError(f"enhanced decoding called with a {dec_config.mode!r} decoder config")
     if mbatch.attention_masks is None:
         raise ValueError("enhanced decoding needs per-sentence visibility matrices")
     token_embeddings = ad.embedding_lookup(params["word_emb"], mbatch.ids)

@@ -57,13 +57,13 @@ def tiny_setup(
     sentences (one padded), small enough to sweep every parameter."""
     enc = EncoderConfig(layers=2, hidden_dim=16, heads=4, ffn_dim=64, max_len=8, vocab_size=50)
     dec = DecoderConfig(mode=mode, layers=1, heads=4)
-    train = TrainConfig(mode=mode)
+    train = TrainConfig()
     params = init_params(enc, dec, np.random.default_rng([seed, 0]), dtype=dtype)
     rng = np.random.default_rng([seed, 1])
     first = np.concatenate([[CLS_ID], rng.integers(5, 50, size=6), [SEP_ID]])
     second = np.concatenate([[CLS_ID], rng.integers(5, 50, size=4), [SEP_ID]])
     batch = make_batch([TokenSequence(first), TokenSequence(second)])
-    mbatch = mask_batch(batch, mode, train.mask_ratio_encoder, train.mask_ratio_decoder, rng)
+    mbatch = mask_batch(batch, dec.mode, train.mask_ratio_encoder, train.mask_ratio_decoder, rng)
     return params, train, enc, dec, mbatch
 
 

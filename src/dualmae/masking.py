@@ -16,18 +16,32 @@ from typing import Iterable
 
 import numpy as np
 
-from .text import Batch, CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenSequence
+from .text import Batch, CLS_ID, MASK_ID, PAD_ID, SEP_ID
 
 
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _is_content(ids: np.ndarray) -> np.ndarray:
+    ids = np.asarray(ids)
+    return (ids != CLS_ID) & (ids != SEP_ID) & (ids != PAD_ID)
+
+
 def maskable_positions(ids: np.ndarray) -> np.ndarray:
     """Indices eligible for masking: real content tokens only."""
-    ids = np.asarray(ids)
-    keep = (ids != CLS_ID) & (ids != SEP_ID) & (ids != PAD_ID)
-    return np.flatnonzero(keep)
+    return np.flatnonzero(_is_content(ids))
+
+
+def coverage_counts(ids: np.ndarray, targets: np.ndarray | None) -> tuple[int, int]:
+    """(content tokens, content tokens the loss covers) over a batch.
+
+    ``targets`` marks the reconstructed positions; None means the loss
+    covers every content token, as enhanced decoding does.
+    """
+    content = int(np.count_nonzero(_is_content(ids)))
+    covered = content if targets is None else int(np.count_nonzero(targets))
+    return content, covered
 
 
 def _check_ratio(ratio: float) -> None:
@@ -46,32 +60,6 @@ def _sample_mask(ids: np.ndarray, ratio: float, rng: np.random.Generator) -> np.
 
 
 @dataclass(frozen=True)
-class MaskedSequence:
-    """A sequence with some content positions replaced by [M]."""
-
-    ids: np.ndarray
-    masked_positions: tuple[int, ...]
-    ratio: float
-
-
-def _apply_mask(seq: TokenSequence, ratio: float, rng: np.random.Generator) -> MaskedSequence:
-    positions = _sample_mask(seq.ids, ratio, rng)
-    out = seq.ids.copy()
-    out[positions] = MASK_ID
-    return MaskedSequence(ids=out, masked_positions=tuple(int(p) for p in positions), ratio=ratio)
-
-
-def mask_for_encoder(seq: TokenSequence, ratio: float, rng: np.random.Generator) -> MaskedSequence:
-    """Moderately polluted encoder input."""
-    return _apply_mask(seq, ratio, rng)
-
-
-def mask_for_decoder(seq: TokenSequence, ratio: float, rng: np.random.Generator) -> MaskedSequence:
-    """Aggressively polluted reconstruction input (basic mode)."""
-    return _apply_mask(seq, ratio, rng)
-
-
-@dataclass(frozen=True)
 class AttentionMaskMatrix:
     """An (L, L) additive mask over {0, -inf} for enhanced decoding.
 
@@ -82,9 +70,6 @@ class AttentionMaskMatrix:
     """
 
     matrix: np.ndarray
-
-    def visible_columns(self, row: int) -> np.ndarray:
-        return np.flatnonzero(self.matrix[row] == 0.0)
 
 
 def build_attention_mask(
@@ -246,21 +231,18 @@ def signal_coverage_stats(
     contexts = 0
     sentences = 0
     for batch in batches:
-        for row in range(batch.size):
-            cand = maskable_positions(batch.ids[row])
-            content += cand.size
-            sentences += 1
-            if mode == "mlm15":
-                picked = _sample_mask(batch.ids[row], 0.15, rng)
-                covered += picked.size
-                contexts += 1
-            elif mode == "basic":
-                picked = _sample_mask(batch.ids[row], ratio_decoder, rng)
-                covered += picked.size
-                contexts += 1
-            else:
-                covered += cand.size
-                contexts += cand.size
+        targets = None
+        if mode != "enhanced":
+            ratio = 0.15 if mode == "mlm15" else ratio_decoder
+            targets = np.zeros(batch.ids.shape, dtype=bool)
+            for row in range(batch.size):
+                targets[row, _sample_mask(batch.ids[row], ratio, rng)] = True
+        batch_content, batch_covered = coverage_counts(batch.ids, targets)
+        content += batch_content
+        covered += batch_covered
+        # enhanced: one context per content token; otherwise one per sentence
+        contexts += batch_content if targets is None else batch.size
+        sentences += batch.size
     if sentences == 0:
         raise ValueError("coverage stats need at least one sentence")
     return CoverageReport(

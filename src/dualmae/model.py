@@ -57,7 +57,7 @@ class DecoderConfig:
         if self.layers < 1:
             raise ValueError("decoder needs at least one layer")
         if self.mode == "enhanced" and self.layers != 1:
-            raise ValueError("enhanced decoding is defined for a single layer")
+            raise ValueError("enhanced mode uses exactly one decoder layer")
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:

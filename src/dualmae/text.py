@@ -107,16 +107,6 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
     return TokenSequence(np.array([CLS_ID] + content + [SEP_ID], dtype=np.int64))
 
 
-def decode_ids(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
-    """Tokens for the content ids, skipping [CLS]/[SEP]/[PAD]."""
-    out = []
-    for i in ids:
-        if i in (CLS_ID, SEP_ID, PAD_ID):
-            continue
-        out.append(vocab.token_for(int(i)))
-    return out
-
-
 @dataclass(frozen=True)
 class Batch:
     """Sequences padded to a common length.

@@ -22,7 +22,7 @@ from .checkpoint import LoadedCheckpoint, Progress, load_checkpoint, save_checkp
 from .config import TrainConfig
 from .decoder import decode_basic, decode_enhanced
 from .encoder import encode
-from .masking import MaskedBatch, mask_batch, maskable_positions
+from .masking import MaskedBatch, coverage_counts, mask_batch
 from .model import DecoderConfig, EncoderConfig, ModelParams, init_params, output_logits
 from .optim import AdamW, clip_global_norm, warmup_scale
 from .text import Batch, Vocabulary, batch_iter, build_vocabulary, corpus_lines, load_corpus
@@ -39,15 +39,7 @@ class TrainingDiverged(RuntimeError):
 
 def batch_coverage(mbatch: MaskedBatch, mode: str) -> float:
     """Fraction of content tokens this step's loss touches."""
-    content = 0
-    covered = 0
-    for row in range(mbatch.size):
-        cand = maskable_positions(mbatch.ids[row])
-        content += cand.size
-        if mode == "basic":
-            covered += int(mbatch.dec_masked[row].sum())
-        else:
-            covered += cand.size
+    content, covered = coverage_counts(mbatch.ids, mbatch.dec_masked if mode == "basic" else None)
     return covered / content
 
 
@@ -60,7 +52,7 @@ def step_loss(
 ) -> Tensor:
     """Forward pass for one already-masked batch, returning the scalar loss."""
     sentence, hidden = encode(params, enc_config, mbatch.enc_ids, mbatch.real)
-    if train.mode == "basic":
+    if dec_config.mode == "basic":
         _, loss = decode_basic(params, dec_config, sentence, mbatch)
     else:
         _, loss = decode_enhanced(params, dec_config, sentence, mbatch)
@@ -88,7 +80,7 @@ def train_step(
     step: int,
 ) -> tuple[float, float]:
     """One full update. Returns (loss, coverage) for the log."""
-    mbatch = mask_batch(batch, train.mode, train.mask_ratio_encoder, train.mask_ratio_decoder, rng)
+    mbatch = mask_batch(batch, dec_config.mode, train.mask_ratio_encoder, train.mask_ratio_decoder, rng)
     try:
         loss = step_loss(params, train, enc_config, dec_config, mbatch)
         params.zero_grads()
@@ -98,7 +90,7 @@ def train_step(
     grads = [ad.grad_or_zeros(t) for t in params.tensors()]
     clip_global_norm(grads, GRAD_CLIP_NORM)
     optimizer.step(params, lr_scale=warmup_scale(step, train.warmup_steps))
-    return float(loss.data), batch_coverage(mbatch, train.mode)
+    return float(loss.data), batch_coverage(mbatch, dec_config.mode)
 
 
 def _epoch_seed(base_seed: int, epoch: int) -> list[int]:

@@ -192,8 +192,7 @@ def _natural_accuracy(params, enc, dec, mode, sents, limit=256):
 
 def _train_until(sents, mode, dec_layers, threshold, max_steps, eval_every=50):
     dec = DecoderConfig(mode=mode, layers=dec_layers, heads=4)
-    train = TrainConfig(mode=mode, decoder_layers=dec_layers, learning_rate=1e-3,
-                        epochs=1, batch_size=32, seed=0)
+    train = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=32, seed=0)
     params = init_params(DESK_ENC, dec, np.random.default_rng([0, 0]))
     opt = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
     mask_rng = np.random.default_rng([0, 1])

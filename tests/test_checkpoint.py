@@ -15,7 +15,8 @@ from dualmae.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from dualmae.config import TrainConfig
+from dualmae.cli import main
+from dualmae.config import TrainConfig, config_as_flat_dict, resolve_configs
 from dualmae.masking import mask_batch
 from dualmae.model import DecoderConfig, EncoderConfig, init_params
 from dualmae.optim import AdamW
@@ -29,7 +30,7 @@ DEC = DecoderConfig(mode="enhanced", layers=1, heads=2)
 def _trained_state(steps=2):
     """A model that has actually taken optimizer steps, so moments and the
     mask generator are away from their initial states."""
-    train = TrainConfig(mode="enhanced", learning_rate=1e-3, seed=9, epochs=1)
+    train = TrainConfig(learning_rate=1e-3, seed=9, epochs=1)
     params = init_params(ENC, DEC, np.random.default_rng([9, 0]))
     opt = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
     rng = np.random.default_rng([9, 1])
@@ -89,9 +90,49 @@ class TestRoundTrip:
         assert loaded.train.learning_rate == 1.0 / 3.0
         assert loaded.train.weight_decay == 0.1 + 0.2
 
+    def test_stacked_basic_decoder_keeps_its_depth(self, tmp_path):
+        dec = DecoderConfig(mode="basic", layers=2, heads=2)
+        params = init_params(ENC, dec, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, TrainConfig(), ENC, dec, AdamW(lr=1e-4),
+                        np.random.default_rng(1), Progress(), "vocab.txt")
+        loaded = load_checkpoint(path)
+        assert loaded.decoder == dec
+        assert "dec1.ffn.w2" in loaded.params
+
+    def test_desk_config_lines_are_pinned(self, tmp_path):
+        # key order and value text of the manifest; changing either breaks
+        # byte-identical checkpoints
+        train, enc, dec = resolve_configs(preset="desk", env={})
+        params = init_params(enc, dec, np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, train, enc, dec, AdamW(lr=train.learning_rate),
+                        np.random.default_rng(1), Progress(), "vocab.txt")
+        lines = [line for line in _manifest(path).splitlines() if line.startswith("config.")]
+        assert lines == [
+            "config.layers = 2",
+            "config.hidden_dim = 64",
+            "config.heads = 4",
+            "config.ffn_dim = 256",
+            "config.max_len = 128",
+            "config.vocab_size = 2048",
+            "config.decoder_heads = 4",
+            "config.mode = enhanced",
+            "config.mask_ratio_encoder = 0.15",
+            "config.mask_ratio_decoder = 0.5",
+            "config.decoder_layers = 1",
+            "config.epochs = 8",
+            "config.batch_size = 32",
+            "config.learning_rate = 0.001",
+            "config.weight_decay = 0.01",
+            "config.warmup_steps = 0",
+            "config.seed = 42",
+            "config.encoder_mlm_weight = 0.0",
+        ]
+
     def test_fresh_optimizer_saves_zero_moments(self, tmp_path):
         params = init_params(ENC, DEC, np.random.default_rng(0))
-        train = TrainConfig(mode="enhanced")
+        train = TrainConfig()
         opt = AdamW(lr=1e-4)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, train, ENC, DEC, opt, np.random.default_rng(1),
@@ -100,6 +141,12 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             loaded.optimizer.moments["word_emb"][0], np.zeros((40, 16), dtype=np.float32)
         )
+
+
+def _manifest(path):
+    blob = path.read_bytes()
+    newline = blob.index(b"\n")
+    return blob[newline + 1 : newline + 1 + int(blob[:newline].split()[1])].decode()
 
 
 def _rewrite_manifest(path, mutate):
@@ -153,3 +200,112 @@ class TestCorruption:
         _rewrite_manifest(path, lambda m: m.replace("tensor = word_emb f4", "tensor = word_emb f2", 1))
         with pytest.raises(CheckpointError, match="dtype"):
             load_checkpoint(path)
+
+
+def _drop_line(name):
+    """Drop the manifest line ``name = ...``, or the row of tensor ``name``."""
+    def mutate(manifest):
+        lines = manifest.splitlines(keepends=True)
+        return "".join(line for line in lines if not line.startswith((f"{name} = ", f"tensor = {name} ")))
+    return mutate
+
+
+def _add_second_decoder_bias(manifest):
+    """A ``dec1.attn.bq`` row pointing at ``dec0.attn.bq``'s bytes."""
+    row = next(line for line in manifest.splitlines() if line.startswith("tensor = dec0.attn.bq "))
+    return manifest + row.replace("dec0.", "dec1.") + "\n"
+
+
+CONFIG_LINES = [f"config.{key}" for key in config_as_flat_dict(TrainConfig(), ENC, DEC)]
+SCALAR_LINES = ["progress.step", "progress.epoch", "progress.step_in_epoch",
+                "optimizer.steps", "vocab.file", "rng.state"]
+
+
+class TestManifestValidation:
+    """Every manifest line save_checkpoint writes is required; nothing is
+    filled in from defaults."""
+
+    def _saved(self, tmp_path):
+        params, train, opt, rng, progress = _trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, train, ENC, DEC, opt, rng, progress, "vocab.txt")
+        return path
+
+    @pytest.mark.parametrize("line", CONFIG_LINES)
+    def test_missing_config_line(self, tmp_path, line):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, _drop_line(line))
+        key = line[len("config."):]
+        with pytest.raises(CheckpointError, match=f"missing config key '{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", SCALAR_LINES)
+    def test_missing_scalar_line(self, tmp_path, line):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, _drop_line(line))
+        with pytest.raises(CheckpointError, match=f"missing manifest line '{line}'"):
+            load_checkpoint(path)
+
+    def test_every_written_line_is_covered(self, tmp_path):
+        names = [line.split(" = ")[0] for line in _manifest(self._saved(tmp_path)).splitlines()]
+        assert [n for n in names if n != "tensor"] == CONFIG_LINES + SCALAR_LINES
+
+    def test_unknown_config_key(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m + "config.colour = red\n")
+        with pytest.raises(CheckpointError, match="unknown config key 'colour'"):
+            load_checkpoint(path)
+
+    def test_unknown_manifest_line(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m + "progress.lap = 3\n")
+        with pytest.raises(CheckpointError, match="unknown manifest line 'progress.lap'"):
+            load_checkpoint(path)
+
+    def test_extra_decoder_layer_tensor(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, _add_second_decoder_bias)
+        with pytest.raises(CheckpointError, match="unexpected tensor 'dec1.attn.bq'"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_tensor(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, _drop_line("out_bias"))
+        with pytest.raises(CheckpointError, match="missing parameter 'out_bias'"):
+            load_checkpoint(path)
+
+    def test_shape_disagreeing_with_config(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m.replace("config.max_len = 8\n", "config.max_len = 16\n"))
+        with pytest.raises(CheckpointError, match=r"'enc_pos' has shape \(8, 16\), the config expects \(16, 16\)"):
+            load_checkpoint(path)
+
+    def test_non_numeric_tensor_offset(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m.replace("tensor = word_emb f4 40x16 0 ", "tensor = word_emb f4 40x16 zero ", 1))
+        with pytest.raises(CheckpointError, match="malformed tensor line"):
+            load_checkpoint(path)
+
+    def test_unreadable_rng_state(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m.replace("rng.state = {", "rng.state = {{", 1))
+        with pytest.raises(CheckpointError, match="unreadable manifest line 'rng.state'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutate, named", [
+        (_drop_line("rng.state"), "rng.state"),
+        (_drop_line("config.max_len"), "max_len"),
+        (_drop_line("opt.v.enc_pos"), "opt.v.enc_pos"),
+        (_add_second_decoder_bias, "dec1.attn.bq"),
+        (lambda m: m.replace("config.decoder_layers = 1", "config.decoder_layers = 2"), "one decoder layer"),
+    ])
+    def test_embed_exits_2_without_traceback(self, tmp_path, capsys, mutate, named):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, mutate)
+        sentences = tmp_path / "in.txt"
+        sentences.write_text("a b c\n")
+        code = main(["embed", "--checkpoint", str(path), "--input", str(sentences),
+                     "--output", str(tmp_path / "out.emb")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err and "Traceback" not in err

@@ -4,6 +4,8 @@ CLI tests call main() in-process and assert on exit codes, stdout
 contracts, and the artifacts left on disk.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dualmae.config import (
     ConfigError,
     PRESETS,
     config_as_flat_dict,
+    configs_from_flat_dict,
     parse_config_file,
     parse_overrides,
     resolve_configs,
@@ -75,7 +78,7 @@ class TestResolve:
         assert (enc.layers, enc.hidden_dim, enc.heads, enc.ffn_dim) == (2, 64, 4, 256)
         assert (enc.max_len, enc.vocab_size) == (128, 2048)
         assert train.learning_rate == 1e-3
-        assert train.mode == "enhanced" and dec.mode == "enhanced"
+        assert dec.mode == "enhanced"
         assert dec.layers == 1 and dec.heads == 4
 
     def test_precedence_file_then_overrides_then_env(self):
@@ -121,8 +124,74 @@ class TestResolve:
         )
         flat = config_as_flat_dict(train, enc, dec)
         assert set(flat) == set(PRESETS["desk"])
-        again = resolve_configs(preset="full", overrides=flat, env={})
-        assert again == (train, enc, dec)
+        assert configs_from_flat_dict(flat) == (train, enc, dec)
+
+    def test_unknown_key_in_programmatic_overrides(self):
+        with pytest.raises(ConfigError, match="unknown config key 'colour'"):
+            resolve_configs(preset="desk", overrides={"colour": "red"}, env={})
+
+
+def _fields(configs):
+    return {(type(c).__name__, f.name): getattr(c, f.name) for c in configs for f in dataclasses.fields(c)}
+
+
+class TestFlatKeys:
+    # a canonical text value for every flat key, each unlike the base below
+    ALTERED = {
+        "layers": "3",
+        "hidden_dim": "32",
+        "heads": "8",
+        "ffn_dim": "100",
+        "max_len": "40",
+        "vocab_size": "99",
+        "decoder_heads": "2",
+        "mode": "enhanced",
+        "mask_ratio_encoder": "0.3333333333333333",
+        "mask_ratio_decoder": "0.30000000000000004",
+        "decoder_layers": "2",
+        "epochs": "3",
+        "batch_size": "7",
+        "learning_rate": "1e-05",
+        "weight_decay": "0.1",
+        "warmup_steps": "11",
+        "seed": "12345",
+        "encoder_mlm_weight": "0.25",
+    }
+    BASE = resolve_configs(preset="desk", overrides={"mode": "basic"}, env={})
+
+    def test_one_key_per_settable_field(self):
+        flat = config_as_flat_dict(*self.BASE)
+        assert list(flat) == list(PRESETS["desk"]) == list(self.ALTERED)
+        assert len(_fields(self.BASE)) == len(flat) == 18
+
+    @pytest.mark.parametrize("key", list(ALTERED))
+    def test_round_trip_through_each_key(self, key):
+        flat = config_as_flat_dict(*self.BASE)
+        assert configs_from_flat_dict(flat) == self.BASE
+        changed_flat = {**flat, key: self.ALTERED[key]}
+        changed = configs_from_flat_dict(changed_flat)
+        assert config_as_flat_dict(*changed) == changed_flat
+        before, after = _fields(self.BASE), _fields(changed)
+        assert len([f for f in before if before[f] != after[f]]) == 1
+
+    def test_decoder_keys_configure_the_decoder(self):
+        flat = {**config_as_flat_dict(*self.BASE), "decoder_layers": "2", "decoder_heads": "2"}
+        _, _, dec = configs_from_flat_dict(flat)
+        assert (dec.mode, dec.layers, dec.heads) == ("basic", 2, 2)
+
+    def test_inverse_requires_exactly_the_key_set(self):
+        flat = config_as_flat_dict(*self.BASE)
+        with pytest.raises(ConfigError, match="missing config key 'seed'"):
+            configs_from_flat_dict({k: v for k, v in flat.items() if k != "seed"})
+        with pytest.raises(ConfigError, match="unknown config key 'colour'"):
+            configs_from_flat_dict({**flat, "colour": "red"})
+        with pytest.raises(ConfigError, match="bad value for 'epochs' in flat config"):
+            configs_from_flat_dict({**flat, "epochs": "a few"})
+
+    def test_one_layer_rule_applies_to_the_inverse(self):
+        flat = {**config_as_flat_dict(*self.BASE), "mode": "enhanced", "decoder_layers": "2"}
+        with pytest.raises(ConfigError, match="one decoder layer"):
+            configs_from_flat_dict(flat)
 
 
 WORDS = (

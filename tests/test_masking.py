@@ -10,16 +10,15 @@ import pytest
 from scipy import stats
 
 from dualmae.masking import (
-    AttentionMaskMatrix,
+    _sample_mask,
     build_attention_mask,
+    coverage_counts,
     mask_batch,
-    mask_for_decoder,
-    mask_for_encoder,
     maskable_positions,
     round_half_up,
     signal_coverage_stats,
 )
-from dualmae.text import CLS_ID, MASK_ID, SEP_ID, TokenSequence, make_batch
+from dualmae.text import CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenSequence, make_batch
 
 
 def _seq(content_len: int, start: int = 5) -> TokenSequence:
@@ -46,43 +45,60 @@ class TestTokenMasks:
 
     def test_exact_mask_counts(self):
         rng = np.random.default_rng(0)
-        m15 = mask_for_encoder(_seq(20), 0.15, rng)
-        assert len(m15.masked_positions) == 3
-        m50 = mask_for_decoder(_seq(20), 0.5, rng)
-        assert len(m50.masked_positions) == 10
+        assert _sample_mask(_seq(20).ids, 0.15, rng).size == 3
+        assert _sample_mask(_seq(20).ids, 0.5, rng).size == 10
+        mb = mask_batch(make_batch([_seq(20)]), "basic", 0.15, 0.5, rng)
+        assert mb.enc_masked[0].sum() == 3
+        assert mb.dec_masked[0].sum() == 10
 
     def test_at_least_one_position_masked(self):
         rng = np.random.default_rng(1)
-        m = mask_for_encoder(_seq(1), 0.15, rng)
-        assert len(m.masked_positions) == 1
+        assert _sample_mask(_seq(1).ids, 0.15, rng).size == 1
+        mb = mask_batch(make_batch([_seq(1)]), "basic", 0.15, 0.15, rng)
+        assert mb.enc_masked[0].sum() == 1 and mb.dec_masked[0].sum() == 1
 
     def test_mask_token_written_in_place(self):
         rng = np.random.default_rng(2)
-        seq = _seq(10)
-        m = mask_for_decoder(seq, 0.5, rng)
-        for p in m.masked_positions:
-            assert m.ids[p] == MASK_ID
-            assert seq.ids[p] != MASK_ID  # original untouched
-        untouched = np.setdiff1d(np.arange(len(seq)), m.masked_positions)
-        np.testing.assert_array_equal(m.ids[untouched], seq.ids[untouched])
+        batch = make_batch([_seq(10)])
+        original = batch.ids.copy()
+        mb = mask_batch(batch, "basic", 0.3, 0.5, rng)
+        np.testing.assert_array_equal(batch.ids, original)  # original untouched
+        for ids, masked in ((mb.enc_ids, mb.enc_masked), (mb.dec_ids, mb.dec_masked)):
+            assert (ids[masked] == MASK_ID).all()
+            assert (original[masked] != MASK_ID).all()
+            np.testing.assert_array_equal(ids[~masked], original[~masked])
 
     def test_structure_never_masked(self):
         rng = np.random.default_rng(3)
+        # the second row is padded, so [PAD] positions are exercised too
+        batch = make_batch([_seq(4), _seq(2)])
+        structure = np.isin(batch.ids, [CLS_ID, SEP_ID, PAD_ID])
+        assert (batch.ids == PAD_ID).any()
         for _ in range(50):
-            m = mask_for_decoder(_seq(4), 0.9, rng)
-            assert m.ids[0] == CLS_ID and m.ids[-1] == SEP_ID
+            mb = mask_batch(batch, "basic", 0.9, 0.9, rng)
+            assert not (mb.enc_masked & structure).any()
+            assert not (mb.dec_masked & structure).any()
+            np.testing.assert_array_equal(mb.dec_ids[structure], batch.ids[structure])
+            np.testing.assert_array_equal(mb.enc_ids[structure], batch.ids[structure])
 
     def test_ratio_bounds(self):
         rng = np.random.default_rng(4)
+        batch = make_batch([_seq(5)])
         for ratio in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                mask_for_encoder(_seq(5), ratio, rng)
+                _sample_mask(_seq(5).ids, ratio, rng)
+            with pytest.raises(ValueError):
+                mask_batch(batch, "basic", ratio, 0.5, rng)
+            with pytest.raises(ValueError):
+                mask_batch(batch, "basic", 0.15, ratio, rng)
 
     def test_no_content_rejected(self):
         rng = np.random.default_rng(5)
         bare = TokenSequence(np.array([CLS_ID, SEP_ID]))
-        with pytest.raises(ValueError):
-            mask_for_encoder(bare, 0.15, rng)
+        with pytest.raises(ValueError, match="no maskable positions"):
+            _sample_mask(bare.ids, 0.15, rng)
+        with pytest.raises(ValueError, match="no maskable positions"):
+            mask_batch(make_batch([bare]), "basic", 0.15, 0.5, rng)
 
     def test_inclusion_rate_matches_ratio(self):
         # 10 content tokens at ratio 0.3 puts each position in the mask
@@ -92,8 +108,7 @@ class TestTokenMasks:
         hits = np.zeros(len(seq))
         trials = 10000
         for _ in range(trials):
-            m = mask_for_encoder(seq, 0.3, rng)
-            hits[list(m.masked_positions)] += 1
+            hits[_sample_mask(seq.ids, 0.3, rng)] += 1
         rates = hits[1:11] / trials
         assert np.all(np.abs(rates - 0.3) < 0.02)
 
@@ -130,11 +145,6 @@ class TestMaskMatrix:
     def test_lone_content_row_keeps_only_the_embedding(self):
         m = build_attention_mask(2, 0.5, [], np.random.default_rng(2)).matrix
         np.testing.assert_array_equal(m[1], [0.0, -np.inf])
-
-    def test_visible_columns_helper(self):
-        mat = build_attention_mask(5, 0.5, [], np.random.default_rng(3))
-        for i in range(5):
-            np.testing.assert_array_equal(mat.visible_columns(i), np.flatnonzero(mat.matrix[i] == 0.0))
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(4)
@@ -256,6 +266,13 @@ class TestSignalCoverage:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             signal_coverage_stats("mlm", self._batches(), 0.5, np.random.default_rng(4))
+
+    def test_counts_match_the_per_row_definition(self):
+        batch = make_batch([_seq(7), _seq(3), _seq(1)])
+        per_row = sum(maskable_positions(batch.ids[r]).size for r in range(batch.size))
+        assert coverage_counts(batch.ids, None) == (11, 11)
+        mb = mask_batch(batch, "basic", 0.15, 0.5, np.random.default_rng(6))
+        assert coverage_counts(batch.ids, mb.dec_masked) == (per_row, 4 + 2 + 1)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

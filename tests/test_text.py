@@ -16,7 +16,6 @@ from dualmae.text import (
     batch_iter,
     build_vocabulary,
     corpus_lines,
-    decode_ids,
     encode_text,
     load_corpus,
     make_batch,
@@ -107,7 +106,7 @@ class TestEncodeText:
         vocab = build_vocabulary(["a b c d e"], max_size=12)
         seq = encode_text("a b c d e", vocab, max_len=4)
         assert len(seq) == 4  # [CLS] a b [SEP]
-        assert decode_ids(seq.ids, vocab) == ["a", "b"]
+        assert [vocab.token_for(int(i)) for i in seq.ids[1:-1]] == ["a", "b"]
 
     def test_unknown_words_become_unk(self):
         vocab = build_vocabulary(["a"], max_size=6)
@@ -119,10 +118,10 @@ class TestEncodeText:
         with pytest.raises(ValueError):
             encode_text("a", vocab, max_len=2)
 
-    def test_decode_skips_structural_ids(self):
+    def test_token_for_maps_reserved_and_content_ids(self):
         vocab = build_vocabulary(["a b"], max_size=10)
-        tokens = decode_ids([CLS_ID, 5, MASK_ID, 6, SEP_ID, PAD_ID], vocab)
-        assert tokens == [vocab.token_for(5), "[M]", vocab.token_for(6)]
+        tokens = [vocab.token_for(i) for i in (CLS_ID, 5, MASK_ID, 6, SEP_ID, PAD_ID)]
+        assert tokens == ["[CLS]", "a", "[M]", "b", "[SEP]", "[PAD]"]
 
 
 class TestTokenSequence:

@@ -138,7 +138,7 @@ def _write_corpus(path, n=20, seed=0):
 
 
 def _micro_configs():
-    train = TrainConfig(mode="enhanced", epochs=2, batch_size=8, learning_rate=1e-3, seed=5)
+    train = TrainConfig(epochs=2, batch_size=8, learning_rate=1e-3, seed=5)
     enc = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=32, max_len=10, vocab_size=64)
     dec = DecoderConfig(mode="enhanced", layers=1, heads=2)
     return train, enc, dec
@@ -205,7 +205,7 @@ class TestRunPretraining:
         corpus.write_text(
             "\n".join(" ".join(rng.choice(WORDS, size=5)) for _ in range(8)) + "\n"
         )
-        train = TrainConfig(mode="enhanced", epochs=200, batch_size=8, learning_rate=1e-3, seed=5)
+        train = TrainConfig(epochs=200, batch_size=8, learning_rate=1e-3, seed=5)
         _, enc, dec = _micro_configs()
         run_pretraining(corpus, tmp_path / "run", train, enc, dec)
         log = (tmp_path / "run" / "loss_log.tsv").read_text().splitlines()
