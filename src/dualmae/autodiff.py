@@ -33,6 +33,10 @@ class MaskedRowError(ValueError):
     """A softmax row had every column masked out."""
 
 
+class MaskFormatError(ValueError):
+    """A visibility mask is not a boolean array."""
+
+
 _GRAD_ENABLED = True
 
 
@@ -378,21 +382,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # attention-specific ops
 
 
-def masked_softmax(scores: Tensor, addmask: np.ndarray) -> Tensor:
-    """Softmax over the last axis under an additive {0, -inf} mask.
+def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
+    """Softmax over the last axis under a boolean visibility mask.
 
-    ``addmask`` is plain data, broadcastable to ``scores``; entries must be
-    exactly 0 (visible) or -inf (blocked). Blocked positions get probability
-    exactly 0. A row with every column blocked raises MaskedRowError rather
-    than returning NaN.
+    ``visible`` is plain bool data, broadcastable to ``scores``; True marks
+    a column the row may read. Any other dtype raises MaskFormatError, so an
+    additive {0, -inf} mask is never mistaken for "everything visible".
+    Blocked positions get probability exactly 0. A row with every column
+    blocked raises MaskedRowError rather than returning NaN.
     """
-    addmask = np.asarray(addmask)
-    if not np.all((addmask == 0) | np.isneginf(addmask)):
-        raise ValueError("additive mask entries must be 0 or -inf")
+    visible = np.asarray(visible)
+    if visible.dtype != np.bool_:
+        raise MaskFormatError(f"visibility mask must be bool, got {visible.dtype}")
     try:
-        visible = np.broadcast_to(addmask == 0, scores.data.shape)
+        visible = np.broadcast_to(visible, scores.data.shape)
     except ValueError as e:
-        raise ShapeError(f"mask shape {addmask.shape} does not broadcast to {scores.data.shape}") from e
+        raise ShapeError(f"mask shape {visible.shape} does not broadcast to {scores.data.shape}") from e
     if not visible.any(axis=-1).all():
         raise MaskedRowError("softmax row with all columns masked")
     sd = scores.data

@@ -14,12 +14,17 @@ loss curve exactly.
 Loading is all or nothing. The ``config.*`` lines must hold exactly the
 flat config keys, every other line save writes must be present, and the
 tensor set and shapes must be exactly the config's parameters plus their
-two moments; anything else raises ``CheckpointError`` naming the item.
+two moments, and the payload must hold exactly those tensors back to back;
+anything else raises ``CheckpointError`` naming the item. Saving writes a
+temporary file beside the target and renames it over the target, so a
+killed save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +34,7 @@ from . import autodiff as ad
 from .config import ConfigError, TrainConfig, config_as_flat_dict, configs_from_flat_dict
 from .model import DecoderConfig, EncoderConfig, ModelParams, param_shapes
 from .optim import AdamW
+from .text import Vocabulary
 
 MAGIC = "dualmae-ckpt-v1"
 
@@ -118,11 +124,15 @@ def save_checkpoint(
 
     manifest = "\n".join(manifest_lines) + "\n"
     manifest_bytes = manifest.encode("utf-8")
-    with open(path, "wb") as f:
+    # a kill mid-write leaves the previous checkpoint in place
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
         f.write(f"{MAGIC} {len(manifest_bytes)}\n".encode("ascii"))
         f.write(manifest_bytes)
         for raw in payloads:
             f.write(raw)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
@@ -135,12 +145,15 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: bad header, expected '{MAGIC} <manifest-bytes>'")
     manifest_len = int(header[1])
     manifest_start = newline + 1
-    manifest = blob[manifest_start : manifest_start + manifest_len].decode("utf-8")
+    try:
+        manifest = blob[manifest_start : manifest_start + manifest_len].decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: manifest is not UTF-8") from None
     payload = blob[manifest_start + manifest_len :]
 
     config_values: dict[str, str] = {}
     scalars: dict[str, str] = {}
-    tensor_rows: list[tuple[str, str, str, int, int]] = []
+    tensors: dict[str, tuple[str, tuple[int, ...], int, int]] = {}  # name -> tag, shape, offset, bytes
     for lineno, line in enumerate(manifest.splitlines(), start=2):
         if not line.strip():
             continue
@@ -149,9 +162,17 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             raise CheckpointError(f"{path}:{lineno}: malformed manifest line")
         if key == "tensor":
             parts = value.split()
-            if len(parts) != 5 or not (parts[3].isdigit() and parts[4].isdigit()):
+            if len(parts) != 5 or not (parts[3].isdecimal() and parts[4].isdecimal()):
                 raise CheckpointError(f"{path}:{lineno}: malformed tensor line")
-            tensor_rows.append((parts[0], parts[1], parts[2], int(parts[3]), int(parts[4])))
+            name, tag, dims = parts[:3]
+            if name in tensors:
+                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
+            if tag not in _DTYPES:
+                raise CheckpointError(f"{path}: unknown dtype tag {tag!r} for {name}")
+            if dims != "scalar" and not all(n.isdecimal() for n in dims.split("x")):
+                raise CheckpointError(f"{path}:{lineno}: bad shape field {dims!r} for tensor {name}")
+            shape = () if dims == "scalar" else tuple(int(n) for n in dims.split("x"))
+            tensors[name] = (tag, shape, int(parts[3]), int(parts[4]))
         elif key.startswith("config."):
             config_values[key[len("config.") :]] = value
         elif key in _SCALARS:
@@ -167,34 +188,39 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     except ConfigError as e:
         raise CheckpointError(f"{path}: {e}") from None
 
-    arrays: dict[str, np.ndarray] = {}
-    for name, tag, dims, offset, nbytes in tensor_rows:
-        if name in arrays:
-            raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        if tag not in _DTYPES:
-            raise CheckpointError(f"{path}: unknown dtype tag {tag!r} for {name}")
-        shape = () if dims == "scalar" else tuple(int(n) for n in dims.split("x"))
-        raw = payload[offset : offset + nbytes]
-        if len(raw) != nbytes:
-            raise CheckpointError(f"{path}: payload truncated at tensor {name}")
-        arrays[name] = np.frombuffer(raw, dtype=_DTYPES[tag]).reshape(shape).copy()
-
     # the tensor set is exactly the config's parameters plus two moments each
     shapes = dict(param_shapes(encoder, decoder))
     expected: dict[str, tuple[int, ...]] = {}
     for name, shape in shapes.items():
         expected[name] = expected[f"opt.m.{name}"] = expected[f"opt.v.{name}"] = shape
-    for name in arrays:
+    for name in tensors:
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}; the config has no such parameter")
     for name, shape in expected.items():
-        if name not in arrays:
+        if name not in tensors:
             what = "optimizer state" if name.startswith("opt.") else "parameter"
             raise CheckpointError(f"{path}: missing {what} {name!r}")
-        if arrays[name].shape != shape:
+        if tensors[name][1] != shape:
             raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {arrays[name].shape}, the config expects {shape}"
+                f"{path}: tensor {name!r} has shape {tensors[name][1]}, the config expects {shape}"
             )
+
+    # the payload is the tensors back to back in manifest order, and nothing more
+    arrays: dict[str, np.ndarray] = {}
+    end = 0
+    for name, (tag, shape, offset, nbytes) in tensors.items():
+        dtype = np.dtype(_DTYPES[tag])
+        need = math.prod(shape) * dtype.itemsize
+        if nbytes != need:
+            raise CheckpointError(f"{path}: tensor {name!r} has {nbytes} bytes, its shape {shape} needs {need}")
+        if offset != end:
+            raise CheckpointError(f"{path}: tensor {name!r} starts at payload byte {offset}, expected {end}")
+        end += nbytes
+        if end > len(payload):
+            raise CheckpointError(f"{path}: payload truncated at tensor {name}")
+        arrays[name] = np.frombuffer(payload[offset:end], dtype=dtype).reshape(shape).copy()
+    if end != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - end} bytes after the last tensor")
 
     params = ModelParams({name: ad.parameter(arrays[name], dtype=arrays[name].dtype) for name in shapes})
     optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
@@ -204,7 +230,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     def scalar(name, parse):
         try:
             return parse(scalars[name])
-        except (ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError, OverflowError):
             raise CheckpointError(f"{path}: unreadable manifest line {name!r}") from None
 
     optimizer.step_count = scalar("optimizer.steps", int)
@@ -223,6 +249,21 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         progress=progress,
         vocab_file=scalars["vocab.file"],
     )
+
+
+def load_checkpoint_vocabulary(path: str | Path, loaded: LoadedCheckpoint) -> Vocabulary:
+    """The vocabulary saved next to checkpoint ``path``; it must be readable
+    and have one token per ``word_emb`` row."""
+    vocab_path = Path(path).parent / loaded.vocab_file
+    try:
+        vocab = Vocabulary.load(vocab_path)
+    except ValueError as e:
+        raise CheckpointError(f"{vocab_path}: {e}") from None
+    if len(vocab) != loaded.encoder.vocab_size:
+        raise CheckpointError(
+            f"{vocab_path} has {len(vocab)} tokens, but {path} has {loaded.encoder.vocab_size} word_emb rows"
+        )
+    return vocab
 
 
 def _generator(state_json: str) -> np.random.Generator:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, load_checkpoint_vocabulary
 from .config import (
     ConfigError,
     parse_config_file,
@@ -36,7 +36,7 @@ from .retrieval import (
     save_embeddings,
     search_run,
 )
-from .text import Vocabulary, batch_iter, build_vocabulary, corpus_lines, load_corpus
+from .text import batch_iter, build_vocabulary, corpus_lines, load_corpus
 from .training import TrainingDiverged, run_pretraining
 
 
@@ -87,7 +87,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     ckpt_path = _require_file(args.checkpoint, "checkpoint")
     input_path = _require_file(args.input, "input file")
     loaded = load_checkpoint(ckpt_path)
-    vocab = Vocabulary.load(ckpt_path.parent / loaded.vocab_file)
+    vocab = load_checkpoint_vocabulary(ckpt_path, loaded)
     sentences = corpus_lines(input_path)
     if not sentences:
         raise RunFormatError(f"{input_path}: no sentences to embed")

@@ -2,12 +2,13 @@
 
 Basic mode rebuilds a heavily polluted copy of the sentence from a normal
 self-attention stack whose position 0 carries the sentence embedding.
-Enhanced mode splits the layer into two streams: queries come from the
-sentence embedding broadcast over positions, keys and values from the
-clean token embeddings, and a per-row visibility matrix decides which
-tokens each position may read. Every real token then yields a training
-signal from its own sampled context, and no token can copy itself because
-its own column is blocked and the residual path carries the query stream.
+Enhanced mode runs the same post-LN block with two streams: queries (and
+the residual) come from the sentence embedding broadcast over positions,
+keys and values from the clean token embeddings, and a per-row boolean
+visibility matrix (True = may read) decides which tokens each position
+sees. Every real token then yields a training signal from its own sampled
+context, and no token can copy itself because its own column is blocked
+and the residual path carries the query stream.
 """
 
 from __future__ import annotations
@@ -17,16 +18,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .masking import MaskedBatch
-from .model import (
-    LAYER_NORM_EPS,
-    DecoderConfig,
-    ModelParams,
-    attention,
-    feed_forward,
-    output_logits,
-    pad_attention_mask,
-    transformer_block,
-)
+# attention and feed_forward stay imported: perfbench/tracer.py swaps decoder.attention/feed_forward by name
+from .model import DecoderConfig, ModelParams, attention, feed_forward, output_logits, transformer_block  # noqa: F401
 
 
 def _reconstruction_loss(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -54,9 +47,9 @@ def decode_basic(
     tail = ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:])
     head = ad.reshape(sentence, (B, 1, sentence.shape[-1]))
     x = ad.add(ad.concat([head, tail], axis=1), ad.narrow(params["dec_pos"], 0, 0, L))
-    addmask = pad_attention_mask(mbatch.real)
+    visible = mbatch.real[:, None, None, :]
     for i in range(dec_config.layers):
-        x = transformer_block(params, f"dec{i}", x, addmask, dec_config.heads)
+        x = transformer_block(params, f"dec{i}", x, x, visible, dec_config.heads)
     logits = output_logits(params, x)
     loss = _reconstruction_loss(logits, mbatch.ids, mbatch.dec_masked)
     return logits, loss
@@ -73,19 +66,16 @@ def enhanced_logits(
 
     The query stream is the sentence embedding at every position; the
     key/value stream carries the token embeddings with position 0 swapped
-    for the sentence embedding. Exposed separately so tests can perturb
-    individual token embeddings without touching the shared table.
+    for the sentence embedding. ``attention_masks`` is the (B, L, L) bool
+    visibility, shared by every head. Exposed separately so tests can
+    perturb individual token embeddings without touching the shared table.
     """
     B, L, d = token_embeddings.shape
     positions = ad.narrow(params["dec_pos"], 0, 0, L)
     head = ad.reshape(sentence, (B, 1, d))
     h1 = ad.add(head, positions)
     h2 = ad.add(ad.concat([head, ad.narrow(token_embeddings, 1, 1, L - 1)], axis=1), positions)
-    addmask = attention_masks.reshape(B, 1, L, L)
-    attn_out = attention(params, "dec0", h1, h2, addmask, dec_config.heads)
-    x = ad.layer_norm(ad.add(attn_out, h1), params["dec0.ln1.gain"], params["dec0.ln1.bias"], LAYER_NORM_EPS)
-    ffn_out = feed_forward(params, "dec0", x)
-    x = ad.layer_norm(ad.add(x, ffn_out), params["dec0.ln2.gain"], params["dec0.ln2.bias"], LAYER_NORM_EPS)
+    x = transformer_block(params, "dec0", h1, h2, attention_masks[:, None], dec_config.heads)
     return output_logits(params, x)
 
 

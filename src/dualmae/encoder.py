@@ -15,7 +15,6 @@ from .model import (
     LAYER_NORM_EPS,
     EncoderConfig,
     ModelParams,
-    pad_attention_mask,
     transformer_block,
 )
 
@@ -50,8 +49,8 @@ def encode(
         params["enc_emb_ln.bias"],
         LAYER_NORM_EPS,
     )
-    addmask = pad_attention_mask(real)
+    visible = real[:, None, None, :]
     for i in range(config.layers):
-        x = transformer_block(params, f"enc{i}", x, addmask, config.heads)
+        x = transformer_block(params, f"enc{i}", x, x, visible, config.heads)
     sentence = ad.select_index(x, 0, axis=1)
     return sentence, x

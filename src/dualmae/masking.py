@@ -1,4 +1,4 @@
-"""Dual asymmetric masking and the position-specific attention mask.
+"""Dual asymmetric masking and the position-specific visibility mask.
 
 The same sentence is polluted twice: a moderate mask for the encoder input
 and, depending on the decoding mode, either an aggressive token mask
@@ -59,32 +59,22 @@ def _sample_mask(ids: np.ndarray, ratio: float, rng: np.random.Generator) -> np.
     return np.sort(picked)
 
 
-@dataclass(frozen=True)
-class AttentionMaskMatrix:
-    """An (L, L) additive mask over {0, -inf} for enhanced decoding.
-
-    Row i lists what position i may attend to. Position 0 (the sentence
-    embedding slot) is visible to every row; the diagonal is blocked for
-    every row but 0 so no token can condition on itself; pad columns are
-    blocked everywhere.
-    """
-
-    matrix: np.ndarray
-
-
 def build_attention_mask(
     length: int,
     ratio: float,
     pad_positions: Iterable[int],
     rng: np.random.Generator,
-) -> AttentionMaskMatrix:
-    """Sample the per-row visibility matrix.
+) -> np.ndarray:
+    """Sample the (L, L) bool visibility matrix for enhanced decoding.
 
-    Each non-pad row i >= 1 sees column 0 plus round((1 - ratio) * maskable)
-    sampled non-pad columns other than itself, where maskable counts the
-    non-pad positions in 1..L-1. Row 0 sees column 0 plus a sample of the
-    same size. The visible count is clamped to at least 1 and at most the
-    candidate-set size. Pad rows see only column 0.
+    Row i lists what position i may attend to (True = visible). Column 0,
+    the sentence embedding slot, is visible to every row. Each non-pad row
+    i >= 1 also sees round((1 - ratio) * maskable) sampled non-pad columns
+    other than itself, where maskable counts the non-pad positions in
+    1..L-1, so no token can condition on itself. Row 0 sees column 0 plus a
+    sample of the same size. The visible count is clamped to at least 1 and
+    at most the candidate-set size. Pad columns are blocked everywhere and
+    pad rows see only column 0.
     """
     _check_ratio(ratio)
     if length < 2:
@@ -97,10 +87,10 @@ def build_attention_mask(
         raise ValueError("every position beyond 0 is pad")
     n_visible = max(1, round_half_up((1.0 - ratio) * candidates.size))
 
-    m = np.full((length, length), -np.inf, dtype=np.float64)
-    m[:, 0] = 0.0
+    m = np.zeros((length, length), dtype=bool)
+    m[:, 0] = True
     pick0 = rng.choice(candidates, size=min(n_visible, candidates.size), replace=False)
-    m[0, pick0] = 0.0
+    m[0, pick0] = True
     for i in range(1, length):
         if i in pads:
             continue
@@ -109,8 +99,8 @@ def build_attention_mask(
             continue  # L == 2: the lone content row keeps only column 0
         take = min(n_visible, others.size)
         picked = rng.choice(others, size=take, replace=False)
-        m[i, picked] = 0.0
-    return AttentionMaskMatrix(matrix=m)
+        m[i, picked] = True
+    return m
 
 
 @dataclass(frozen=True)
@@ -119,8 +109,8 @@ class MaskedBatch:
 
     ``enc_ids`` always carries the encoder-side [M] pollution. In basic
     mode ``dec_ids``/``dec_masked`` describe the reconstruction input and
-    its targets; in enhanced mode ``attention_masks`` holds one visibility
-    matrix per sentence instead.
+    its targets; in enhanced mode ``attention_masks`` holds one (L, L) bool
+    visibility matrix per sentence instead, True where a row may read.
     """
 
     ids: np.ndarray
@@ -159,7 +149,7 @@ def mask_batch(
     enc_masked = np.zeros((B, L), dtype=bool)
     dec_ids = batch.ids.copy() if mode == "basic" else None
     dec_masked = np.zeros((B, L), dtype=bool) if mode == "basic" else None
-    attn = np.empty((B, L, L), dtype=np.float64) if mode == "enhanced" else None
+    attn = np.empty((B, L, L), dtype=bool) if mode == "enhanced" else None
 
     for row in range(B):
         seq_ids = batch.ids[row]
@@ -172,7 +162,7 @@ def mask_batch(
             dec_masked[row, dec_pos] = True
         else:
             pads = np.flatnonzero(~batch.real[row])
-            attn[row] = build_attention_mask(L, ratio_decoder, pads, rng).matrix
+            attn[row] = build_attention_mask(L, ratio_decoder, pads, rng)
     return MaskedBatch(
         ids=batch.ids,
         real=batch.real,

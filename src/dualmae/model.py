@@ -2,7 +2,9 @@
 
 Both the deep encoder and the shallow reconstruction decoder are built
 from the same post-layer-norm block: attention, add & normalize, GELU
-feed-forward, add & normalize. The word-embedding table is shared between
+feed-forward, add & normalize. The block takes a query stream and a
+key/value stream (the same tensor for self-attention) and a boolean
+visibility mask. The word-embedding table is shared between
 the encoder input, the decoder input, and the output projection; position
 tables are separate per side.
 """
@@ -156,13 +158,6 @@ def init_params(
     return ModelParams(tensors)
 
 
-def pad_attention_mask(real: np.ndarray) -> np.ndarray:
-    """(B, 1, 1, L) additive mask blocking pad columns for every query."""
-    B, L = real.shape
-    mask = np.where(real, 0.0, -np.inf).astype(np.float64)
-    return mask.reshape(B, 1, 1, L)
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     B, L, d = x.shape
     x = ad.reshape(x, (B, L, heads, d // heads))
@@ -180,20 +175,20 @@ def attention(
     prefix: str,
     query_in: Tensor,
     keyvalue_in: Tensor,
-    addmask: np.ndarray,
+    visible: np.ndarray,
     heads: int,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention under an additive mask.
+    """Multi-head scaled dot-product attention under a visibility mask.
 
-    ``addmask`` broadcasts against the (B, heads, L, L) score tensor; rows
-    of the mask decide what each query position may read.
+    ``visible`` is a bool array that broadcasts against the (B, heads, L, L)
+    score tensor; row i of it lists the key positions query i may read.
     """
     q = _split_heads(ad.add(ad.matmul(query_in, params[f"{prefix}.attn.wq"]), params[f"{prefix}.attn.bq"]), heads)
     k = _split_heads(ad.add(ad.matmul(keyvalue_in, params[f"{prefix}.attn.wk"]), params[f"{prefix}.attn.bk"]), heads)
     v = _split_heads(ad.add(ad.matmul(keyvalue_in, params[f"{prefix}.attn.wv"]), params[f"{prefix}.attn.bv"]), heads)
     head_dim = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
-    weights = ad.masked_softmax(scores, addmask)
+    weights = ad.masked_softmax(scores, visible)
     context = _merge_heads(ad.matmul(weights, v))
     return ad.add(ad.matmul(context, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
 
@@ -207,11 +202,17 @@ def transformer_block(
     params: ModelParams,
     prefix: str,
     x: Tensor,
-    addmask: np.ndarray,
+    keyvalue_in: Tensor,
+    visible: np.ndarray,
     heads: int,
 ) -> Tensor:
-    """Post-layer-norm: normalize after each residual add."""
-    attn_out = attention(params, prefix, x, x, addmask, heads)
+    """Post-layer-norm: normalize after each residual add.
+
+    Queries and the residual come from ``x``, keys and values from
+    ``keyvalue_in``; self-attention passes the same tensor twice. ``visible``
+    is the bool mask handed to ``attention``.
+    """
+    attn_out = attention(params, prefix, x, keyvalue_in, visible, heads)
     x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
     ffn_out = feed_forward(params, prefix, x)
     return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)

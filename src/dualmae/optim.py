@@ -52,10 +52,11 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint norm is at most max_norm.
 
     Returns the pre-clip norm. Gradients at or under the limit are left
-    untouched, bit for bit.
+    untouched, bit for bit, and so are gradients with a non-finite norm,
+    which the caller must reject.
     """
     norm = global_grad_norm(grads)
-    if norm > max_norm:
+    if max_norm < norm < np.inf:
         factor = max_norm / norm
         for g in grads:
             g *= g.dtype.type(factor)

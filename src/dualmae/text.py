@@ -154,7 +154,6 @@ def batch_iter(
     seqs: Sequence[TokenSequence],
     batch_size: int,
     seed: int | Sequence[int],
-    pad_to: int | None = None,
 ) -> Iterator[Batch]:
     """One shuffled epoch. Order is a pure function of the seed; the final
     short batch is yielded rather than dropped."""
@@ -163,7 +162,7 @@ def batch_iter(
     order = np.random.default_rng(seed).permutation(len(seqs))
     for start in range(0, len(seqs), batch_size):
         chunk = [seqs[i] for i in order[start : start + batch_size]]
-        yield make_batch(chunk, pad_to=pad_to)
+        yield make_batch(chunk)
 
 
 def load_corpus(path: str | Path, vocab: Vocabulary, max_len: int) -> list[TokenSequence]:

@@ -12,20 +12,21 @@ exact trajectory the uninterrupted run would have taken.
 from __future__ import annotations
 
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
-from .checkpoint import LoadedCheckpoint, Progress, load_checkpoint, save_checkpoint
+from .checkpoint import LoadedCheckpoint, Progress, load_checkpoint, load_checkpoint_vocabulary, save_checkpoint
 from .config import TrainConfig
 from .decoder import decode_basic, decode_enhanced
 from .encoder import encode
 from .masking import MaskedBatch, coverage_counts, mask_batch
 from .model import DecoderConfig, EncoderConfig, ModelParams, init_params, output_logits
 from .optim import AdamW, clip_global_norm, warmup_scale
-from .text import Batch, Vocabulary, batch_iter, build_vocabulary, corpus_lines, load_corpus
+from .text import Batch, batch_iter, build_vocabulary, corpus_lines, load_corpus
 
 GRAD_CLIP_NORM = 1.0
 CHECKPOINT_NAME = "model.ckpt"
@@ -34,7 +35,7 @@ LOG_NAME = "loss_log.tsv"
 
 
 class TrainingDiverged(RuntimeError):
-    """The loss stopped being a finite number."""
+    """The loss or the gradient stopped being finite."""
 
 
 def batch_coverage(mbatch: MaskedBatch, mode: str) -> float:
@@ -88,13 +89,33 @@ def train_step(
     except NonFiniteError as e:
         raise TrainingDiverged(f"step {step}: {e}") from e
     grads = [ad.grad_or_zeros(t) for t in params.tensors()]
-    clip_global_norm(grads, GRAD_CLIP_NORM)
+    if not np.isfinite(clip_global_norm(grads, GRAD_CLIP_NORM)):
+        # raised before the update, so parameters and moments stay as they were
+        raise TrainingDiverged(f"step {step}: non-finite gradient norm")
     optimizer.step(params, lr_scale=warmup_scale(step, train.warmup_steps))
     return float(loss.data), batch_coverage(mbatch, dec_config.mode)
 
 
 def _epoch_seed(base_seed: int, epoch: int) -> list[int]:
     return [base_seed, 2, epoch]
+
+
+def _cut_log(path: Path, last_step: int) -> None:
+    """Keep the leading complete lines of the loss log up to ``last_step``.
+
+    A run killed after its last checkpoint logged steps the resumed run
+    will take again; they go, so the log reads as one uninterrupted run.
+    """
+    if not path.exists():
+        return
+    keep = 0
+    with open(path, "rb") as f:
+        for line in f:
+            step = line.split(b"\t", 1)[0]
+            if not (line.endswith(b"\n") and step.isdigit() and int(step) <= last_step):
+                break
+            keep += len(line)
+    os.truncate(path, keep)
 
 
 def run_pretraining(
@@ -126,7 +147,8 @@ def run_pretraining(
         optimizer = loaded.optimizer
         mask_rng = loaded.rng
         progress = loaded.progress
-        vocab = Vocabulary.load(Path(resume_from).parent / loaded.vocab_file)
+        vocab = load_checkpoint_vocabulary(resume_from, loaded)
+        _cut_log(out_dir / LOG_NAME, progress.step)
     else:
         vocab = build_vocabulary(corpus_lines(corpus_path), enc_config.vocab_size)
         # the parameter table matches the vocabulary actually built, which
@@ -141,6 +163,7 @@ def run_pretraining(
     seqs = load_corpus(corpus_path, vocab, enc_config.max_len)
 
     def save(progress_now: Progress) -> None:
+        log.flush()  # the log never trails the checkpoint it goes with
         save_checkpoint(
             ckpt_path,
             params,
@@ -173,5 +196,5 @@ def run_pretraining(
                     return ckpt_path
             progress = Progress(step=progress.step, epoch=epoch + 1, step_in_epoch=0)
             save(progress)
-    save(progress)
+        save(progress)
     return ckpt_path

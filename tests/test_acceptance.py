@@ -53,20 +53,19 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
         pads = list(range(length - n_pads, length))
         seed = [int(rng.integers(0, 2**31)), trial]
 
-        mask = build_attention_mask(length, ratio, pads, np.random.default_rng(seed))
-        m = mask.matrix
+        m = build_attention_mask(length, ratio, pads, np.random.default_rng(seed))
         assert m.shape == (length, length)
-        assert np.isin(m, [0.0, -np.inf]).all()
+        assert np.isin(m, [True, False]).all()
 
         # the sentence column is open to every row
-        assert (m[:, 0] == 0.0).all()
+        assert (m[:, 0] == True).all()
         # no content row attends to its own token
         for i in range(1, length):
-            assert m[i, i] == -np.inf
+            assert m[i, i] == False
         # pad columns leak nothing, pad rows request nothing
         for p in pads:
-            assert (m[:, p] == -np.inf).all()
-            assert (m[p, 1:] == -np.inf).all()
+            assert (m[:, p] == False).all()
+            assert (m[p, 1:] == False).all()
 
         maskable = length - 1 - len(pads)
         expected = round_half_up((1.0 - ratio) * maskable)
@@ -74,7 +73,7 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
             if i in pads:
                 continue
             others = maskable if i == 0 else maskable - 1
-            visible = int(np.count_nonzero(m[i, 1:] == 0.0))
+            visible = int(np.count_nonzero(m[i, 1:] == True))
             if others == 0:
                 assert visible == 0
             else:
@@ -83,7 +82,7 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
                     assert visible == expected
 
         again = build_attention_mask(length, ratio, pads, np.random.default_rng(seed))
-        assert m.tobytes() == again.matrix.tobytes()
+        assert m.tobytes() == again.tobytes()
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     print("criterion 2 (mask-matrix structure, 1000 configs): PASS")
@@ -116,14 +115,14 @@ def _two_stream_setup(bottleneck_row=None):
     B, L, d = 2, 7, 16
     sentence = ad.constant(rng.standard_normal((B, d)))
     tokens = rng.standard_normal((B, L, d))
-    masks = np.full((B, L, L), -np.inf)
-    masks[:, :, 0] = 0.0
+    masks = np.full((B, L, L), False)
+    masks[:, :, 0] = True
     for i in range(1, L):
         for j in range(1, L):
             if i != j:
-                masks[:, i, j] = 0.0
+                masks[:, i, j] = True
     if bottleneck_row is not None:
-        masks[:, bottleneck_row, 1:] = -np.inf
+        masks[:, bottleneck_row, 1:] = False
     return params, dec, sentence, tokens, masks
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dualmae import autodiff as ad
-from dualmae.autodiff import MaskedRowError, NonFiniteError, ShapeError
+from dualmae.autodiff import MaskedRowError, MaskFormatError, NonFiniteError, ShapeError
 
 from conftest import assert_grads_match, leaf, scalar_probe
 
@@ -199,15 +199,15 @@ def _dense_softmax_oracle(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     flat_m = np.broadcast_to(mask, scores.shape).reshape(-1, scores.shape[-1])
     flat_o = out.reshape(-1, scores.shape[-1])
     for r in range(flat_s.shape[0]):
-        vis = flat_m[r] == 0.0
+        vis = flat_m[r] == True
         e = np.exp(flat_s[r][vis] - flat_s[r][vis].max())
         flat_o[r][vis] = e / e.sum()
     return out
 
 
 def _random_mask(rng: np.random.Generator, shape) -> np.ndarray:
-    mask = np.where(rng.random(shape) < 0.4, -np.inf, 0.0)
-    mask[..., 0] = 0.0  # keep every row non-empty
+    mask = np.where(rng.random(shape) < 0.4, False, True)
+    mask[..., 0] = True  # keep every row non-empty
     return mask
 
 
@@ -231,7 +231,7 @@ class TestMaskedSoftmax:
         scores = rng.standard_normal((3, 5, 5))
         mask = _random_mask(rng, (3, 5, 5))
         got = ad.masked_softmax(ad.constant(scores), mask).data
-        assert np.all(got[np.isinf(mask)] == 0.0)
+        assert np.all(got[mask == False] == 0.0)
 
     def test_mask_broadcasts_over_heads(self):
         rng = np.random.default_rng(43)
@@ -244,15 +244,15 @@ class TestMaskedSoftmax:
 
     def test_extreme_scores_stay_finite(self):
         scores = np.array([[1e4, -1e4, 0.0], [3e4, 3e4, 3e4]])
-        mask = np.zeros((2, 3))
+        mask = np.full((2, 3), True)
         got = ad.masked_softmax(ad.constant(scores), mask).data
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
         scores = ad.constant(np.zeros((2, 3)))
-        mask = np.zeros((2, 3))
-        mask[1, :] = -np.inf
+        mask = np.full((2, 3), True)
+        mask[1, :] = False
         with pytest.raises(MaskedRowError):
             ad.masked_softmax(scores, mask)
 
@@ -262,6 +262,14 @@ class TestMaskedSoftmax:
         mask[0, 1] = -1.0
         with pytest.raises(ValueError):
             ad.masked_softmax(scores, mask)
+
+    def test_additive_float_mask_is_rejected_by_name(self):
+        # an old {0, -inf} mask must not read as "everything visible"
+        scores = ad.constant(np.zeros((2, 3)))
+        additive = np.where(np.eye(2, 3, dtype=bool), 0.0, -np.inf)
+        for mask in (np.zeros((2, 3)), additive, np.ones((2, 3), dtype=np.int64)):
+            with pytest.raises(MaskFormatError, match="visibility mask must be bool"):
+                ad.masked_softmax(scores, mask)
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(44)
@@ -278,7 +286,7 @@ class TestMaskedSoftmax:
         mask = _random_mask(rng, (3, 5, 5))
         w = rng.standard_normal((3, 5, 5))
         ad.backward(scalar_probe(ad.masked_softmax(scores, mask), w))
-        assert np.all(scores.grad[np.isinf(mask)] == 0.0)
+        assert np.all(scores.grad[mask == False] == 0.0)
 
 
 class TestCrossEntropy:

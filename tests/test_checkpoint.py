@@ -5,6 +5,8 @@ reproduce f exactly, which pins the manifest ordering, float formatting,
 and payload layout all at once.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from dualmae.checkpoint import (
 from dualmae.cli import main
 from dualmae.config import TrainConfig, config_as_flat_dict, resolve_configs
 from dualmae.masking import mask_batch
-from dualmae.model import DecoderConfig, EncoderConfig, init_params
+from dualmae.model import DecoderConfig, EncoderConfig, init_params, param_shapes
 from dualmae.optim import AdamW
 from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
 from dualmae.training import train_step
@@ -309,3 +311,147 @@ class TestManifestValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert named in err and "Traceback" not in err
+
+
+def _set_tensor_field(name, field, value):
+    """Rewrite one field (2 shape, 3 offset, 4 byte count) of tensor ``name``'s row."""
+    def mutate(manifest):
+        lines = manifest.splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if line.startswith(f"tensor = {name} "):
+                parts = line.split()
+                parts[2 + field] = value
+                lines[i] = " ".join(parts) + "\n"
+        return "".join(lines)
+    return mutate
+
+
+def _append_garbage(path):
+    path.write_bytes(path.read_bytes() + b"garbage")
+
+
+def _non_utf8_manifest(path):
+    # same byte length, so the header's manifest size still matches
+    blob = path.read_bytes()
+    assert blob.count(b"vocab.txt") == 1
+    path.write_bytes(blob.replace(b"vocab.txt", b"vocab\xff.tx"))
+
+
+def _in_manifest(mutate):
+    return lambda path: _rewrite_manifest(path, mutate)
+
+
+# enc_pos follows word_emb (40x16 float32, 2560 bytes) in the payload
+LAYOUT_DAMAGE = [
+    pytest.param(_append_garbage, "7 bytes after the last tensor", id="trailing-bytes"),
+    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 3, "0")),
+                 "'enc_pos' starts at payload byte 0, expected 2560", id="overlapping-offset"),
+    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 3, "2564")),
+                 "'enc_pos' starts at payload byte 2564, expected 2560", id="gap-before-tensor"),
+    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 2, "8xsixteen")),
+                 "bad shape field '8xsixteen' for tensor enc_pos", id="non-numeric-shape"),
+    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 4, "508")),
+                 "'enc_pos' has 508 bytes, its shape (8, 16) needs 512", id="shape-disagrees-with-bytes"),
+    pytest.param(_non_utf8_manifest, "manifest is not UTF-8", id="manifest-not-utf8"),
+]
+
+
+class TestPayloadLayout:
+    """The payload holds exactly the manifest's tensors, back to back."""
+
+    def _saved(self, tmp_path):
+        params, train, opt, rng, progress = _trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, train, ENC, DEC, opt, rng, progress, "vocab.txt")
+        return path
+
+    @pytest.mark.parametrize("damage, message", LAYOUT_DAMAGE)
+    def test_load_names_the_fault(self, tmp_path, damage, message):
+        path = self._saved(tmp_path)
+        damage(path)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", LAYOUT_DAMAGE)
+    def test_embed_exits_2_without_traceback(self, tmp_path, capsys, damage, message):
+        path = self._saved(tmp_path)
+        damage(path)
+        sentences = tmp_path / "in.txt"
+        sentences.write_text("a b c\n")
+        code = main(["embed", "--checkpoint", str(path), "--input", str(sentences),
+                     "--output", str(tmp_path / "out.emb")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
+
+class _DiesMidWrite:
+    """A file whose third write raises, like a process killed mid-save."""
+
+    def __init__(self, f):
+        self.f = f
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError("killed mid-write")
+        return self.f.write(data)
+
+
+class TestAtomicSave:
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        from dualmae import checkpoint
+
+        params, train, opt, rng, progress = _trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, train, ENC, DEC, opt, rng, progress, "vocab.txt")
+        before = path.read_bytes()
+
+        params["word_emb"].data += 1.0
+        monkeypatch.setattr(checkpoint, "open", lambda p, mode: _DiesMidWrite(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="killed mid-write"):
+            save_checkpoint(path, params, train, ENC, DEC, opt, rng, Progress(step=3), "vocab.txt")
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).progress == progress
+        # the next save replaces the half-written temporary file
+        save_checkpoint(path, params, train, ENC, DEC, opt, rng, Progress(step=3), "vocab.txt")
+        assert load_checkpoint(path).progress.step == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def test_damaged_files_only_ever_raise_checkpoint_error(tmp_path):
+    """Cut the file at every offset of its header and manifest (and at a
+    stride through the payload), and overwrite every manifest byte with a
+    digit or a non-UTF-8 byte: each result loads or raises CheckpointError."""
+    enc = EncoderConfig(layers=1, hidden_dim=4, heads=1, ffn_dim=4, max_len=3, vocab_size=6)
+    dec = DecoderConfig(mode="basic", layers=1, heads=1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(enc, dec, np.random.default_rng(0)), TrainConfig(), enc, dec,
+                    AdamW(lr=1e-3), np.random.default_rng(1), Progress(), "vocab.txt")
+    blob = path.read_bytes()
+    payload_start = len(blob) - 3 * 4 * sum(int(np.prod(s)) for _, s in param_shapes(enc, dec))
+
+    def damaged():
+        for cut in [*range(payload_start + 8), *range(payload_start + 8, len(blob), 61)]:
+            yield blob[:cut]
+        for i in range(payload_start):
+            for byte in (b"9", b"\xff"):
+                if blob[i:i + 1] != byte:
+                    yield blob[:i] + byte + blob[i + 1:]
+
+    probe = tmp_path / "probe.ckpt"
+    for data in damaged():
+        probe.write_bytes(data)
+        try:
+            load_checkpoint(probe)
+        except CheckpointError:
+            pass

@@ -340,6 +340,44 @@ class TestEmbedCli:
         assert main(["embed", "--checkpoint", ckpt, "--input", corpus, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_vocabulary_longer_than_word_emb_is_exit_2(self, trained_run, tmp_path, capsys, monkeypatch):
+        import dualmae.cli
+
+        for name in ("model.ckpt", "vocab.txt"):
+            (tmp_path / name).write_bytes((trained_run["out"] / name).read_bytes())
+        with open(tmp_path / "vocab.txt", "a", encoding="utf-8") as f:
+            f.write("zulu\nyankee\n")
+        rows = load_checkpoint(tmp_path / "model.ckpt").encoder.vocab_size
+
+        def never(*args, **kwargs):
+            raise AssertionError("embedding started")
+
+        monkeypatch.setattr(dualmae.cli, "embed_corpus", never)
+        out = tmp_path / "emb.tsv"
+        code = main(["embed", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--input", str(trained_run["corpus"]), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"{tmp_path / 'vocab.txt'} has {rows + 2} tokens, "
+                       f"but {tmp_path / 'model.ckpt'} has {rows} word_emb rows\n")
+        assert not out.exists()
+
+        code = main(["pretrain", "--preset", "desk", "--corpus", str(trained_run["corpus"]),
+                     "--out", str(tmp_path / "resumed"), "--resume", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert "word_emb rows" in capsys.readouterr().err
+
+    def test_malformed_vocabulary_is_named(self, trained_run, tmp_path, capsys):
+        for name in ("model.ckpt", "vocab.txt"):
+            (tmp_path / name).write_bytes((trained_run["out"] / name).read_bytes())
+        lines = (tmp_path / "vocab.txt").read_text().splitlines()
+        (tmp_path / "vocab.txt").write_text("\n".join(["bogus"] + lines[1:]) + "\n")
+        code = main(["embed", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--input", str(trained_run["corpus"]), "--output", str(tmp_path / "emb.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"{tmp_path / 'vocab.txt'}: vocabulary must start with the reserved tokens\n")
+
     def test_missing_checkpoint_is_exit_2(self, trained_run, tmp_path, capsys):
         code = main(["embed", "--checkpoint", str(tmp_path / "ghost.ckpt"),
                      "--input", str(trained_run["corpus"]),

@@ -119,11 +119,11 @@ class TestEnhancedDecoding:
 def _manual_masks(bottleneck_row=None):
     """Full cross-visibility except the diagonal; optionally one row that
     sees nothing but the sentence embedding."""
-    m = np.zeros((1, L, L))
+    m = np.ones((1, L, L), dtype=bool)
     for i in range(1, L):
-        m[0, i, i] = -np.inf
+        m[0, i, i] = False
     if bottleneck_row is not None:
-        m[0, bottleneck_row, 1:] = -np.inf
+        m[0, bottleneck_row, 1:] = False
     return m
 
 

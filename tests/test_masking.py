@@ -128,23 +128,23 @@ class TestMaskMatrix:
         # L=4, no pads, ratio 0.5: maskable = 3, visible = round(1.5) = 2.
         # Every row i >= 1 has exactly two non-self candidates, so its
         # visible set is forced; only row 0 actually samples.
-        m = build_attention_mask(4, 0.5, [], np.random.default_rng(0)).matrix
+        m = build_attention_mask(4, 0.5, [], np.random.default_rng(0))
         for i in (1, 2, 3):
-            assert m[i, i] == -np.inf
+            assert m[i, i] == False
             others = [j for j in (1, 2, 3) if j != i]
-            assert all(m[i, j] == 0.0 for j in others)
-        assert (m[:, 0] == 0.0).all()
-        assert np.count_nonzero(m[0] == 0.0) == 3  # column 0 plus two sampled
+            assert all(m[i, j] == True for j in others)
+        assert (m[:, 0] == True).all()
+        assert np.count_nonzero(m[0] == True) == 3  # column 0 plus two sampled
 
     def test_pad_rows_and_columns(self):
-        m = build_attention_mask(6, 0.5, [3, 4], np.random.default_rng(1)).matrix
+        m = build_attention_mask(6, 0.5, [3, 4], np.random.default_rng(1))
         for pad in (3, 4):
-            np.testing.assert_array_equal(m[pad], [0.0] + [-np.inf] * 5)
-            assert (m[1:, pad] == -np.inf).all()
+            np.testing.assert_array_equal(m[pad], [True] + [False] * 5)
+            assert (m[1:, pad] == False).all()
 
     def test_lone_content_row_keeps_only_the_embedding(self):
-        m = build_attention_mask(2, 0.5, [], np.random.default_rng(2)).matrix
-        np.testing.assert_array_equal(m[1], [0.0, -np.inf])
+        m = build_attention_mask(2, 0.5, [], np.random.default_rng(2))
+        np.testing.assert_array_equal(m[1], [True, False])
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(4)
@@ -154,19 +154,19 @@ class TestMaskMatrix:
             n_pads = int(rng.integers(0, L - 1))
             pads = set(int(p) for p in rng.choice(np.arange(1, L), size=n_pads, replace=False))
             seed = int(rng.integers(0, 2**31))
-            m = build_attention_mask(L, ratio, pads, np.random.default_rng(seed)).matrix
+            m = build_attention_mask(L, ratio, pads, np.random.default_rng(seed))
 
-            again = build_attention_mask(L, ratio, pads, np.random.default_rng(seed)).matrix
+            again = build_attention_mask(L, ratio, pads, np.random.default_rng(seed))
             np.testing.assert_array_equal(m, again)
 
-            assert set(np.unique(m)) <= {0.0, -np.inf}
-            assert (m[:, 0] == 0.0).all()
+            assert set(np.unique(m)) <= {True, False}
+            assert (m[:, 0] == True).all()
             content = [i for i in range(1, L) if i not in pads]
             maskable = len(content)
             expected = round_half_up((1.0 - ratio) * maskable)
             for i in range(1, L):
-                assert m[i, i] == -np.inf
-                visible = np.flatnonzero(m[i] == 0.0)
+                assert m[i, i] == False
+                visible = np.flatnonzero(m[i] == True)
                 if i in pads:
                     np.testing.assert_array_equal(visible, [0])
                     continue
@@ -178,8 +178,8 @@ class TestMaskMatrix:
                 if 1 <= expected <= others:
                     assert visible.size == 1 + expected
             for pad in pads:
-                assert (m[1:, pad] == -np.inf).all()
-            row0 = np.flatnonzero(m[0] == 0.0)
+                assert (m[1:, pad] == False).all()
+            row0 = np.flatnonzero(m[0] == True)
             assert row0.size == 1 + min(max(1, expected), maskable)
 
     def test_degenerate_shapes_rejected(self):
@@ -212,7 +212,7 @@ class TestMaskBatch:
         assert mb.dec_ids is None and mb.dec_masked is None
         assert mb.attention_masks.shape == (2, 10, 10)
         # row 1 of the batch has pads past position 6
-        assert (mb.attention_masks[1][1:, 7:] == -np.inf).all()
+        assert (mb.attention_masks[1][1:, 7:] == False).all()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from dualmae.model import (
     attention,
     init_params,
     output_logits,
-    pad_attention_mask,
     param_shapes,
 )
 
@@ -89,15 +88,6 @@ class TestInit:
         assert all(t.grad is None for t in params.tensors())
 
 
-class TestPadMask:
-    def test_shape_and_values(self):
-        real = np.array([[True, True, False], [True, True, True]])
-        mask = pad_attention_mask(real)
-        assert mask.shape == (2, 1, 1, 3)
-        np.testing.assert_array_equal(mask[0, 0, 0], [0.0, 0.0, -np.inf])
-        np.testing.assert_array_equal(mask[1, 0, 0], [0.0, 0.0, 0.0])
-
-
 class TestAttention:
     def test_single_head_matches_numpy_oracle(self):
         cfg = EncoderConfig(layers=1, hidden_dim=6, heads=1, ffn_dim=12, max_len=5, vocab_size=50)
@@ -106,16 +96,16 @@ class TestAttention:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 4, 6))
         real = np.array([[True] * 4, [True, True, True, False]])
-        addmask = pad_attention_mask(real)
+        visible = real[:, None, None, :]
 
         with ad.no_grad():
-            got = attention(params, "enc0", ad.constant(x), ad.constant(x), addmask, heads=1).data
+            got = attention(params, "enc0", ad.constant(x), ad.constant(x), visible, heads=1).data
 
         def lin(name, b):
             return x @ params[f"enc0.attn.{name}"].data + params[f"enc0.attn.{b}"].data
 
         q, k, v = lin("wq", "bq"), lin("wk", "bk"), lin("wv", "bv")
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(6.0) + addmask[:, 0]
+        scores = q @ k.transpose(0, 2, 1) / np.sqrt(6.0) + np.where(visible[:, 0], 0.0, -np.inf)
         weights = np.zeros_like(scores)
         for bi in range(2):
             for i in range(4):
@@ -131,10 +121,10 @@ class TestAttention:
         params = init_params(TINY, DEC, np.random.default_rng(9), dtype=np.float64)
         rng = np.random.default_rng(10)
         x = ad.constant(rng.standard_normal((1, 5, 16)))
-        addmask = pad_attention_mask(np.ones((1, 5), dtype=bool))
+        visible = np.ones((1, 1, 1, 5), dtype=bool)
         with ad.no_grad():
-            four = attention(params, "enc0", x, x, addmask, heads=4).data
-            one = attention(params, "enc0", x, x, addmask, heads=1).data
+            four = attention(params, "enc0", x, x, visible, heads=4).data
+            one = attention(params, "enc0", x, x, visible, heads=1).data
         assert not np.allclose(four, one)
 
 

@@ -97,6 +97,16 @@ class TestClipping:
         assert global_grad_norm(grads) == pytest.approx(1.0, rel=1e-12)
         np.testing.assert_allclose(grads[0], [3.0 / 13.0, 4.0 / 13.0], rtol=1e-12)
 
+    def test_non_finite_norm_leaves_gradients_alone(self):
+        for bad in (np.inf, np.nan):
+            grads = [np.array([bad, 4.0]), np.array([12.0])]
+            before = [g.copy() for g in grads]
+            with np.errstate(all="raise"):
+                returned = clip_global_norm(grads, 1.0)
+            assert not np.isfinite(returned)
+            for g, b in zip(grads, before):
+                np.testing.assert_array_equal(g, b)
+
 
 class TestWarmup:
     def test_disabled_when_zero(self):

@@ -121,6 +121,32 @@ class TestTrainStep:
                 train_step(params, AdamW(lr=1e-3), train, enc, dec, batch, rng, step=17)
 
 
+    def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
+        params, train, enc, dec, _ = tiny_setup("enhanced", seed=9)
+        rng = np.random.default_rng(1)
+        seq = TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, 50, size=6), [SEP_ID]]))
+        batch = make_batch([seq])
+        opt = AdamW(lr=1e-3)
+        train_step(params, opt, train, enc, dec, batch, rng, step=1)
+        before = {name: t.data.copy() for name, t in params.items()}
+        moments = {name: (m.copy(), v.copy()) for name, (m, v) in opt.moments.items()}
+
+        real_backward = ad.backward
+
+        def inf_gradient(loss):
+            real_backward(loss)
+            params["dec0.ffn.b2"].grad[0] = np.inf
+
+        monkeypatch.setattr(ad, "backward", inf_gradient)
+        with pytest.raises(TrainingDiverged, match=r"^step 2: non-finite gradient norm$"):
+            train_step(params, opt, train, enc, dec, batch, rng, step=2)
+        assert opt.step_count == 1
+        for name, tensor in params.items():
+            np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
+            np.testing.assert_array_equal(opt.moments[name][0], moments[name][0], err_msg=name)
+            np.testing.assert_array_equal(opt.moments[name][1], moments[name][1], err_msg=name)
+
+
 WORDS = [
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
     "golf", "hotel", "india", "juliet", "kilo", "lima",
@@ -181,6 +207,37 @@ class TestRunPretraining:
         assert (tmp_path / "b" / "loss_log.tsv").read_text() == (
             tmp_path / "a" / "loss_log.tsv"
         ).read_text()
+
+    def test_resume_after_a_crash_cuts_the_log_back_to_the_checkpoint(self, tmp_path, monkeypatch):
+        import dualmae.training
+
+        corpus = _write_corpus(tmp_path / "corpus.txt", n=48)  # 6 batches per epoch, 2 epochs
+        train, enc, dec = _micro_configs()
+        straight = run_pretraining(corpus, tmp_path / "a", train, enc, dec, checkpoint_every=3)
+
+        class Killed(Exception):
+            pass
+
+        real_step = dualmae.training.train_step
+
+        def dies_at_step_6(*args):
+            if args[-1] == 6:
+                raise Killed
+            return real_step(*args)
+
+        monkeypatch.setattr(dualmae.training, "train_step", dies_at_step_6)
+        with pytest.raises(Killed):
+            run_pretraining(corpus, tmp_path / "b", train, enc, dec, checkpoint_every=3)
+        monkeypatch.undo()
+        log = tmp_path / "b" / "loss_log.tsv"
+        assert [line.split("\t")[0] for line in log.read_text().splitlines()] == ["1", "2", "3", "4", "5"]
+        ckpt = tmp_path / "b" / "model.ckpt"
+        assert load_checkpoint(ckpt).progress.step == 3
+
+        resumed = run_pretraining(corpus, tmp_path / "b", train, enc, dec, resume_from=ckpt, checkpoint_every=3)
+        assert log.read_bytes() == (tmp_path / "a" / "loss_log.tsv").read_bytes()
+        assert [line.split("\t")[0] for line in log.read_text().splitlines()] == [str(i) for i in range(1, 13)]
+        assert resumed.read_bytes() == straight.read_bytes()
 
     def test_periodic_checkpoints(self, tmp_path):
         corpus = _write_corpus(tmp_path / "corpus.txt")
