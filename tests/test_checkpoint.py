@@ -407,15 +407,13 @@ class _DiesMidWrite:
 
 class TestAtomicSave:
     def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
-        from dualmae import checkpoint
-
         params, train, opt, rng, progress = _trained_state()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, train, ENC, DEC, opt, rng, progress, "vocab.txt")
         before = path.read_bytes()
 
         params["word_emb"].data += 1.0
-        monkeypatch.setattr(checkpoint, "open", lambda p, mode: _DiesMidWrite(open(p, mode)), raising=False)
+        monkeypatch.setattr("dualmae.checkpoint.open", lambda p, mode: _DiesMidWrite(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="killed mid-write"):
             save_checkpoint(path, params, train, ENC, DEC, opt, rng, Progress(step=3), "vocab.txt")
         monkeypatch.undo()

@@ -341,8 +341,6 @@ class TestEmbedCli:
         assert a.read_bytes() == b.read_bytes()
 
     def test_vocabulary_longer_than_word_emb_is_exit_2(self, trained_run, tmp_path, capsys, monkeypatch):
-        import dualmae.cli
-
         for name in ("model.ckpt", "vocab.txt"):
             (tmp_path / name).write_bytes((trained_run["out"] / name).read_bytes())
         with open(tmp_path / "vocab.txt", "a", encoding="utf-8") as f:
@@ -352,7 +350,7 @@ class TestEmbedCli:
         def never(*args, **kwargs):
             raise AssertionError("embedding started")
 
-        monkeypatch.setattr(dualmae.cli, "embed_corpus", never)
+        monkeypatch.setattr("dualmae.cli.embed_corpus", never)
         out = tmp_path / "emb.tsv"
         code = main(["embed", "--checkpoint", str(tmp_path / "model.ckpt"),
                      "--input", str(trained_run["corpus"]), "--output", str(out)])

@@ -209,8 +209,6 @@ class TestRunPretraining:
         ).read_text()
 
     def test_resume_after_a_crash_cuts_the_log_back_to_the_checkpoint(self, tmp_path, monkeypatch):
-        import dualmae.training
-
         corpus = _write_corpus(tmp_path / "corpus.txt", n=48)  # 6 batches per epoch, 2 epochs
         train, enc, dec = _micro_configs()
         straight = run_pretraining(corpus, tmp_path / "a", train, enc, dec, checkpoint_every=3)
@@ -218,14 +216,12 @@ class TestRunPretraining:
         class Killed(Exception):
             pass
 
-        real_step = dualmae.training.train_step
-
         def dies_at_step_6(*args):
             if args[-1] == 6:
                 raise Killed
-            return real_step(*args)
+            return train_step(*args)
 
-        monkeypatch.setattr(dualmae.training, "train_step", dies_at_step_6)
+        monkeypatch.setattr("dualmae.training.train_step", dies_at_step_6)
         with pytest.raises(Killed):
             run_pretraining(corpus, tmp_path / "b", train, enc, dec, checkpoint_every=3)
         monkeypatch.undo()
