@@ -160,6 +160,11 @@ def _build(
         encoder, train, decoder = (cls(**fields) for cls, fields in kwargs.items())
     except ValueError as e:  # the model configs raise plain ValueError
         raise ConfigError(str(e)) from None
+    # the decoder blocks run at the encoder's width
+    if encoder.hidden_dim % decoder.heads != 0:
+        raise ConfigError(
+            f"hidden_dim {encoder.hidden_dim} must divide evenly across decoder_heads {decoder.heads}"
+        )
     return train, encoder, decoder
 
 

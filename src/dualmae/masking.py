@@ -6,11 +6,17 @@ and, depending on the decoding mode, either an aggressive token mask
 side. [CLS], [SEP] and [PAD] are never maskable. Mask counts use
 round-half-up with a floor of one so every sentence always contributes at
 least one reconstruction target.
+
+Every mask comes from one key-draw rule: given a bool candidate array
+``(..., L)`` and a count per row, draw one uniform key per entry in a
+single ``rng.random`` call (C order, so row by row) and keep, in each row,
+the ``count`` candidates with the smallest keys. That is a uniformly
+random subset of exactly ``count`` candidates per row, clamped to the
+candidates the row has.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,18 +25,14 @@ import numpy as np
 from .text import Batch, CLS_ID, MASK_ID, PAD_ID, SEP_ID
 
 
-def round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def round_half_up(x) -> np.ndarray:
+    """Round halves up, elementwise: the one rounding rule of mask counts."""
+    return np.floor(np.asarray(x, dtype=np.float64) + 0.5).astype(np.int64)
 
 
 def _is_content(ids: np.ndarray) -> np.ndarray:
     ids = np.asarray(ids)
     return (ids != CLS_ID) & (ids != SEP_ID) & (ids != PAD_ID)
-
-
-def maskable_positions(ids: np.ndarray) -> np.ndarray:
-    """Indices eligible for masking: real content tokens only."""
-    return np.flatnonzero(_is_content(ids))
 
 
 def coverage_counts(ids: np.ndarray, targets: np.ndarray | None) -> tuple[int, int]:
@@ -49,58 +51,63 @@ def _check_ratio(ratio: float) -> None:
         raise ValueError(f"mask ratio must lie strictly inside (0, 1), got {ratio}")
 
 
-def _sample_mask(ids: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
+def _draw(candidates: np.ndarray, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Keep the ``counts`` smallest-keyed candidates of each row of ``candidates``."""
+    keys = np.where(candidates, rng.random(candidates.shape), np.inf)
+    order = np.argsort(keys, axis=-1, kind="stable")
+    counts = np.minimum(counts, np.count_nonzero(candidates, axis=-1))
+    picked = np.empty(candidates.shape, dtype=bool)
+    np.put_along_axis(picked, order, np.arange(candidates.shape[-1]) < counts[..., None], axis=-1)
+    return picked
+
+
+def _token_request(ids: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates and counts of a token mask over ``(B, L)`` ids."""
     _check_ratio(ratio)
-    cand = maskable_positions(ids)
-    if cand.size == 0:
+    content = _is_content(ids)
+    n = np.count_nonzero(content, axis=-1)
+    if not n.all():
         raise ValueError("sequence has no maskable positions")
-    count = max(1, round_half_up(ratio * cand.size))
-    picked = rng.choice(cand, size=min(count, cand.size), replace=False)
-    return np.sort(picked)
+    return content, np.maximum(1, round_half_up(ratio * n))
 
 
-def build_attention_mask(
-    length: int,
-    ratio: float,
-    pad_positions: Iterable[int],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample the (L, L) bool visibility matrix for enhanced decoding.
-
-    Row i lists what position i may attend to (True = visible). Column 0,
-    the sentence embedding slot, is visible to every row. Each non-pad row
-    i >= 1 also sees round((1 - ratio) * maskable) sampled non-pad columns
-    other than itself, where maskable counts the non-pad positions in
-    1..L-1, so no token can condition on itself. Row 0 sees column 0 plus a
-    sample of the same size. The visible count is clamped to at least 1 and
-    at most the candidate-set size. Pad columns are blocked everywhere and
-    pad rows see only column 0.
-    """
+def _visibility_request(real: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates ``(B, L, L)`` and counts ``(B, L)`` of the visibility rows."""
     _check_ratio(ratio)
-    if length < 2:
+    B, L = real.shape
+    if L < 2:
         raise ValueError("mask matrix needs at least two positions")
-    pads = set(int(p) for p in pad_positions)
-    if 0 in pads:
+    if not real[:, 0].all():
         raise ValueError("position 0 holds the sentence embedding, it cannot be pad")
-    candidates = np.array([j for j in range(1, length) if j not in pads], dtype=np.int64)
-    if candidates.size == 0:
+    columns = real.copy()
+    columns[:, 0] = False
+    n = np.count_nonzero(columns, axis=-1)
+    if not n.all():
         raise ValueError("every position beyond 0 is pad")
-    n_visible = max(1, round_half_up((1.0 - ratio) * candidates.size))
+    candidates = real[:, :, None] & columns[:, None, :] & ~np.eye(L, dtype=bool)
+    counts = np.maximum(1, round_half_up((1.0 - ratio) * n))
+    return candidates, np.broadcast_to(counts[:, None], (B, L))
 
-    m = np.zeros((length, length), dtype=bool)
-    m[:, 0] = True
-    pick0 = rng.choice(candidates, size=min(n_visible, candidates.size), replace=False)
-    m[0, pick0] = True
-    for i in range(1, length):
-        if i in pads:
-            continue
-        others = candidates[candidates != i]
-        if others.size == 0:
-            continue  # L == 2: the lone content row keeps only column 0
-        take = min(n_visible, others.size)
-        picked = rng.choice(others, size=take, replace=False)
-        m[i, picked] = True
-    return m
+
+def build_attention_mask(real: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Sample the ``(B, L, L)`` bool visibility matrices for enhanced decoding.
+
+    ``real`` is the batch's ``(B, L)`` non-pad mask. Row i of a matrix lists
+    what position i may attend to (True = visible). Column 0, the sentence
+    embedding slot, is visible to every row. Each non-pad row i >= 1 also
+    sees round((1 - ratio) * maskable) sampled non-pad columns other than
+    itself, where maskable counts the non-pad positions in 1..L-1, so no
+    token can condition on itself. Row 0 sees column 0 plus a sample of
+    the same size. The visible count is clamped to at least 1 and at most
+    the candidate-set size. Pad columns are blocked everywhere and pad rows
+    see only column 0.
+
+    The sampled columns come from the module's key-draw rule, one key per
+    (sentence, row, column) in a single draw.
+    """
+    visible = _draw(*_visibility_request(real, ratio), rng)
+    visible[..., 0] = True
+    return visible
 
 
 @dataclass(frozen=True)
@@ -139,30 +146,35 @@ def mask_batch(
 ) -> MaskedBatch:
     """Draw all per-sentence masks for one step.
 
-    Draws consume ``rng`` sequentially row by row, so a fixed generator
-    state fixes the whole batch bit for bit.
+    Each sentence contributes its encoder token mask followed by its
+    decoder request (one token mask in basic mode, L visibility rows in
+    enhanced mode), and the whole batch is one draw of the module's
+    key-draw rule. Keys are laid out sentence by sentence, so a fixed
+    generator state fixes the batch bit for bit, and a sentence's masks
+    depend only on the keys drawn before the next sentence's.
     """
     if mode not in ("basic", "enhanced"):
         raise ValueError(f"unknown decoding mode: {mode!r}")
-    B, L = batch.ids.shape
-    enc_ids = batch.ids.copy()
-    enc_masked = np.zeros((B, L), dtype=bool)
-    dec_ids = batch.ids.copy() if mode == "basic" else None
-    dec_masked = np.zeros((B, L), dtype=bool) if mode == "basic" else None
-    attn = np.empty((B, L, L), dtype=bool) if mode == "enhanced" else None
-
-    for row in range(B):
-        seq_ids = batch.ids[row]
-        enc_pos = _sample_mask(seq_ids, ratio_encoder, rng)
-        enc_ids[row, enc_pos] = MASK_ID
-        enc_masked[row, enc_pos] = True
-        if mode == "basic":
-            dec_pos = _sample_mask(seq_ids, ratio_decoder, rng)
-            dec_ids[row, dec_pos] = MASK_ID
-            dec_masked[row, dec_pos] = True
-        else:
-            pads = np.flatnonzero(~batch.real[row])
-            attn[row] = build_attention_mask(L, ratio_decoder, pads, rng)
+    enc_candidates, enc_counts = _token_request(batch.ids, ratio_encoder)
+    if mode == "basic":
+        dec_candidates, dec_counts = _token_request(batch.ids, ratio_decoder)
+        dec_candidates, dec_counts = dec_candidates[:, None], dec_counts[:, None]
+    else:
+        dec_candidates, dec_counts = _visibility_request(batch.real, ratio_decoder)
+    picked = _draw(
+        np.concatenate([enc_candidates[:, None], dec_candidates], axis=1),
+        np.concatenate([enc_counts[:, None], dec_counts], axis=1),
+        rng,
+    )
+    enc_masked = picked[:, 0]
+    enc_ids = np.where(enc_masked, MASK_ID, batch.ids)
+    dec_ids = dec_masked = attn = None
+    if mode == "basic":
+        dec_masked = picked[:, 1]
+        dec_ids = np.where(dec_masked, MASK_ID, batch.ids)
+    else:
+        attn = picked[:, 1:]
+        attn[..., 0] = True
     return MaskedBatch(
         ids=batch.ids,
         real=batch.real,
@@ -224,9 +236,7 @@ def signal_coverage_stats(
         targets = None
         if mode != "enhanced":
             ratio = 0.15 if mode == "mlm15" else ratio_decoder
-            targets = np.zeros(batch.ids.shape, dtype=bool)
-            for row in range(batch.size):
-                targets[row, _sample_mask(batch.ids[row], ratio, rng)] = True
+            targets = _draw(*_token_request(batch.ids, ratio), rng)
         batch_content, batch_covered = coverage_counts(batch.ids, targets)
         content += batch_content
         covered += batch_covered

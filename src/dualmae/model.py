@@ -35,6 +35,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ValueError("encoder needs at least one layer")
+        for name in ("hidden_dim", "heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.hidden_dim % self.heads != 0:
             raise ValueError("hidden_dim must divide evenly across heads")
         if self.vocab_size < 6:
@@ -58,6 +61,8 @@ class DecoderConfig:
             raise ValueError(f"unknown decoding mode: {self.mode!r}")
         if self.layers < 1:
             raise ValueError("decoder needs at least one layer")
+        if self.heads < 1:
+            raise ValueError(f"decoder heads must be at least 1, got {self.heads}")
         if self.mode == "enhanced" and self.layers != 1:
             raise ValueError("enhanced mode uses exactly one decoder layer")
 

@@ -38,9 +38,10 @@ class TrainingDiverged(RuntimeError):
     """The loss or the gradient stopped being finite."""
 
 
-def batch_coverage(mbatch: MaskedBatch, mode: str) -> float:
-    """Fraction of content tokens this step's loss touches."""
-    content, covered = coverage_counts(mbatch.ids, mbatch.dec_masked if mode == "basic" else None)
+def batch_coverage(mbatch: MaskedBatch) -> float:
+    """Fraction of content tokens this step's loss touches; a batch without
+    decoder targets (enhanced decoding) covers them all."""
+    content, covered = coverage_counts(mbatch.ids, mbatch.dec_masked)
     return covered / content
 
 
@@ -93,7 +94,7 @@ def train_step(
         # raised before the update, so parameters and moments stay as they were
         raise TrainingDiverged(f"step {step}: non-finite gradient norm")
     optimizer.step(params, lr_scale=warmup_scale(step, train.warmup_steps))
-    return float(loss.data), batch_coverage(mbatch, dec_config.mode)
+    return float(loss.data), batch_coverage(mbatch)
 
 
 def _epoch_seed(base_seed: int, epoch: int) -> list[int]:

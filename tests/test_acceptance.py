@@ -53,7 +53,9 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
         pads = list(range(length - n_pads, length))
         seed = [int(rng.integers(0, 2**31)), trial]
 
-        m = build_attention_mask(length, ratio, pads, np.random.default_rng(seed))
+        real = np.ones((1, length), dtype=bool)
+        real[0, pads] = False
+        m = build_attention_mask(real, ratio, np.random.default_rng(seed))[0]
         assert m.shape == (length, length)
         assert np.isin(m, [True, False]).all()
 
@@ -81,7 +83,7 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
                 if 1 <= expected <= others:
                     assert visible == expected
 
-        again = build_attention_mask(length, ratio, pads, np.random.default_rng(seed))
+        again = build_attention_mask(real, ratio, np.random.default_rng(seed))[0]
         assert m.tobytes() == again.tobytes()
     elapsed = time.monotonic() - started
     assert elapsed < 30.0

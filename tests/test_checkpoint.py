@@ -282,6 +282,16 @@ class TestManifestValidation:
         with pytest.raises(CheckpointError, match=r"'enc_pos' has shape \(8, 16\), the config expects \(16, 16\)"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("line, bad, message", [
+        ("config.heads = 2", "config.heads = 0", "heads must be at least 1"),
+        ("config.decoder_heads = 2", "config.decoder_heads = 3", "must divide evenly across decoder_heads 3"),
+    ])
+    def test_unusable_head_count(self, tmp_path, line, bad, message):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m.replace(line + "\n", bad + "\n", 1))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     def test_non_numeric_tensor_offset(self, tmp_path):
         path = self._saved(tmp_path)
         _rewrite_manifest(path, lambda m: m.replace("tensor = word_emb f4 40x16 0 ", "tensor = word_emb f4 40x16 zero ", 1))

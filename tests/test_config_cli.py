@@ -255,6 +255,22 @@ class TestPretrainCli:
         assert code == 2
         assert "banana" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("heads", 0, "heads must be at least 1"),
+        ("decoder_heads", 0, "decoder heads must be at least 1"),
+        ("decoder_heads", 3, "must divide evenly across decoder_heads 3"),
+        ("hidden_dim", 0, "hidden_dim must be at least 1"),
+        ("ffn_dim", 0, "ffn_dim must be at least 1"),
+    ])
+    def test_bad_head_count_or_size_is_exit_2(self, tmp_path, capsys, key, value, message):
+        corpus = _write_corpus(tmp_path / "c.txt", n=8)
+        code = main(["pretrain", "--preset", "desk", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run"), "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "loss_log.tsv").exists()
+
     def test_env_seed_reaches_the_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DUALMAE_SEED", "7")
         corpus = _write_corpus(tmp_path / "c.txt", n=8)

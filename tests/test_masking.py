@@ -10,11 +10,9 @@ import pytest
 from scipy import stats
 
 from dualmae.masking import (
-    _sample_mask,
     build_attention_mask,
     coverage_counts,
     mask_batch,
-    maskable_positions,
     round_half_up,
     signal_coverage_stats,
 )
@@ -24,6 +22,13 @@ from dualmae.text import CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenSequence, make_ba
 def _seq(content_len: int, start: int = 5) -> TokenSequence:
     ids = np.concatenate([[CLS_ID], np.arange(start, start + content_len), [SEP_ID]])
     return TokenSequence(ids)
+
+
+def _matrix(length, ratio, pads, rng):
+    """The visibility matrix of one sentence whose ``pads`` positions are padding."""
+    real = np.ones((1, length), dtype=bool)
+    real[0, list(pads)] = False
+    return build_attention_mask(real, ratio, rng)[0]
 
 
 class TestRoundHalfUp:
@@ -36,24 +41,27 @@ class TestRoundHalfUp:
         assert round_half_up(2.4) == 2
         assert round_half_up(2.6) == 3
         assert round_half_up(0.0) == 0
+        np.testing.assert_array_equal(round_half_up(np.array([0.5, 1.5, 2.4, 2.6, 0.0])), [1, 2, 2, 3, 0])
 
 
 class TestTokenMasks:
     def test_maskable_excludes_structure(self):
+        # ratio 0.9 of three content tokens masks round(2.7) = 3, i.e. every candidate
         batch = make_batch([_seq(3)], pad_to=7)
-        np.testing.assert_array_equal(maskable_positions(batch.ids[0]), [1, 2, 3])
+        mb = mask_batch(batch, "basic", 0.9, 0.9, np.random.default_rng(0))
+        np.testing.assert_array_equal(np.flatnonzero(mb.enc_masked[0]), [1, 2, 3])
 
     def test_exact_mask_counts(self):
         rng = np.random.default_rng(0)
-        assert _sample_mask(_seq(20).ids, 0.15, rng).size == 3
-        assert _sample_mask(_seq(20).ids, 0.5, rng).size == 10
+        assert mask_batch(make_batch([_seq(20)]), "enhanced", 0.15, 0.5, rng).enc_masked.sum() == 3
+        assert mask_batch(make_batch([_seq(20)]), "enhanced", 0.5, 0.5, rng).enc_masked.sum() == 10
         mb = mask_batch(make_batch([_seq(20)]), "basic", 0.15, 0.5, rng)
         assert mb.enc_masked[0].sum() == 3
         assert mb.dec_masked[0].sum() == 10
 
     def test_at_least_one_position_masked(self):
         rng = np.random.default_rng(1)
-        assert _sample_mask(_seq(1).ids, 0.15, rng).size == 1
+        assert mask_batch(make_batch([_seq(1)]), "enhanced", 0.15, 0.5, rng).enc_masked.sum() == 1
         mb = mask_batch(make_batch([_seq(1)]), "basic", 0.15, 0.15, rng)
         assert mb.enc_masked[0].sum() == 1 and mb.dec_masked[0].sum() == 1
 
@@ -86,7 +94,9 @@ class TestTokenMasks:
         batch = make_batch([_seq(5)])
         for ratio in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                _sample_mask(_seq(5).ids, ratio, rng)
+                mask_batch(batch, "enhanced", ratio, 0.5, rng)
+            with pytest.raises(ValueError):
+                build_attention_mask(batch.real, ratio, rng)
             with pytest.raises(ValueError):
                 mask_batch(batch, "basic", ratio, 0.5, rng)
             with pytest.raises(ValueError):
@@ -96,19 +106,18 @@ class TestTokenMasks:
         rng = np.random.default_rng(5)
         bare = TokenSequence(np.array([CLS_ID, SEP_ID]))
         with pytest.raises(ValueError, match="no maskable positions"):
-            _sample_mask(bare.ids, 0.15, rng)
+            mask_batch(make_batch([bare]), "enhanced", 0.15, 0.5, rng)
         with pytest.raises(ValueError, match="no maskable positions"):
             mask_batch(make_batch([bare]), "basic", 0.15, 0.5, rng)
 
     def test_inclusion_rate_matches_ratio(self):
         # 10 content tokens at ratio 0.3 puts each position in the mask
-        # with probability exactly 0.3; check the empirical rate
+        # with probability exactly 0.3; check the empirical rate over one
+        # batch of independent copies
         rng = np.random.default_rng(6)
         seq = _seq(10)
-        hits = np.zeros(len(seq))
         trials = 10000
-        for _ in range(trials):
-            hits[_sample_mask(seq.ids, 0.3, rng)] += 1
+        hits = mask_batch(make_batch([seq] * trials), "basic", 0.3, 0.5, rng).enc_masked.sum(axis=0)
         rates = hits[1:11] / trials
         assert np.all(np.abs(rates - 0.3) < 0.02)
 
@@ -128,7 +137,7 @@ class TestMaskMatrix:
         # L=4, no pads, ratio 0.5: maskable = 3, visible = round(1.5) = 2.
         # Every row i >= 1 has exactly two non-self candidates, so its
         # visible set is forced; only row 0 actually samples.
-        m = build_attention_mask(4, 0.5, [], np.random.default_rng(0))
+        m = _matrix(4, 0.5, [], np.random.default_rng(0))
         for i in (1, 2, 3):
             assert m[i, i] == False
             others = [j for j in (1, 2, 3) if j != i]
@@ -137,13 +146,13 @@ class TestMaskMatrix:
         assert np.count_nonzero(m[0] == True) == 3  # column 0 plus two sampled
 
     def test_pad_rows_and_columns(self):
-        m = build_attention_mask(6, 0.5, [3, 4], np.random.default_rng(1))
+        m = _matrix(6, 0.5, [3, 4], np.random.default_rng(1))
         for pad in (3, 4):
             np.testing.assert_array_equal(m[pad], [True] + [False] * 5)
             assert (m[1:, pad] == False).all()
 
     def test_lone_content_row_keeps_only_the_embedding(self):
-        m = build_attention_mask(2, 0.5, [], np.random.default_rng(2))
+        m = _matrix(2, 0.5, [], np.random.default_rng(2))
         np.testing.assert_array_equal(m[1], [True, False])
 
     def test_randomized_invariants(self):
@@ -154,9 +163,9 @@ class TestMaskMatrix:
             n_pads = int(rng.integers(0, L - 1))
             pads = set(int(p) for p in rng.choice(np.arange(1, L), size=n_pads, replace=False))
             seed = int(rng.integers(0, 2**31))
-            m = build_attention_mask(L, ratio, pads, np.random.default_rng(seed))
+            m = _matrix(L, ratio, pads, np.random.default_rng(seed))
 
-            again = build_attention_mask(L, ratio, pads, np.random.default_rng(seed))
+            again = _matrix(L, ratio, pads, np.random.default_rng(seed))
             np.testing.assert_array_equal(m, again)
 
             assert set(np.unique(m)) <= {True, False}
@@ -184,12 +193,25 @@ class TestMaskMatrix:
 
     def test_degenerate_shapes_rejected(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            build_attention_mask(1, 0.5, [], rng)
-        with pytest.raises(ValueError):
-            build_attention_mask(4, 0.5, [0], rng)
-        with pytest.raises(ValueError):
-            build_attention_mask(4, 0.5, [1, 2, 3], rng)
+        with pytest.raises(ValueError, match="at least two positions"):
+            _matrix(1, 0.5, [], rng)
+        with pytest.raises(ValueError, match="cannot be pad"):
+            _matrix(4, 0.5, [0], rng)
+        with pytest.raises(ValueError, match="every position beyond 0 is pad"):
+            _matrix(4, 0.5, [1, 2, 3], rng)
+
+    def test_inclusion_rate_matches_ratio(self):
+        # L=8, all real, ratio 0.5: 7 candidates, round(3.5) = 4 visible.
+        # Rows 1..7 pick 4 of their 6 other columns, row 0 picks 4 of 7.
+        trials = 10000
+        real = np.ones((trials, 8), dtype=bool)
+        rates = build_attention_mask(real, 0.5, np.random.default_rng(8)).mean(axis=0)
+        np.testing.assert_array_equal(rates[:, 0], 1.0)
+        assert np.all(np.abs(rates[0, 1:] - 4 / 7) < 0.02)
+        for i in range(1, 8):
+            assert rates[i, i] == 0.0
+            others = [j for j in range(1, 8) if j != i]
+            assert np.all(np.abs(rates[i, others] - 4 / 6) < 0.02)
 
 
 class TestMaskBatch:
@@ -231,10 +253,14 @@ class TestMaskBatch:
 
     def test_rows_consume_the_generator_in_order(self):
         batch = make_batch([_seq(8), _seq(8)])
-        full = mask_batch(batch, "basic", 0.15, 0.5, np.random.default_rng(13))
-        solo = mask_batch(make_batch([_seq(8)]), "basic", 0.15, 0.5, np.random.default_rng(13))
-        np.testing.assert_array_equal(full.enc_ids[0], solo.enc_ids[0])
-        np.testing.assert_array_equal(full.dec_ids[0], solo.dec_ids[0])
+        for mode in ("basic", "enhanced"):
+            full = mask_batch(batch, mode, 0.15, 0.5, np.random.default_rng(13))
+            solo = mask_batch(make_batch([_seq(8)]), mode, 0.15, 0.5, np.random.default_rng(13))
+            np.testing.assert_array_equal(full.enc_ids[0], solo.enc_ids[0])
+            if mode == "basic":
+                np.testing.assert_array_equal(full.dec_ids[0], solo.dec_ids[0])
+            else:
+                np.testing.assert_array_equal(full.attention_masks[0], solo.attention_masks[0])
 
 
 class TestSignalCoverage:
@@ -269,7 +295,8 @@ class TestSignalCoverage:
 
     def test_counts_match_the_per_row_definition(self):
         batch = make_batch([_seq(7), _seq(3), _seq(1)])
-        per_row = sum(maskable_positions(batch.ids[r]).size for r in range(batch.size))
+        structure = (CLS_ID, SEP_ID, PAD_ID)
+        per_row = sum(int(np.count_nonzero(~np.isin(batch.ids[r], structure))) for r in range(batch.size))
         assert coverage_counts(batch.ids, None) == (11, 11)
         mb = mask_batch(batch, "basic", 0.15, 0.5, np.random.default_rng(6))
         assert coverage_counts(batch.ids, mb.dec_masked) == (per_row, 4 + 2 + 1)

@@ -86,12 +86,12 @@ class TestStepLoss:
 class TestBatchCoverage:
     def test_enhanced_covers_all_content(self):
         _, train, _, _, mbatch = tiny_setup("enhanced", seed=7)
-        assert batch_coverage(mbatch, "enhanced") == 1.0
+        assert batch_coverage(mbatch) == 1.0
 
     def test_basic_covers_the_masked_fraction(self):
         _, _, _, _, mbatch = tiny_setup("basic", seed=8)
         content = 6 + 4
-        assert batch_coverage(mbatch, "basic") == mbatch.dec_masked.sum() / content
+        assert batch_coverage(mbatch) == mbatch.dec_masked.sum() / content
 
 
 class TestTrainStep:
