@@ -7,6 +7,16 @@ graph is recorded implicitly: each tensor keeps references to its parents
 and a closure that pushes its gradient back to them; ``backward`` walks the
 graph once in reverse topological order.
 
+``requires_grad`` is read in two places only. ``_make`` records a node
+(parents plus closure) when some parent requires a gradient, and
+``Tensor._accumulate`` drops any gradient handed to a tensor that does not.
+So a backward closure states only its math: it computes a gradient for
+every parent and hands each to ``_accumulate``. Each closure takes no
+arguments, reads the output gradient from the node's own ``grad`` and is
+stored in ``_backward``, which ``backward`` calls once per node; code that
+times ops wraps that attribute and relies on this shape. Interior nodes
+keep their ``grad`` after the sweep.
+
 Training runs in float32; gradient checking builds the same graph in
 float64. Ops never change dtype on their own beyond numpy's usual
 promotion rules.
@@ -15,7 +25,7 @@ promotion rules.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -81,6 +91,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g: np.ndarray) -> None:
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -111,6 +123,14 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
+
+
+def _scatter(like: np.ndarray, index, g: np.ndarray) -> np.ndarray:
+    """Zeros shaped like ``like`` with ``g`` written at ``index``: the
+    gradient of reading ``like[index]``."""
+    full = np.zeros_like(like)
+    full[index] = g
+    return full
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -144,7 +164,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
+            if id(p) not in seen:
                 stack.append((p, False))
     loss._accumulate(np.ones((), dtype=loss.data.dtype))
     for node in reversed(order):
@@ -161,10 +181,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def back():
         g = _out.grad
-        if a.requires_grad:
-            a._accumulate(_sum_to_shape(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_sum_to_shape(g, b.data.shape))
+        a._accumulate(_sum_to_shape(g, a.data.shape))
+        b._accumulate(_sum_to_shape(g, b.data.shape))
 
     _out = _make(data, (a, b), back, "add")
     return _out
@@ -175,10 +193,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def back():
         g = _out.grad
-        if a.requires_grad:
-            a._accumulate(_sum_to_shape(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_sum_to_shape(g * a.data, b.data.shape))
+        a._accumulate(_sum_to_shape(g * b.data, a.data.shape))
+        b._accumulate(_sum_to_shape(g * a.data, b.data.shape))
 
     _out = _make(data, (a, b), back, "mul")
     return _out
@@ -189,8 +205,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     data = a.data * np.asarray(c, dtype=a.data.dtype)
 
     def back():
-        if a.requires_grad:
-            a._accumulate(_out.grad * np.asarray(c, dtype=a.data.dtype))
+        a._accumulate(_out.grad * np.asarray(c, dtype=a.data.dtype))
 
     _out = _make(data, (a,), back, "scale")
     return _out
@@ -209,12 +224,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back():
         g = _out.grad
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_sum_to_shape(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_sum_to_shape(gb, b.data.shape))
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        a._accumulate(_sum_to_shape(ga, a.data.shape))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        b._accumulate(_sum_to_shape(gb, b.data.shape))
 
     _out = _make(data, (a, b), back, "matmul")
     return _out
@@ -225,8 +238,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def back():
-        if a.requires_grad:
-            a._accumulate(np.transpose(_out.grad, inverse))
+        a._accumulate(np.transpose(_out.grad, inverse))
 
     _out = _make(data, (a,), back, "transpose")
     return _out
@@ -236,8 +248,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
 
     def back():
-        if a.requires_grad:
-            a._accumulate(_out.grad.reshape(a.data.shape))
+        a._accumulate(_out.grad.reshape(a.data.shape))
 
     _out = _make(data, (a,), back, "reshape")
     return _out
@@ -247,16 +258,11 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat needs at least one tensor")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def back():
-        g = _out.grad
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                p._accumulate(g[tuple(index)])
+        for p, g in zip(parts, np.split(_out.grad, splits, axis=axis)):
+            p._accumulate(g)
 
     _out = _make(data, tuple(parts), back, "concat")
     return _out
@@ -274,10 +280,7 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = a.data[index]
 
     def back():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[index] = _out.grad
-            a._accumulate(g)
+        a._accumulate(_scatter(a.data, index, _out.grad))
 
     _out = _make(data, (a,), back, "narrow")
     return _out
@@ -286,14 +289,11 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def select_index(a: Tensor, index: int, axis: int) -> Tensor:
     """Drop one axis by picking a single index along it."""
     data = np.take(a.data, index, axis=axis)
+    where = [slice(None)] * a.data.ndim
+    where[axis] = index
 
     def back():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            sl = [slice(None)] * a.data.ndim
-            sl[axis] = index
-            g[tuple(sl)] = _out.grad
-            a._accumulate(g)
+        a._accumulate(_scatter(a.data, tuple(where), _out.grad))
 
     _out = _make(data, (a,), back, "select_index")
     return _out
@@ -311,10 +311,9 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def back():
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids.reshape(-1), _out.grad.reshape(-1, table.data.shape[1]))
-            table._accumulate(g)
+        g = np.zeros_like(table.data)
+        np.add.at(g, ids.reshape(-1), _out.grad.reshape(-1, table.data.shape[1]))
+        table._accumulate(g)
 
     _out = _make(data, (table,), back, "embedding_lookup")
     return _out
@@ -324,8 +323,7 @@ def sum_all(a: Tensor) -> Tensor:
     data = a.data.sum()
 
     def back():
-        if a.requires_grad:
-            a._accumulate(np.full(a.data.shape, _out.grad, dtype=a.data.dtype))
+        a._accumulate(np.full(a.data.shape, _out.grad, dtype=a.data.dtype))
 
     _out = _make(np.asarray(data), (a,), back, "sum_all")
     return _out
@@ -342,9 +340,8 @@ def gelu(x: Tensor) -> Tensor:
     data = xd * cdf
 
     def back():
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * xd * xd) / np.sqrt(2.0 * np.pi).astype(xd.dtype)
-            x._accumulate(_out.grad * (cdf + xd * pdf))
+        pdf = np.exp(-0.5 * xd * xd) / np.sqrt(2.0 * np.pi).astype(xd.dtype)
+        x._accumulate(_out.grad * (cdf + xd * pdf))
 
     _out = _make(data.astype(xd.dtype), (x,), back, "gelu")
     return _out
@@ -364,15 +361,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def back():
         g = _out.grad
-        if gain.requires_grad:
-            gain._accumulate(np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
-        if bias.requires_grad:
-            bias._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
-        if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate((gx - m1 - xhat * m2) * inv)
+        gain._accumulate(np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
+        bias._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
+        gx = g * gain.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        x._accumulate((gx - m1 - xhat * m2) * inv)
 
     _out = _make(data, (x, gain, bias), back, "layer_norm")
     return _out
@@ -411,10 +405,9 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
     data = expd / denom
 
     def back():
-        if scores.requires_grad:
-            g = _out.grad
-            inner = np.sum(g * data, axis=-1, keepdims=True)
-            scores._accumulate(data * (g - inner))
+        g = _out.grad
+        inner = np.sum(g * data, axis=-1, keepdims=True)
+        scores._accumulate(data * (g - inner))
 
     _out = _make(data, (scores,), back, "masked_softmax")
     return _out
@@ -450,12 +443,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
     data = np.asarray(nll.mean(), dtype=logits.data.dtype)
 
     def back():
-        if logits.requires_grad:
-            g = np.zeros_like(logits.data)
-            soft = np.exp(shifted - (logz - zmax[:, 0])[:, None])
-            soft[np.arange(rows.size), picked] -= 1.0
-            g[rows] = soft * (_out.grad / rows.size)
-            logits._accumulate(g)
+        soft = np.exp(shifted - (logz - zmax[:, 0])[:, None])
+        soft[np.arange(rows.size), picked] -= 1.0
+        logits._accumulate(_scatter(logits.data, rows, soft * (_out.grad / rows.size)))
 
     _out = _make(data, (logits,), back, "cross_entropy")
     return _out

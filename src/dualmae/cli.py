@@ -3,7 +3,7 @@
 Results go to stdout as flat ``key = value`` lines; anything diagnostic
 goes to stderr. Exit codes: 0 on success, 1 when a run fails underway
 (divergence), 2 for unusable input (missing file, bad config, malformed
-run file).
+run file) and for an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import CheckpointError, load_checkpoint, load_checkpoint_vocabulary
+from .checkpoint import load_checkpoint, load_checkpoint_vocabulary
 from .config import (
     ConfigError,
     parse_config_file,
@@ -36,7 +34,7 @@ from .retrieval import (
     save_embeddings,
     search_run,
 )
-from .text import batch_iter, build_vocabulary, corpus_lines, load_corpus
+from .text import build_vocabulary, corpus_lines, load_corpus, make_batch
 from .training import TrainingDiverged, run_pretraining
 
 
@@ -129,10 +127,9 @@ def cmd_maskstats(args: argparse.Namespace) -> int:
     corpus = _require_file(args.corpus, "corpus file")
     vocab = build_vocabulary(corpus_lines(corpus), enc.vocab_size)
     seqs = load_corpus(corpus, vocab, enc.max_len)
-    for index, mode in enumerate(("mlm15", "basic", "enhanced")):
-        rng = np.random.default_rng([train.seed, 3, index])
-        batches = batch_iter(seqs, train.batch_size, seed=[train.seed, 3, index])
-        report = signal_coverage_stats(mode, batches, train.mask_ratio_decoder, rng)
+    batches = [make_batch(seqs[i : i + train.batch_size]) for i in range(0, len(seqs), train.batch_size)]
+    for mode in ("mlm15", "basic", "enhanced"):
+        report = signal_coverage_stats(mode, batches, train.mask_ratio_decoder)
         for line in report.lines():
             print(line)
     return 0
@@ -206,10 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except (ConfigError, CheckpointError, RunFormatError) as e:
+    except OSError as e:
         print(str(e), file=sys.stderr)
         return 2
     except TrainingDiverged as e:

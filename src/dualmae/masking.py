@@ -213,18 +213,16 @@ class CoverageReport:
         ]
 
 
-def signal_coverage_stats(
-    mode: str,
-    batches: Iterable[Batch],
-    ratio_decoder: float,
-    rng: np.random.Generator,
-) -> CoverageReport:
+def signal_coverage_stats(mode: str, batches: Iterable[Batch], ratio_decoder: float) -> CoverageReport:
     """Measure loss coverage over content tokens for one mode.
 
-    ``mlm15`` draws a plain 15% token mask and reconstructs only those
-    positions from a single shared context. ``basic`` covers the decoder
-    mask. ``enhanced`` covers every content token, each from its own
-    sampled context.
+    ``mlm15`` masks a plain 15% of each sentence's content tokens and
+    reconstructs only those positions from a single shared context.
+    ``basic`` covers the decoder mask. ``enhanced`` covers every content
+    token, each from its own sampled context. A drawn token mask holds
+    exactly its request's count, which never exceeds the sentence's
+    content tokens, so the figures follow from the counts and no mask is
+    drawn here.
     """
     if mode not in ("mlm15", "basic", "enhanced"):
         raise ValueError(f"unknown coverage mode: {mode!r}")
@@ -233,16 +231,18 @@ def signal_coverage_stats(
     contexts = 0
     sentences = 0
     for batch in batches:
-        targets = None
-        if mode != "enhanced":
-            ratio = 0.15 if mode == "mlm15" else ratio_decoder
-            targets = _draw(*_token_request(batch.ids, ratio), rng)
-        batch_content, batch_covered = coverage_counts(batch.ids, targets)
+        batch_content, _ = coverage_counts(batch.ids, None)
         content += batch_content
-        covered += batch_covered
-        # enhanced: one context per content token; otherwise one per sentence
-        contexts += batch_content if targets is None else batch.size
         sentences += batch.size
+        if mode == "enhanced":
+            # one context per content token
+            covered += batch_content
+            contexts += batch_content
+        else:
+            # one context per sentence
+            ratio = 0.15 if mode == "mlm15" else ratio_decoder
+            covered += int(_token_request(batch.ids, ratio)[1].sum())
+            contexts += batch.size
     if sentences == 0:
         raise ValueError("coverage stats need at least one sentence")
     return CoverageReport(

@@ -71,20 +71,11 @@ def warmup_scale(step: int, warmup_steps: int) -> float:
 
 
 class AdamW:
-    """Stateful wrapper applying ``adamw_update`` across a parameter store."""
+    """Stateful wrapper applying ``adamw_update``, with its default betas
+    and eps, across a parameter store."""
 
-    def __init__(
-        self,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, lr: float, weight_decay: float = 0.01):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -106,10 +97,7 @@ class AdamW:
                 v,
                 self.step_count,
                 self.lr * lr_scale,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
+                weight_decay=self.weight_decay,
             )
             tensor.data = new_data
             self.moments[name] = (m, v)

@@ -106,6 +106,7 @@ def _cut_log(path: Path, last_step: int) -> None:
 
     A run killed after its last checkpoint logged steps the resumed run
     will take again; they go, so the log reads as one uninterrupted run.
+    A fresh run passes step 0 and so starts an empty log.
     """
     if not path.exists():
         return
@@ -149,7 +150,6 @@ def run_pretraining(
         mask_rng = loaded.rng
         progress = loaded.progress
         vocab = load_checkpoint_vocabulary(resume_from, loaded)
-        _cut_log(out_dir / LOG_NAME, progress.step)
     else:
         vocab = build_vocabulary(corpus_lines(corpus_path), enc_config.vocab_size)
         # the parameter table matches the vocabulary actually built, which
@@ -160,6 +160,7 @@ def run_pretraining(
         mask_rng = np.random.default_rng([train.seed, 1])
         progress = Progress()
     vocab.save(out_dir / VOCAB_NAME)
+    _cut_log(out_dir / LOG_NAME, progress.step)
 
     seqs = load_corpus(corpus_path, vocab, enc_config.max_len)
 

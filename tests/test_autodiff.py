@@ -35,11 +35,40 @@ class TestBackwardMechanics:
         np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=0, atol=0)
 
     def test_constants_collect_no_gradient(self):
-        x = leaf(np.random.default_rng(3), 3)
-        c = ad.constant(np.ones(3))
-        ad.backward(ad.sum_all(ad.mul(x, c)))
-        assert x.grad is not None
-        assert c.grad is None
+        # (op, input shapes, which inputs are constants): the constants get no
+        # gradient and the parameters get exactly what an all-parameter graph gives
+        cases = [
+            (lambda t: ad.mul(*t), [(3,), (3,)], {1}),
+            (lambda t: ad.mul(*t), [(3,), (3,)], {0}),
+            (lambda t: ad.add(*t), [(3,), (3,)], {0}),
+            (lambda t: ad.add(*t), [(2, 3), (3,)], {1}),
+            (lambda t: ad.matmul(*t), [(2, 3), (3, 4)], {0}),
+            (lambda t: ad.matmul(*t), [(2, 3), (3, 4)], {1}),
+            (lambda t: ad.concat(t, axis=0), [(2, 3), (1, 3), (2, 3)], {1}),
+            (lambda t: ad.concat(t, axis=1), [(2, 3), (2, 1)], {0}),
+            (lambda t: ad.layer_norm(*t), [(2, 4), (4,), (4,)], {1, 2}),
+            (lambda t: ad.layer_norm(*t), [(2, 4), (4,), (4,)], {1}),
+            (lambda t: ad.layer_norm(*t), [(2, 4), (4,), (4,)], {2}),
+        ]
+        rng = np.random.default_rng(3)
+        for case, (op, shapes, consts) in enumerate(cases):
+            data = [rng.standard_normal(shape) for shape in shapes]
+            weights = rng.standard_normal(op([ad.constant(d) for d in data]).shape)
+
+            def inputs_after_backward(constant_at):
+                ts = [ad.constant(d) if i in constant_at else ad.parameter(d, dtype=np.float64)
+                      for i, d in enumerate(data)]
+                ad.backward(scalar_probe(op(ts), weights))
+                return ts
+
+            mixed = inputs_after_backward(consts)
+            full = inputs_after_backward(set())
+            for i, (m, f) in enumerate(zip(mixed, full)):
+                if i in consts:
+                    assert m.grad is None, (case, i)
+                else:
+                    assert m.grad is not None, (case, i)
+                    np.testing.assert_array_equal(m.grad, f.grad, err_msg=f"case {case}, input {i}")
 
     def test_backward_rejects_non_scalar(self):
         x = leaf(np.random.default_rng(4), 3)

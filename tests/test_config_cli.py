@@ -271,6 +271,16 @@ class TestPretrainCli:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "run" / "loss_log.tsv").exists()
 
+    def test_out_path_that_is_a_file_is_exit_2(self, tmp_path, capsys):
+        corpus = _write_corpus(tmp_path / "c.txt", n=8)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        code = main(["pretrain", "--preset", "desk", "--corpus", str(corpus),
+                     "--out", str(out)] + TINY_SET)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(out) in err and "Traceback" not in err
+
     def test_env_seed_reaches_the_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DUALMAE_SEED", "7")
         corpus = _write_corpus(tmp_path / "c.txt", n=8)
@@ -346,6 +356,15 @@ class TestEmbedCli:
         assert "dim = 16" in captured.out
         store = load_embeddings(out)
         assert store.matrix.shape == (16, 16)
+
+    def test_output_path_that_is_a_directory_is_exit_2(self, trained_run, tmp_path, capsys):
+        out = tmp_path / "vectors"
+        out.mkdir()
+        code = main(["embed", "--checkpoint", str(trained_run["out"] / "model.ckpt"),
+                     "--input", str(trained_run["corpus"]), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(out) in err and "Traceback" not in err
 
     def test_reembedding_is_byte_identical(self, trained_run):
         a = trained_run["root"] / "emb_a.tsv"

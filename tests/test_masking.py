@@ -268,30 +268,30 @@ class TestSignalCoverage:
         return [make_batch([_seq(20), _seq(20)]), make_batch([_seq(40)])]
 
     def test_enhanced_covers_everything(self):
-        report = signal_coverage_stats("enhanced", self._batches(), 0.5, np.random.default_rng(0))
+        report = signal_coverage_stats("enhanced", self._batches(), 0.5)
         assert report.coverage == 1.0
         assert report.content_tokens == 80
         assert report.contexts_per_sentence == pytest.approx(80 / 3)
 
     def test_basic_covers_the_decoder_ratio(self):
         # content lengths divide evenly at ratio 0.5, so no rounding slack
-        report = signal_coverage_stats("basic", self._batches(), 0.5, np.random.default_rng(1))
+        report = signal_coverage_stats("basic", self._batches(), 0.5)
         assert report.coverage == 0.5
         assert report.contexts_total == 3
 
     def test_mlm_covers_fifteen_percent(self):
-        report = signal_coverage_stats("mlm15", self._batches(), 0.5, np.random.default_rng(2))
+        report = signal_coverage_stats("mlm15", self._batches(), 0.5)
         assert report.coverage == 0.15
 
     def test_report_lines_format(self):
-        report = signal_coverage_stats("enhanced", self._batches(), 0.5, np.random.default_rng(3))
+        report = signal_coverage_stats("enhanced", self._batches(), 0.5)
         lines = report.lines()
         assert "enhanced.coverage = 1.000000" in lines
         assert "enhanced.content_tokens = 80" in lines
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            signal_coverage_stats("mlm", self._batches(), 0.5, np.random.default_rng(4))
+            signal_coverage_stats("mlm", self._batches(), 0.5)
 
     def test_counts_match_the_per_row_definition(self):
         batch = make_batch([_seq(7), _seq(3), _seq(1)])
@@ -303,4 +303,4 @@ class TestSignalCoverage:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            signal_coverage_stats("basic", [], 0.5, np.random.default_rng(5))
+            signal_coverage_stats("basic", [], 0.5)

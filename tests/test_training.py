@@ -235,6 +235,17 @@ class TestRunPretraining:
         assert [line.split("\t")[0] for line in log.read_text().splitlines()] == [str(i) for i in range(1, 13)]
         assert resumed.read_bytes() == straight.read_bytes()
 
+    def test_fresh_run_into_an_old_run_directory_starts_a_new_log(self, tmp_path):
+        corpus = _write_corpus(tmp_path / "corpus.txt")
+        train, enc, dec = _micro_configs()
+        straight = run_pretraining(corpus, tmp_path / "a", train, enc, dec, stop_after_steps=3)
+        run_pretraining(corpus, tmp_path / "b", train, enc, dec)
+        again = run_pretraining(corpus, tmp_path / "b", train, enc, dec, stop_after_steps=3)
+        log = (tmp_path / "b" / "loss_log.tsv").read_text()
+        assert [line.split("\t")[0] for line in log.splitlines()] == ["1", "2", "3"]
+        assert log == (tmp_path / "a" / "loss_log.tsv").read_text()
+        assert again.read_bytes() == straight.read_bytes()
+
     def test_periodic_checkpoints(self, tmp_path):
         corpus = _write_corpus(tmp_path / "corpus.txt")
         train, enc, dec = _micro_configs()
