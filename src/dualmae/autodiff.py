@@ -17,6 +17,10 @@ stored in ``_backward``, which ``backward`` calls once per node; code that
 times ops wraps that attribute and relies on this shape. Interior nodes
 keep their ``grad`` after the sweep.
 
+Every affine map of the model is one ``linear`` node. ``embedding_lookup``
+is a general row gather: besides the token tables, it picks the loss rows
+out of flattened hidden states before the vocabulary projection.
+
 Training runs in float32; gradient checking builds the same graph in
 float64. Ops never change dtype on their own beyond numpy's usual
 promotion rules.
@@ -230,6 +234,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(_sum_to_shape(gb, b.data.shape))
 
     _out = _make(data, (a, b), back, "matmul")
+    return _out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine map ``x @ w + b``: x is (..., d), w is (d, e), b is (e,).
+
+    One node instead of a matmul and an add. The forward product stays
+    stacked, so each sentence of a batch is multiplied on its own and a
+    batched result equals the sentence computed alone, bit for bit. The
+    weight gradient is one 2-D product over every row of ``x`` and the bias
+    gradient one row sum.
+    """
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear expects x with ndim >= 2 and a 2D weight, got {x.data.shape} and {w.data.shape}")
+    d, e = w.data.shape
+    if x.data.shape[-1] != d or b.data.shape != (e,):
+        raise ShapeError(f"linear shapes do not line up: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
+    data = np.matmul(x.data, w.data)
+    data += b.data
+
+    def back():
+        g = _out.grad
+        x._accumulate(np.matmul(g, w.data.T))
+        g2 = g.reshape(-1, e)
+        w._accumulate(x.data.reshape(-1, d).T @ g2)
+        b._accumulate(g2.sum(axis=0))
+
+    _out = _make(data, (x, w, b), back, "linear")
     return _out
 
 

@@ -188,19 +188,19 @@ def attention(
     ``visible`` is a bool array that broadcasts against the (B, heads, L, L)
     score tensor; row i of it lists the key positions query i may read.
     """
-    q = _split_heads(ad.add(ad.matmul(query_in, params[f"{prefix}.attn.wq"]), params[f"{prefix}.attn.bq"]), heads)
-    k = _split_heads(ad.add(ad.matmul(keyvalue_in, params[f"{prefix}.attn.wk"]), params[f"{prefix}.attn.bk"]), heads)
-    v = _split_heads(ad.add(ad.matmul(keyvalue_in, params[f"{prefix}.attn.wv"]), params[f"{prefix}.attn.bv"]), heads)
+    q = _split_heads(ad.linear(query_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]), heads)
+    k = _split_heads(ad.linear(keyvalue_in, params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.bk"]), heads)
+    v = _split_heads(ad.linear(keyvalue_in, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]), heads)
     head_dim = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     weights = ad.masked_softmax(scores, visible)
     context = _merge_heads(ad.matmul(weights, v))
-    return ad.add(ad.matmul(context, params[f"{prefix}.attn.wo"]), params[f"{prefix}.attn.bo"])
+    return ad.linear(context, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
 def feed_forward(params: ModelParams, prefix: str, x: Tensor) -> Tensor:
-    h = ad.gelu(ad.add(ad.matmul(x, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
-    return ad.add(ad.matmul(h, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
+    h = ad.gelu(ad.linear(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
+    return ad.linear(h, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
 
 
 def transformer_block(
@@ -224,5 +224,8 @@ def transformer_block(
 
 
 def output_logits(params: ModelParams, hidden: Tensor) -> Tensor:
-    """Project onto the vocabulary through the shared embedding table."""
-    return ad.add(ad.matmul(hidden, ad.transpose(params["word_emb"], (1, 0))), params["out_bias"])
+    """Project onto the vocabulary through the shared embedding table.
+
+    ``hidden`` is (..., d); training hands it only the rows the loss reads.
+    """
+    return ad.linear(hidden, ad.transpose(params["word_emb"], (1, 0)), params["out_bias"])

@@ -21,10 +21,11 @@ from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
 from .checkpoint import LoadedCheckpoint, Progress, load_checkpoint, load_checkpoint_vocabulary, save_checkpoint
 from .config import TrainConfig
-from .decoder import decode_basic, decode_enhanced
+from .decoder import decode_basic, decode_enhanced, reconstruction_loss
 from .encoder import encode
 from .masking import MaskedBatch, coverage_counts, mask_batch
-from .model import DecoderConfig, EncoderConfig, ModelParams, init_params, output_logits
+# output_logits stays imported: perfbench/tracer.py swaps training.output_logits by name
+from .model import DecoderConfig, EncoderConfig, ModelParams, init_params, output_logits  # noqa: F401
 from .optim import AdamW, clip_global_norm, warmup_scale
 from .text import Batch, batch_iter, build_vocabulary, corpus_lines, load_corpus
 
@@ -59,14 +60,7 @@ def step_loss(
     else:
         _, loss = decode_enhanced(params, dec_config, sentence, mbatch)
     if train.encoder_mlm_weight > 0.0:
-        B, L = mbatch.enc_ids.shape
-        logits = output_logits(params, hidden)
-        flat = ad.reshape(logits, (B * L, enc_config.vocab_size))
-        aux = ad.cross_entropy(
-            flat,
-            mbatch.ids.reshape(-1),
-            mbatch.enc_masked.reshape(-1).astype(np.int64),
-        )
+        aux = reconstruction_loss(params, hidden, mbatch.ids, mbatch.enc_masked)
         loss = ad.add(loss, ad.scale(aux, train.encoder_mlm_weight))
     return loss
 
@@ -135,11 +129,16 @@ def run_pretraining(
 
     ``resume_from`` picks up an earlier checkpoint and continues on the
     exact trajectory; ``stop_after_steps`` ends the run early after that
-    global step count, which is how an interruption is simulated.
+    global step count, which is how an interruption is simulated. A step
+    argument the run cannot honour raises ValueError before anything is
+    trained or written.
     """
+    if stop_after_steps is not None and stop_after_steps < 1:
+        raise ValueError(f"stop_after_steps must be at least 1, got {stop_after_steps}")
+    if checkpoint_every < 0:
+        raise ValueError(f"checkpoint_every must be 0 (off) or positive, got {checkpoint_every}")
     corpus_path = Path(corpus_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / CHECKPOINT_NAME
 
     if resume_from is not None:
@@ -149,6 +148,10 @@ def run_pretraining(
         optimizer = loaded.optimizer
         mask_rng = loaded.rng
         progress = loaded.progress
+        if stop_after_steps is not None and stop_after_steps <= progress.step:
+            raise ValueError(
+                f"stop_after_steps {stop_after_steps} is not past the checkpoint's step {progress.step}"
+            )
         vocab = load_checkpoint_vocabulary(resume_from, loaded)
     else:
         vocab = build_vocabulary(corpus_lines(corpus_path), enc_config.vocab_size)
@@ -159,6 +162,7 @@ def run_pretraining(
         optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
         mask_rng = np.random.default_rng([train.seed, 1])
         progress = Progress()
+    out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / VOCAB_NAME)
     _cut_log(out_dir / LOG_NAME, progress.step)
 

@@ -23,7 +23,7 @@ from dualmae.config import TrainConfig
 from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_accuracy
 from dualmae.encoder import encode
 from dualmae.masking import build_attention_mask, mask_batch, round_half_up
-from dualmae.model import DecoderConfig, EncoderConfig, init_params
+from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
 from dualmae.optim import AdamW
 from dualmae.retrieval import EmbeddingStore, RankingRun, mrr_at_k, ndcg_at_k, recall_at_k, topk_search
 from dualmae.text import TokenSequence, batch_iter, make_batch
@@ -182,12 +182,13 @@ def _natural_accuracy(params, enc, dec, mode, sents, limit=256):
     with ad.no_grad():
         h, _ = encode(params, enc, mb.enc_ids, mb.real)
         if mode == "basic":
-            logits, _ = decode_basic(params, dec, h, mb)
+            states, _ = decode_basic(params, dec, h, mb)
             positions = mb.dec_masked
         else:
-            logits, _ = decode_enhanced(params, dec, h, mb)
+            states, _ = decode_enhanced(params, dec, h, mb)
             positions = mb.real.copy()
             positions[:, 0] = False
+        logits = output_logits(params, states)
     return reconstruction_accuracy(logits.data, mb.ids, positions), h, mb, positions
 
 
@@ -223,7 +224,8 @@ def test_criterion_5_desk_overfit_run_depends_on_the_sentence_vector():
     # reconstruct each sentence from its neighbor's vector instead of its own
     rolled = ad.constant(np.roll(h.data, 1, axis=0))
     with ad.no_grad():
-        logits, _ = decode_enhanced(params, dec, rolled, mb)
+        states, _ = decode_enhanced(params, dec, rolled, mb)
+        logits = output_logits(params, states)
     swapped = reconstruction_accuracy(logits.data, mb.ids, positions)
     assert acc - swapped >= 0.30
     elapsed = time.monotonic() - started

@@ -44,6 +44,9 @@ class TestBackwardMechanics:
             (lambda t: ad.add(*t), [(2, 3), (3,)], {1}),
             (lambda t: ad.matmul(*t), [(2, 3), (3, 4)], {0}),
             (lambda t: ad.matmul(*t), [(2, 3), (3, 4)], {1}),
+            (lambda t: ad.linear(*t), [(2, 3, 4), (4, 5), (5,)], {0}),
+            (lambda t: ad.linear(*t), [(2, 3, 4), (4, 5), (5,)], {1}),
+            (lambda t: ad.linear(*t), [(2, 3, 4), (4, 5), (5,)], {2}),
             (lambda t: ad.concat(t, axis=0), [(2, 3), (1, 3), (2, 3)], {1}),
             (lambda t: ad.concat(t, axis=1), [(2, 3), (2, 1)], {0}),
             (lambda t: ad.layer_norm(*t), [(2, 4), (4,), (4,)], {1, 2}),
@@ -194,6 +197,59 @@ class TestElementwiseGradients:
         ad.backward(scalar_probe(ad.embedding_lookup(table, ids), w))
         np.testing.assert_array_equal(table.grad[1], w[0, 0] + w[0, 1])
         np.testing.assert_array_equal(table.grad[0], np.zeros(3))
+
+
+class TestLinear:
+    """``linear`` against the two-node graph it replaces, in float64."""
+
+    @pytest.mark.parametrize("x_shape, transposed", [
+        ((5, 4), False),
+        ((2, 3, 4), False),
+        ((2, 3, 4), True),  # the output projection's word_emb.T view
+    ])
+    def test_matches_add_of_matmul(self, x_shape, transposed):
+        rng = np.random.default_rng(30)
+        x_data = rng.standard_normal(x_shape)
+        w_data = rng.standard_normal((6, 4) if transposed else (4, 6))
+        b_data = rng.standard_normal(6)
+        probe = rng.standard_normal(x_shape[:-1] + (6,))
+
+        def run(affine):
+            x, w, b = (ad.parameter(d, dtype=np.float64) for d in (x_data, w_data, b_data))
+            weight = ad.transpose(w, (1, 0)) if transposed else w
+            out = affine(x, weight, b)
+            ad.backward(scalar_probe(out, probe))
+            return out.data, x.grad, w.grad, b.grad
+
+        fused = run(ad.linear)
+        pair = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        for name, got, want in zip(("value", "dx", "dw", "db"), fused, pair):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_grad_matches_fd(self):
+        rng = np.random.default_rng(31)
+        x, w, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 2), leaf(rng, 2)
+        probe = rng.standard_normal((2, 3, 2))
+        assert_grads_match(lambda: scalar_probe(ad.linear(x, w, b), probe), [x, w, b])
+
+    def test_batched_rows_equal_each_sentence_alone(self):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((3, 5, 8)).astype(np.float32)
+        w = ad.constant(rng.standard_normal((8, 16)).astype(np.float32))
+        b = ad.constant(rng.standard_normal(16).astype(np.float32))
+        batched = ad.linear(ad.constant(x), w, b).data
+        for i in range(3):
+            alone = ad.linear(ad.constant(x[i : i + 1]), w, b).data
+            assert alone.tobytes() == batched[i : i + 1].tobytes(), i
+
+    def test_shape_validation(self):
+        rng = np.random.default_rng(33)
+        with pytest.raises(ShapeError):
+            ad.linear(leaf(rng, 2, 4), leaf(rng, 3, 2), leaf(rng, 2))
+        with pytest.raises(ShapeError):
+            ad.linear(leaf(rng, 2, 4), leaf(rng, 4, 2), leaf(rng, 3))
+        with pytest.raises(ShapeError):
+            ad.linear(leaf(rng, 4), leaf(rng, 4, 2), leaf(rng, 2))
 
 
 class TestLayerNorm:

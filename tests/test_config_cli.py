@@ -5,6 +5,7 @@ contracts, and the artifacts left on disk.
 """
 
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -307,6 +308,44 @@ class TestPretrainCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "every setting from the checkpoint" in captured.err
+
+    def _assert_refused_untouched(self, argv, out, capsys):
+        before = {name: (out / name).read_bytes() for name in ("model.ckpt", "loss_log.tsv", "vocab.txt")}
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert {name: (out / name).read_bytes() for name in before} == before
+        return err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_stop_after_fewer_than_one_step_is_exit_2(self, trained_run, tmp_path, capsys, steps):
+        out = tmp_path / "run"
+        shutil.copytree(trained_run["out"], out)
+        err = self._assert_refused_untouched(
+            ["pretrain", "--preset", "desk", "--corpus", str(trained_run["corpus"]), "--out", str(out),
+             "--stop-after-steps", steps] + TINY_SET, out, capsys)
+        assert "stop_after_steps must be at least 1" in err
+
+    def test_negative_checkpoint_interval_is_exit_2(self, trained_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(trained_run["out"], out)
+        err = self._assert_refused_untouched(
+            ["pretrain", "--preset", "desk", "--corpus", str(trained_run["corpus"]), "--out", str(out),
+             "--checkpoint-every", "-2"] + TINY_SET, out, capsys)
+        assert "checkpoint_every must be 0 (off) or positive" in err
+
+    def test_resume_with_a_stop_not_past_the_checkpoint_is_exit_2(self, trained_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["pretrain", "--preset", "desk", "--corpus", str(trained_run["corpus"]),
+                     "--out", str(out), "--stop-after-steps", "4"] + TINY_SET + ["--set", "epochs=3"])
+        assert code == 0
+        assert load_checkpoint(out / "model.ckpt").progress.step == 4
+        capsys.readouterr()
+        err = self._assert_refused_untouched(
+            ["pretrain", "--corpus", str(trained_run["corpus"]), "--out", str(out),
+             "--resume", str(out / "model.ckpt"), "--stop-after-steps", "2"], out, capsys)
+        assert "not past the checkpoint's step 4" in err
 
     def test_config_file_feeds_the_run(self, tmp_path):
         corpus = _write_corpus(tmp_path / "c.txt", n=8)

@@ -20,7 +20,7 @@ from dualmae.decoder import (
 )
 from dualmae.encoder import encode
 from dualmae.masking import mask_batch
-from dualmae.model import DecoderConfig, EncoderConfig, init_params
+from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
 from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
 
 ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, ffn_dim=32, max_len=8, vocab_size=30)
@@ -45,12 +45,19 @@ def _sentence(params, mbatch):
     return sentence
 
 
+def _basic_logits(params, dec, sentence, mbatch):
+    states, _ = decode_basic(params, dec, sentence, mbatch)
+    return output_logits(params, states)
+
+
 class TestBasicDecoding:
     def test_loss_covers_exactly_the_masked_positions(self):
         params, dec, mbatch = _setup("basic")
-        logits, loss = decode_basic(params, dec, _sentence(params, mbatch), mbatch)
+        # each state row feeds only its own logit row, so the states' grad
+        # shows which positions the loss reads
+        states, loss = decode_basic(params, dec, _sentence(params, mbatch), mbatch)
         ad.backward(loss)
-        grad = logits.grad
+        grad = states.grad
         assert np.all(grad[~mbatch.dec_masked] == 0.0)
         assert np.all(np.abs(grad[mbatch.dec_masked]).max(axis=-1) > 0)
 
@@ -60,19 +67,19 @@ class TestBasicDecoding:
         params, dec, mbatch = _setup("basic")
         sentence = _sentence(params, mbatch)
         with ad.no_grad():
-            base, _ = decode_basic(params, dec, sentence, mbatch)
+            base = _basic_logits(params, dec, sentence, mbatch)
             poked = dataclasses.replace(mbatch, dec_ids=np.where(
                 np.arange(L) == 0, 7, mbatch.dec_ids))
-            after, _ = decode_basic(params, dec, sentence, poked)
+            after = _basic_logits(params, dec, sentence, poked)
         np.testing.assert_array_equal(base.data, after.data)
 
     def test_sentence_embedding_reaches_every_logit(self):
         params, dec, mbatch = _setup("basic")
         sentence = _sentence(params, mbatch)
         with ad.no_grad():
-            base, _ = decode_basic(params, dec, sentence, mbatch)
+            base = _basic_logits(params, dec, sentence, mbatch)
             shifted = ad.constant(sentence.data + 0.25)
-            after, _ = decode_basic(params, dec, shifted, mbatch)
+            after = _basic_logits(params, dec, shifted, mbatch)
         assert np.all(base.data != after.data)
 
     def test_stacked_decoder_layers_change_the_output(self):
@@ -81,8 +88,8 @@ class TestBasicDecoding:
         params2 = init_params(ENC, dec2, np.random.default_rng(0), dtype=np.float64)
         sentence = _sentence(params1, mbatch)
         with ad.no_grad():
-            one, _ = decode_basic(params1, dec1, sentence, mbatch)
-            two, _ = decode_basic(params2, dec2, sentence, mbatch)
+            one = _basic_logits(params1, dec1, sentence, mbatch)
+            two = _basic_logits(params2, dec2, sentence, mbatch)
         assert not np.array_equal(one.data, two.data)
 
     def test_needs_decoder_mask(self):
@@ -95,9 +102,9 @@ class TestBasicDecoding:
 class TestEnhancedDecoding:
     def test_loss_covers_real_positions_beyond_zero(self):
         params, dec, mbatch = _setup("enhanced")
-        logits, loss = decode_enhanced(params, dec, _sentence(params, mbatch), mbatch)
+        states, loss = decode_enhanced(params, dec, _sentence(params, mbatch), mbatch)
         ad.backward(loss)
-        grad = logits.grad
+        grad = states.grad
         expected = mbatch.real.copy()
         expected[:, 0] = False
         assert np.all(grad[~expected] == 0.0)

@@ -14,7 +14,7 @@ import pytest
 from dualmae import autodiff as ad
 from dualmae.checkpoint import load_checkpoint
 from dualmae.config import TrainConfig
-from dualmae.decoder import decode_enhanced
+from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_loss
 from dualmae.encoder import encode
 from dualmae.gradcheck import finite_difference_grad, max_rel_error, tiny_setup
 from dualmae.masking import mask_batch
@@ -81,6 +81,89 @@ class TestStepLoss:
 
         fd = finite_difference_grad(value, params["out_bias"], 1e-4)
         assert max_rel_error(analytic, fd) < 1e-4
+
+
+def _full_logit_loss(params, states, targets, weights):
+    """The loss over every position's logits, weighted 0/1: what
+    ``reconstruction_loss`` computes from the loss rows alone."""
+    B, L, d = states.shape
+    flat = ad.reshape(output_logits(params, states), (B * L, params["out_bias"].shape[0]))
+    return ad.cross_entropy(flat, targets.reshape(-1), weights.reshape(-1).astype(np.int64))
+
+
+def _full_logit_step_loss(params, train, enc, dec, mbatch):
+    sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
+    if dec.mode == "basic":
+        states, _ = decode_basic(params, dec, sentence, mbatch)
+        weights = mbatch.dec_masked
+    else:
+        states, _ = decode_enhanced(params, dec, sentence, mbatch)
+        weights = mbatch.real.copy()
+        weights[:, 0] = False
+    loss = _full_logit_loss(params, states, mbatch.ids, weights)
+    aux = _full_logit_loss(params, hidden, mbatch.ids, mbatch.enc_masked)
+    return ad.add(loss, ad.scale(aux, train.encoder_mlm_weight))
+
+
+class TestReconstructionLoss:
+    @pytest.mark.parametrize("mode", ["enhanced", "basic"])
+    def test_equals_the_full_logit_loss_and_gradients(self, mode):
+        import dataclasses
+
+        params, train, enc, dec, mbatch = tiny_setup(mode, seed=12)
+        train = dataclasses.replace(train, encoder_mlm_weight=0.5)
+        results = []
+        for loss_fn in (step_loss, _full_logit_step_loss):
+            params.zero_grads()
+            loss = loss_fn(params, train, enc, dec, mbatch)
+            ad.backward(loss)
+            results.append((float(loss.data), {name: ad.grad_or_zeros(t).copy() for name, t in params.items()}))
+        (gathered, grads), (full, full_grads) = results
+        assert gathered == pytest.approx(full, rel=1e-12)
+        for name in params.names():
+            np.testing.assert_allclose(grads[name], full_grads[name], rtol=1e-9, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("mode, mlm_weight", [("basic", 0.0), ("enhanced", 0.0), ("basic", 0.5)])
+    def test_a_step_projects_only_the_loss_rows(self, mode, mlm_weight, monkeypatch):
+        import dataclasses
+
+        params, train, enc, dec, _ = tiny_setup(mode, seed=13, dtype=np.float32)
+        train = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
+        rng = np.random.default_rng(3)
+        seqs = [TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, 50, size=n), [SEP_ID]])) for n in (6, 3, 5)]
+        masked, rows = [], []
+
+        def recording_mask_batch(*args):
+            masked.append(mask_batch(*args))
+            return masked[-1]
+
+        def recording_output_logits(params, hidden):
+            rows.append(hidden.data.size // hidden.shape[-1])
+            return output_logits(params, hidden)
+
+        monkeypatch.setattr("dualmae.training.mask_batch", recording_mask_batch)
+        monkeypatch.setattr("dualmae.decoder.output_logits", recording_output_logits)
+        train_step(params, AdamW(lr=1e-3), train, enc, dec, make_batch(seqs), rng, step=1)
+        (mbatch,) = masked
+        if mode == "basic":
+            decoder_rows = int(mbatch.dec_masked.sum())
+        else:
+            decoder_rows = int(mbatch.real[:, 1:].sum())
+        expected = [decoder_rows] + ([int(mbatch.enc_masked.sum())] if mlm_weight > 0 else [])
+        assert rows == expected
+
+    def test_all_zero_weights_are_rejected(self):
+        params, _, enc, dec, mbatch = tiny_setup("enhanced", seed=14)
+        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
+        zeros = np.zeros(mbatch.ids.shape, dtype=bool)
+        with pytest.raises(ValueError, match="cross_entropy needs at least one weight-1 position"):
+            reconstruction_loss(params, hidden, mbatch.ids, zeros)
+
+    def test_non_binary_weights_are_rejected(self):
+        params, _, enc, dec, mbatch = tiny_setup("enhanced", seed=14)
+        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
+        with pytest.raises(ValueError, match="weights must be 0 or 1"):
+            reconstruction_loss(params, hidden, mbatch.ids, mbatch.real * 2)
 
 
 class TestBatchCoverage:
