@@ -216,22 +216,21 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 2D x 2D, stacked x stacked with equal leading dims,
-    or stacked x 2D (shared projection). No other broadcasting."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul operands must have ndim >= 2")
+    """Matrix product of two operands of equal rank (at least 2) and equal
+    leading dims, as attention's stacked per-head products are. No
+    broadcasting; an affine map is ``linear``."""
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
+        raise ShapeError(f"matmul operands must share a rank of at least 2: {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
-    if a.data.ndim > 2 and b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]:
+    if a.data.shape[:-2] != b.data.shape[:-2]:
         raise ShapeError(f"matmul leading dims differ: {a.data.shape} @ {b.data.shape}")
     data = np.matmul(a.data, b.data)
 
     def back():
         g = _out.grad
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        a._accumulate(_sum_to_shape(ga, a.data.shape))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        b._accumulate(_sum_to_shape(gb, b.data.shape))
+        a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     _out = _make(data, (a, b), back, "matmul")
     return _out

@@ -222,7 +222,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if end != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - end} bytes after the last tensor")
 
-    params = ModelParams({name: ad.parameter(arrays[name], dtype=arrays[name].dtype) for name in shapes})
+    params = {name: ad.parameter(arrays[name], dtype=arrays[name].dtype) for name in shapes}
     optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
     for name in shapes:
         optimizer.moments[name] = (arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"])

@@ -16,6 +16,7 @@ overrides, the DUALMAE_SEED environment variable.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +50,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie strictly inside (0, 1), got {value}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.learning_rate < 0 or self.weight_decay < 0 or self.encoder_mlm_weight < 0:
-            raise ConfigError("rates and weights cannot be negative")
+        for name in ("learning_rate", "weight_decay", "encoder_mlm_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if self.warmup_steps < 0 or self.seed < 0:
             raise ConfigError("warmup_steps and seed cannot be negative")
 

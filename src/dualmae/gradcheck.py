@@ -74,7 +74,8 @@ def model_gradient_errors(mode: str, seed: int = 0, h: float = DEFAULT_STEP) -> 
     of the parameters and the finite differences are well defined.
     """
     params, train, enc, dec, mbatch = tiny_setup(mode, seed=seed, dtype=np.float64)
-    params.zero_grads()
+    for t in params.values():
+        t.grad = None
     loss = step_loss(params, train, enc, dec, mbatch)
     ad.backward(loss)
     analytic = {name: ad.grad_or_zeros(t).copy() for name, t in params.items()}

@@ -35,15 +35,15 @@ def _is_content(ids: np.ndarray) -> np.ndarray:
     return (ids != CLS_ID) & (ids != SEP_ID) & (ids != PAD_ID)
 
 
-def coverage_counts(ids: np.ndarray, targets: np.ndarray | None) -> tuple[int, int]:
-    """(content tokens, content tokens the loss covers) over a batch.
+def coverage_counts(ids: np.ndarray, targets: np.ndarray) -> tuple[int, int]:
+    """(content tokens, content tokens among ``targets``) over a batch.
 
-    ``targets`` marks the reconstructed positions; None means the loss
-    covers every content token, as enhanced decoding does.
+    ``targets`` is a (B, L) bool array of the positions a loss reads, such
+    as ``MaskedBatch.dec_targets``. Only content tokens count, so the
+    [SEP] that enhanced decoding also reconstructs adds nothing.
     """
-    content = int(np.count_nonzero(_is_content(ids)))
-    covered = content if targets is None else int(np.count_nonzero(targets))
-    return content, covered
+    content = _is_content(ids)
+    return int(np.count_nonzero(content)), int(np.count_nonzero(content & targets))
 
 
 def _check_ratio(ratio: float) -> None:
@@ -114,27 +114,26 @@ def build_attention_mask(real: np.ndarray, ratio: float, rng: np.random.Generato
 class MaskedBatch:
     """Everything a training step needs about one polluted batch.
 
-    ``enc_ids`` always carries the encoder-side [M] pollution. In basic
-    mode ``dec_ids``/``dec_masked`` describe the reconstruction input and
-    its targets; in enhanced mode ``attention_masks`` holds one (L, L) bool
-    visibility matrix per sentence instead, True where a row may read.
+    ``enc_ids`` carries the encoder-side [M] pollution, marked by
+    ``enc_masked``. The ``dec_*`` fields are filled in both modes:
+
+    - ``dec_ids``, what the decoder reads: the [M]-polluted ids (basic) or
+      the clean ids (enhanced);
+    - ``dec_targets``, the (B, L) bool positions its loss reconstructs: the
+      [M] positions (basic) or every real position after 0 (enhanced);
+    - ``dec_visible``, the bool attention mask, True where a row may read:
+      the (B, 1, L) pad row shared by every position (basic) or one sampled
+      (L, L) visibility matrix per sentence (enhanced).
     """
 
+    mode: str
     ids: np.ndarray
     real: np.ndarray
     enc_ids: np.ndarray
     enc_masked: np.ndarray
-    dec_ids: np.ndarray | None = None
-    dec_masked: np.ndarray | None = None
-    attention_masks: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.ids.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.ids.shape[1]
+    dec_ids: np.ndarray
+    dec_targets: np.ndarray
+    dec_visible: np.ndarray
 
 
 def mask_batch(
@@ -144,14 +143,16 @@ def mask_batch(
     ratio_decoder: float,
     rng: np.random.Generator,
 ) -> MaskedBatch:
-    """Draw all per-sentence masks for one step.
+    """Draw all per-sentence masks for one step and fill every decoder field.
 
     Each sentence contributes its encoder token mask followed by its
     decoder request (one token mask in basic mode, L visibility rows in
     enhanced mode), and the whole batch is one draw of the module's
     key-draw rule. Keys are laid out sentence by sentence, so a fixed
     generator state fixes the batch bit for bit, and a sentence's masks
-    depend only on the keys drawn before the next sentence's.
+    depend only on the keys drawn before the next sentence's. This is the
+    one place that decides, per mode, what the decoder reads and which
+    positions its loss covers (see ``MaskedBatch``).
     """
     if mode not in ("basic", "enhanced"):
         raise ValueError(f"unknown decoding mode: {mode!r}")
@@ -168,21 +169,25 @@ def mask_batch(
     )
     enc_masked = picked[:, 0]
     enc_ids = np.where(enc_masked, MASK_ID, batch.ids)
-    dec_ids = dec_masked = attn = None
     if mode == "basic":
-        dec_masked = picked[:, 1]
-        dec_ids = np.where(dec_masked, MASK_ID, batch.ids)
+        dec_targets = picked[:, 1]
+        dec_ids = np.where(dec_targets, MASK_ID, batch.ids)
+        dec_visible = batch.real[:, None, :]
     else:
-        attn = picked[:, 1:]
-        attn[..., 0] = True
+        dec_targets = batch.real.copy()
+        dec_targets[:, 0] = False
+        dec_ids = batch.ids
+        dec_visible = picked[:, 1:]
+        dec_visible[..., 0] = True
     return MaskedBatch(
+        mode=mode,
         ids=batch.ids,
         real=batch.real,
         enc_ids=enc_ids,
         enc_masked=enc_masked,
         dec_ids=dec_ids,
-        dec_masked=dec_masked,
-        attention_masks=attn,
+        dec_targets=dec_targets,
+        dec_visible=dec_visible,
     )
 
 
@@ -231,7 +236,7 @@ def signal_coverage_stats(mode: str, batches: Iterable[Batch], ratio_decoder: fl
     contexts = 0
     sentences = 0
     for batch in batches:
-        batch_content, _ = coverage_counts(batch.ids, None)
+        batch_content = int(np.count_nonzero(_is_content(batch.ids)))
         content += batch_content
         sentences += batch.size
         if mode == "enhanced":

@@ -12,7 +12,6 @@ tables are separate per side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -77,33 +76,8 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.
     return out.astype(dtype)
 
 
-class ModelParams:
-    """Named parameter tensors in a fixed, serialization-stable order."""
-
-    def __init__(self, tensors: dict[str, Tensor]):
-        self._tensors = dict(tensors)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._tensors.items())
-
-    def tensors(self) -> Iterator[Tensor]:
-        return iter(self._tensors.values())
-
-    def zero_grads(self) -> None:
-        for t in self._tensors.values():
-            t.grad = None
-
-    def count(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
+# named parameter tensors, in the serialization-stable order of ``param_shapes``
+ModelParams = dict[str, Tensor]
 
 
 def _block_param_shapes(prefix: str, d: int, ffn: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -151,7 +125,7 @@ def init_params(
     dtype=np.float32,
 ) -> ModelParams:
     """Truncated-normal weights, zero biases, unit layer-norm gains."""
-    tensors: dict[str, Tensor] = {}
+    tensors: ModelParams = {}
     for name, shape in param_shapes(enc, dec):
         if name.endswith(".gain"):
             data = np.ones(shape, dtype=dtype)
@@ -160,7 +134,7 @@ def init_params(
         else:
             data = _truncated_normal(rng, shape, INIT_STD, dtype)
         tensors[name] = ad.parameter(data, dtype=dtype)
-    return ModelParams(tensors)
+    return tensors
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:

@@ -310,7 +310,10 @@ def load_labels(path: str | Path) -> dict[str, dict[str, int]]:
                 raise RunFormatError(f"{path}:{lineno}: relevance must be an integer") from None
             if rel < 0:
                 raise RunFormatError(f"{path}:{lineno}: relevance cannot be negative")
-            labels.setdefault(qid, {})[doc] = rel
+            judged = labels.setdefault(qid, {})
+            if doc in judged:
+                raise RunFormatError(f"{path}:{lineno}: duplicate judgment for query {qid!r}, document {doc!r}")
+            judged[doc] = rel
     if not labels:
         raise RunFormatError(f"{path}: no label lines found")
     return labels

@@ -166,18 +166,14 @@ def batch_iter(
 
 
 def load_corpus(path: str | Path, vocab: Vocabulary, max_len: int) -> list[TokenSequence]:
-    """Encode every non-empty line of a text file."""
-    seqs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                seqs.append(encode_text(line, vocab, max_len))
+    """Encode every non-empty line of a text file, as ``corpus_lines`` reads it."""
+    seqs = [encode_text(line, vocab, max_len) for line in corpus_lines(path)]
     if not seqs:
         raise ValueError(f"no sentences found in {path}")
     return seqs
 
 
 def corpus_lines(path: str | Path) -> list[str]:
+    """The stripped non-empty lines of a text file."""
     with open(path, encoding="utf-8") as f:
         return [line.strip() for line in f if line.strip()]

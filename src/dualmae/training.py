@@ -40,9 +40,8 @@ class TrainingDiverged(RuntimeError):
 
 
 def batch_coverage(mbatch: MaskedBatch) -> float:
-    """Fraction of content tokens this step's loss touches; a batch without
-    decoder targets (enhanced decoding) covers them all."""
-    content, covered = coverage_counts(mbatch.ids, mbatch.dec_masked)
+    """Fraction of content tokens this step's decoder loss touches."""
+    content, covered = coverage_counts(mbatch.ids, mbatch.dec_targets)
     return covered / content
 
 
@@ -79,11 +78,12 @@ def train_step(
     mbatch = mask_batch(batch, dec_config.mode, train.mask_ratio_encoder, train.mask_ratio_decoder, rng)
     try:
         loss = step_loss(params, train, enc_config, dec_config, mbatch)
-        params.zero_grads()
+        for t in params.values():
+            t.grad = None
         ad.backward(loss)
     except NonFiniteError as e:
         raise TrainingDiverged(f"step {step}: {e}") from e
-    grads = [ad.grad_or_zeros(t) for t in params.tensors()]
+    grads = [ad.grad_or_zeros(t) for t in params.values()]
     if not np.isfinite(clip_global_norm(grads, GRAD_CLIP_NORM)):
         # raised before the update, so parameters and moments stay as they were
         raise TrainingDiverged(f"step {step}: non-finite gradient norm")

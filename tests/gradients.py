@@ -3,6 +3,10 @@
 Op-level checks run in float64 and reduce every output to a scalar through
 fixed random weights, so the comparison covers the whole Jacobian rather
 than just the diagonal a plain sum would see.
+
+This is a plain module, not ``conftest.py``: ``perfbench/tests`` has a
+conftest of its own, and when pytest collects both directories a
+``from conftest import ...`` may find that one instead.
 """
 
 import numpy as np

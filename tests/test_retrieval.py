@@ -269,6 +269,13 @@ class TestLabelFiles:
         with pytest.raises(RunFormatError, match="negative"):
             load_labels(path)
 
+    def test_duplicate_judgment_rejected(self, tmp_path):
+        # a repeated pair would otherwise let the later line win silently
+        path = tmp_path / "labels.tsv"
+        path.write_text("q1\td0\t2\nq1\td1\t1\nq1\td1\t0\n")
+        with pytest.raises(RunFormatError, match=r"labels.tsv:3: duplicate judgment for query 'q1', document 'd1'"):
+            load_labels(path)
+
     def test_empty_label_file(self, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text("\n")

@@ -58,10 +58,12 @@ class TestStepLoss:
         import dataclasses
 
         params, train, enc, dec, mbatch = tiny_setup("enhanced", seed=5)
-        params.zero_grads()
+        for t in params.values():
+            t.grad = None
         ad.backward(step_loss(params, train, enc, dec, mbatch))
         plain = params["word_emb"].grad.copy()
-        params.zero_grads()
+        for t in params.values():
+            t.grad = None
         weighted = dataclasses.replace(train, encoder_mlm_weight=0.7)
         ad.backward(step_loss(params, weighted, enc, dec, mbatch))
         assert not np.array_equal(params["word_emb"].grad, plain)
@@ -71,7 +73,8 @@ class TestStepLoss:
 
         params, train, enc, dec, mbatch = tiny_setup("enhanced", seed=6)
         train = dataclasses.replace(train, encoder_mlm_weight=0.5)
-        params.zero_grads()
+        for t in params.values():
+            t.grad = None
         ad.backward(step_loss(params, train, enc, dec, mbatch))
         analytic = params["out_bias"].grad.copy()
 
@@ -95,7 +98,7 @@ def _full_logit_step_loss(params, train, enc, dec, mbatch):
     sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
     if dec.mode == "basic":
         states, _ = decode_basic(params, dec, sentence, mbatch)
-        weights = mbatch.dec_masked
+        weights = mbatch.dec_targets
     else:
         states, _ = decode_enhanced(params, dec, sentence, mbatch)
         weights = mbatch.real.copy()
@@ -114,13 +117,14 @@ class TestReconstructionLoss:
         train = dataclasses.replace(train, encoder_mlm_weight=0.5)
         results = []
         for loss_fn in (step_loss, _full_logit_step_loss):
-            params.zero_grads()
+            for t in params.values():
+                t.grad = None
             loss = loss_fn(params, train, enc, dec, mbatch)
             ad.backward(loss)
             results.append((float(loss.data), {name: ad.grad_or_zeros(t).copy() for name, t in params.items()}))
         (gathered, grads), (full, full_grads) = results
         assert gathered == pytest.approx(full, rel=1e-12)
-        for name in params.names():
+        for name in params:
             np.testing.assert_allclose(grads[name], full_grads[name], rtol=1e-9, atol=1e-13, err_msg=name)
 
     @pytest.mark.parametrize("mode, mlm_weight", [("basic", 0.0), ("enhanced", 0.0), ("basic", 0.5)])
@@ -146,7 +150,7 @@ class TestReconstructionLoss:
         train_step(params, AdamW(lr=1e-3), train, enc, dec, make_batch(seqs), rng, step=1)
         (mbatch,) = masked
         if mode == "basic":
-            decoder_rows = int(mbatch.dec_masked.sum())
+            decoder_rows = int(mbatch.dec_targets.sum())
         else:
             decoder_rows = int(mbatch.real[:, 1:].sum())
         expected = [decoder_rows] + ([int(mbatch.enc_masked.sum())] if mlm_weight > 0 else [])
@@ -174,7 +178,7 @@ class TestBatchCoverage:
     def test_basic_covers_the_masked_fraction(self):
         _, _, _, _, mbatch = tiny_setup("basic", seed=8)
         content = 6 + 4
-        assert batch_coverage(mbatch) == mbatch.dec_masked.sum() / content
+        assert batch_coverage(mbatch) == mbatch.dec_targets.sum() / content
 
 
 class TestTrainStep:
