@@ -17,6 +17,13 @@ stored in ``_backward``, which ``backward`` calls once per node; code that
 times ops wraps that attribute and relies on this shape. Interior nodes
 keep their ``grad`` after the sweep.
 
+A closure reaches its own output through a ``weakref`` and its parents
+directly, so references only point from a node towards the leaves and a
+graph holds no reference cycle. Reference counting frees it, activations
+and gradients alike, the moment its last outside reference goes: when the
+caller drops the loss, or when an exception that abandoned the graph
+halfway is discarded. The cyclic collector never has to run for it.
+
 Every affine map of the model is one ``linear`` node. ``embedding_lookup``
 is a general row gather: besides the token tables, it picks the loss rows
 out of flattened hidden states before the vocabulary projection.
@@ -29,6 +36,7 @@ promotion rules.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,14 +75,14 @@ def no_grad():
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
 class Tensor:
     """A dense array plus the bookkeeping needed for the backward sweep."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -184,24 +192,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def back():
-        g = _out.grad
+        g = _out().grad
         a._accumulate(_sum_to_shape(g, a.data.shape))
         b._accumulate(_sum_to_shape(g, b.data.shape))
 
-    _out = _make(data, (a, b), back, "add")
-    return _out
+    out = _make(data, (a, b), back, "add")
+    _out = weakref.ref(out)
+    return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def back():
-        g = _out.grad
+        g = _out().grad
         a._accumulate(_sum_to_shape(g * b.data, a.data.shape))
         b._accumulate(_sum_to_shape(g * a.data, b.data.shape))
 
-    _out = _make(data, (a, b), back, "mul")
-    return _out
+    out = _make(data, (a, b), back, "mul")
+    _out = weakref.ref(out)
+    return out
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -209,10 +219,11 @@ def scale(a: Tensor, c: float) -> Tensor:
     data = a.data * np.asarray(c, dtype=a.data.dtype)
 
     def back():
-        a._accumulate(_out.grad * np.asarray(c, dtype=a.data.dtype))
+        a._accumulate(_out().grad * np.asarray(c, dtype=a.data.dtype))
 
-    _out = _make(data, (a,), back, "scale")
-    return _out
+    out = _make(data, (a,), back, "scale")
+    _out = weakref.ref(out)
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -228,12 +239,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def back():
-        g = _out.grad
+        g = _out().grad
         a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-    _out = _make(data, (a, b), back, "matmul")
-    return _out
+    out = _make(data, (a, b), back, "matmul")
+    _out = weakref.ref(out)
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -254,35 +266,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data += b.data
 
     def back():
-        g = _out.grad
+        g = _out().grad
         x._accumulate(np.matmul(g, w.data.T))
         g2 = g.reshape(-1, e)
         w._accumulate(x.data.reshape(-1, d).T @ g2)
         b._accumulate(g2.sum(axis=0))
 
-    _out = _make(data, (x, w, b), back, "linear")
-    return _out
+    out = _make(data, (x, w, b), back, "linear")
+    _out = weakref.ref(out)
+    return out
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def back():
-        a._accumulate(np.transpose(_out.grad, inverse))
+        a._accumulate(np.transpose(_out().grad, inverse))
 
-    _out = _make(data, (a,), back, "transpose")
-    return _out
+    out = _make(data, (a,), back, "transpose")
+    _out = weakref.ref(out)
+    return out
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
 
     def back():
-        a._accumulate(_out.grad.reshape(a.data.shape))
+        a._accumulate(_out().grad.reshape(a.data.shape))
 
-    _out = _make(data, (a,), back, "reshape")
-    return _out
+    out = _make(data, (a,), back, "reshape")
+    _out = weakref.ref(out)
+    return out
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -292,11 +307,12 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def back():
-        for p, g in zip(parts, np.split(_out.grad, splits, axis=axis)):
+        for p, g in zip(parts, np.split(_out().grad, splits, axis=axis)):
             p._accumulate(g)
 
-    _out = _make(data, tuple(parts), back, "concat")
-    return _out
+    out = _make(data, tuple(parts), back, "concat")
+    _out = weakref.ref(out)
+    return out
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -311,10 +327,11 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = a.data[index]
 
     def back():
-        a._accumulate(_scatter(a.data, index, _out.grad))
+        a._accumulate(_scatter(a.data, index, _out().grad))
 
-    _out = _make(data, (a,), back, "narrow")
-    return _out
+    out = _make(data, (a,), back, "narrow")
+    _out = weakref.ref(out)
+    return out
 
 
 def select_index(a: Tensor, index: int, axis: int) -> Tensor:
@@ -324,10 +341,11 @@ def select_index(a: Tensor, index: int, axis: int) -> Tensor:
     where[axis] = index
 
     def back():
-        a._accumulate(_scatter(a.data, tuple(where), _out.grad))
+        a._accumulate(_scatter(a.data, tuple(where), _out().grad))
 
-    _out = _make(data, (a,), back, "select_index")
-    return _out
+    out = _make(data, (a,), back, "select_index")
+    _out = weakref.ref(out)
+    return out
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -343,21 +361,23 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def back():
         g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), _out.grad.reshape(-1, table.data.shape[1]))
+        np.add.at(g, ids.reshape(-1), _out().grad.reshape(-1, table.data.shape[1]))
         table._accumulate(g)
 
-    _out = _make(data, (table,), back, "embedding_lookup")
-    return _out
+    out = _make(data, (table,), back, "embedding_lookup")
+    _out = weakref.ref(out)
+    return out
 
 
 def sum_all(a: Tensor) -> Tensor:
     data = a.data.sum()
 
     def back():
-        a._accumulate(np.full(a.data.shape, _out.grad, dtype=a.data.dtype))
+        a._accumulate(np.full(a.data.shape, _out().grad, dtype=a.data.dtype))
 
-    _out = _make(np.asarray(data), (a,), back, "sum_all")
-    return _out
+    out = _make(np.asarray(data), (a,), back, "sum_all")
+    _out = weakref.ref(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +392,11 @@ def gelu(x: Tensor) -> Tensor:
 
     def back():
         pdf = np.exp(-0.5 * xd * xd) / np.sqrt(2.0 * np.pi).astype(xd.dtype)
-        x._accumulate(_out.grad * (cdf + xd * pdf))
+        x._accumulate(_out().grad * (cdf + xd * pdf))
 
-    _out = _make(data.astype(xd.dtype), (x,), back, "gelu")
-    return _out
+    out = _make(data, (x,), back, "gelu")
+    _out = weakref.ref(out)
+    return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -391,7 +412,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data = xhat * gain.data + bias.data
 
     def back():
-        g = _out.grad
+        g = _out().grad
         gain._accumulate(np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
         bias._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
         gx = g * gain.data
@@ -399,8 +420,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         x._accumulate((gx - m1 - xhat * m2) * inv)
 
-    _out = _make(data, (x, gain, bias), back, "layer_norm")
-    return _out
+    out = _make(data, (x, gain, bias), back, "layer_norm")
+    _out = weakref.ref(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +458,13 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
     data = expd / denom
 
     def back():
-        g = _out.grad
+        g = _out().grad
         inner = np.sum(g * data, axis=-1, keepdims=True)
         scores._accumulate(data * (g - inner))
 
-    _out = _make(data, (scores,), back, "masked_softmax")
-    return _out
+    out = _make(data, (scores,), back, "masked_softmax")
+    _out = weakref.ref(out)
+    return out
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -476,7 +499,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
     def back():
         soft = np.exp(shifted - (logz - zmax[:, 0])[:, None])
         soft[np.arange(rows.size), picked] -= 1.0
-        logits._accumulate(_scatter(logits.data, rows, soft * (_out.grad / rows.size)))
+        logits._accumulate(_scatter(logits.data, rows, soft * (_out().grad / rows.size)))
 
-    _out = _make(data, (logits,), back, "cross_entropy")
-    return _out
+    out = _make(data, (logits,), back, "cross_entropy")
+    _out = weakref.ref(out)
+    return out

@@ -102,18 +102,17 @@ def _enhanced_states(
     params: ModelParams,
     dec_config: DecoderConfig,
     sentence: Tensor,
-    token_embeddings: Tensor,
+    tail: Tensor,
     visible: np.ndarray,
 ) -> Tensor:
     """The two-stream layer's (B, L, d) output.
 
     The query stream is the sentence embedding at every position; the
-    key/value stream is ``_token_stream`` over positions 1.. of the
-    (B, L, d) ``token_embeddings``, whose position 0 is never read.
-    ``visible`` is the (B, L, L) bool visibility, shared by every head.
+    key/value stream is ``_token_stream`` over ``tail``, the (B, L - 1, d)
+    token embeddings of positions 1.. ``visible`` is the (B, L, L) bool
+    visibility, shared by every head.
     """
-    L = token_embeddings.shape[1]
-    head, positions, stream = _token_stream(params, sentence, ad.narrow(token_embeddings, 1, 1, L - 1))
+    head, positions, stream = _token_stream(params, sentence, tail)
     return transformer_block(params, "dec0", ad.add(head, positions), stream, visible[:, None], dec_config.heads)
 
 
@@ -126,9 +125,11 @@ def enhanced_logits(
 ) -> Tensor:
     """Full (B, L, V) logits of the two-stream layer, from already looked-up
     token embeddings. Exposed separately so tests can perturb individual
-    token embeddings without touching the shared table.
+    token embeddings without touching the shared table. Position 0 of the
+    (B, L, d) ``token_embeddings`` is never read.
     """
-    return output_logits(params, _enhanced_states(params, dec_config, sentence, token_embeddings, attention_masks))
+    tail = ad.narrow(token_embeddings, 1, 1, token_embeddings.shape[1] - 1)
+    return output_logits(params, _enhanced_states(params, dec_config, sentence, tail, attention_masks))
 
 
 def decode_enhanced(
@@ -143,11 +144,8 @@ def decode_enhanced(
     over ``mbatch.dec_targets``, all real positions beyond 0.
     """
     _check_mode("enhanced", dec_config, mbatch)
-    # position 0 is looked up and narrowed away: looking up dec_ids[:, 1:]
-    # instead saves a node but moves when the cyclic collector frees step
-    # graphs, which raised peak RSS by 20% on the retrieve benchmark
-    token_embeddings = ad.embedding_lookup(params["word_emb"], mbatch.dec_ids)
-    x = _enhanced_states(params, dec_config, sentence, token_embeddings, mbatch.dec_visible)
+    tail = ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:])
+    x = _enhanced_states(params, dec_config, sentence, tail, mbatch.dec_visible)
     return x, reconstruction_loss(params, x, mbatch.ids, mbatch.dec_targets)
 
 

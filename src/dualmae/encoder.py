@@ -3,6 +3,14 @@
 The sentence embedding is the final hidden state at position 0. Pad
 columns are blocked in every attention layer, so what a sentence's
 embedding sees never depends on how much padding the batch carries.
+
+The decoder and retrieval read nothing but that vector, so by default the
+last block carries position 0 alone past its attention: the output
+projection, residuals, layer norms and feed-forward of the last layer run
+on one row per sentence. A caller that reads every position's final state
+(the encoder-side MLM loss) asks for them with ``states=True``, which runs
+the last block in full. Both paths give the same sentence vector up to
+rounding.
 """
 
 from __future__ import annotations
@@ -24,12 +32,15 @@ def encode(
     config: EncoderConfig,
     ids: np.ndarray,
     real: np.ndarray,
-) -> tuple[Tensor, Tensor]:
+    *,
+    states: bool = False,
+) -> tuple[Tensor, Tensor | None]:
     """Run the encoder stack.
 
     ``ids`` is the (B, L) polluted input (or clean input at inference) and
     ``real`` the matching pad mask, True at token positions. Returns the
-    (B, d) sentence embeddings and the (B, L, d) final hidden states.
+    (B, d) sentence embeddings and, with ``states``, the (B, L, d) final
+    hidden states; without, None in their place.
     """
     ids = np.asarray(ids)
     real = np.asarray(real, dtype=bool)
@@ -51,6 +62,6 @@ def encode(
     )
     visible = real[:, None, None, :]
     for i in range(config.layers):
-        x = transformer_block(params, f"enc{i}", x, x, visible, config.heads)
-    sentence = ad.select_index(x, 0, axis=1)
-    return sentence, x
+        first_only = not states and i == config.layers - 1
+        x = transformer_block(params, f"enc{i}", x, x, visible, config.heads, first_only=first_only)
+    return ad.select_index(x, 0, axis=1), (x if states else None)

@@ -156,11 +156,16 @@ def attention(
     keyvalue_in: Tensor,
     visible: np.ndarray,
     heads: int,
+    *,
+    first_only: bool = False,
 ) -> Tensor:
     """Multi-head scaled dot-product attention under a visibility mask.
 
     ``visible`` is a bool array that broadcasts against the (B, heads, L, L)
     score tensor; row i of it lists the key positions query i may read.
+    With ``first_only`` the output is (B, 1, d), position 0's alone: every
+    query is still scored, and only position 0's context is merged and
+    projected.
     """
     q = _split_heads(ad.linear(query_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]), heads)
     k = _split_heads(ad.linear(keyvalue_in, params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.bk"]), heads)
@@ -168,7 +173,14 @@ def attention(
     head_dim = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     weights = ad.masked_softmax(scores, visible)
-    context = _merge_heads(ad.matmul(weights, v))
+    context = ad.matmul(weights, v)
+    if first_only:
+        # narrowing the queries before the scores would save more, but a
+        # one-row product with the (L, head_dim) values rounds differently
+        # as the pad width changes, and a sentence's vector must not depend
+        # on its batch's width
+        context = ad.narrow(context, 2, 0, 1)
+    context = _merge_heads(context)
     return ad.linear(context, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
@@ -184,14 +196,21 @@ def transformer_block(
     keyvalue_in: Tensor,
     visible: np.ndarray,
     heads: int,
+    *,
+    first_only: bool = False,
 ) -> Tensor:
     """Post-layer-norm: normalize after each residual add.
 
     Queries and the residual come from ``x``, keys and values from
     ``keyvalue_in``; self-attention passes the same tensor twice. ``visible``
-    is the bool mask handed to ``attention``.
+    is the bool mask handed to ``attention``. With ``first_only`` the block
+    returns position 0 alone, (B, 1, d): attention reads every position,
+    but the residuals, both layer norms and the feed-forward run on one row
+    per sentence.
     """
-    attn_out = attention(params, prefix, x, keyvalue_in, visible, heads)
+    attn_out = attention(params, prefix, x, keyvalue_in, visible, heads, first_only=first_only)
+    if first_only:
+        x = ad.narrow(x, 1, 0, 1)
     x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
     ffn_out = feed_forward(params, prefix, x)
     return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)

@@ -67,7 +67,8 @@ def embed_corpus(
     ids: Sequence[str] | None = None,
     batch_size: int = 32,
 ) -> EmbeddingStore:
-    """Encode clean sentences (no masking at inference).
+    """Encode clean sentences (no masking at inference). Only the sentence
+    vectors are read, so the encoder's last block runs at position 0 alone.
 
     Each sentence is padded to its bucket width: the smallest power of two
     that holds its tokens, at least 16 and at most the model's max_len.

@@ -52,13 +52,18 @@ def step_loss(
     dec_config: DecoderConfig,
     mbatch: MaskedBatch,
 ) -> Tensor:
-    """Forward pass for one already-masked batch, returning the scalar loss."""
-    sentence, hidden = encode(params, enc_config, mbatch.enc_ids, mbatch.real)
+    """Forward pass for one already-masked batch, returning the scalar loss.
+
+    The encoder's final states are computed at every position only when
+    the encoder MLM loss reads them.
+    """
+    with_mlm = train.encoder_mlm_weight > 0.0
+    sentence, hidden = encode(params, enc_config, mbatch.enc_ids, mbatch.real, states=with_mlm)
     if dec_config.mode == "basic":
         _, loss = decode_basic(params, dec_config, sentence, mbatch)
     else:
         _, loss = decode_enhanced(params, dec_config, sentence, mbatch)
-    if train.encoder_mlm_weight > 0.0:
+    if with_mlm:
         aux = reconstruction_loss(params, hidden, mbatch.ids, mbatch.enc_masked)
         loss = ad.add(loss, ad.scale(aux, train.encoder_mlm_weight))
     return loss
@@ -88,6 +93,13 @@ def train_step(
         # raised before the update, so parameters and moments stay as they were
         raise TrainingDiverged(f"step {step}: non-finite gradient norm")
     optimizer.step(params, lr_scale=warmup_scale(step, train.warmup_steps))
+    # The step's graph holds no reference cycle, so it dies by reference
+    # counting when this returns and drops ``loss``. Releasing it here,
+    # after the update, and not right after backward is deliberate. Freed
+    # before AdamW allocates its temporaries, the graph's memory went back
+    # to the OS and was faulted in again on every step: over 60 desk steps
+    # on one core that took 13-16 times the minor page faults and made the
+    # median step 18-27% slower.
     return float(loss.data), batch_coverage(mbatch)
 
 

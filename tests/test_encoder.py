@@ -30,7 +30,7 @@ class TestEncode:
         params = _params()
         batch = make_batch([_seq([9, 8, 7]), _seq([6, 5])])
         with ad.no_grad():
-            sentence, hidden = encode(params, ENC, batch.ids, batch.real)
+            sentence, hidden = encode(params, ENC, batch.ids, batch.real, states=True)
         assert sentence.shape == (2, 16)
         assert hidden.shape == (2, 5, 16)
         np.testing.assert_array_equal(sentence.data, hidden.data[:, 0])
@@ -76,7 +76,7 @@ class TestEncode:
                 tensor.data = np.zeros_like(tensor.data)
         batch = make_batch([_seq([9, 8, 7])])
         with ad.no_grad():
-            _, hidden = encode(params, ENC, batch.ids, batch.real)
+            _, hidden = encode(params, ENC, batch.ids, batch.real, states=True)
 
         def norm(x, gain, bias):
             mu = x.mean(axis=-1, keepdims=True)

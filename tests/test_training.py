@@ -6,7 +6,10 @@ checkpoint and loss log, which only works if parameters, optimizer
 moments, mask generator state, and batch order all restore exactly.
 """
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_loss
 from dualmae.encoder import encode
 from dualmae.gradcheck import finite_difference_grad, max_rel_error, tiny_setup
 from dualmae.masking import mask_batch
-from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
+from dualmae.model import DecoderConfig, EncoderConfig, feed_forward, init_params, output_logits
 from dualmae.optim import AdamW
 from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
 from dualmae.training import (
@@ -39,14 +42,12 @@ class TestStepLoss:
         assert abs(loss - math.log(enc.vocab_size)) < 0.1 * math.log(enc.vocab_size)
 
     def test_auxiliary_encoder_loss_is_additive(self):
-        import dataclasses
-
         params, train, enc, dec, mbatch = tiny_setup("enhanced", seed=4)
         weighted = dataclasses.replace(train, encoder_mlm_weight=0.7)
         with ad.no_grad():
             base = float(step_loss(params, train, enc, dec, mbatch).data)
             combined = float(step_loss(params, weighted, enc, dec, mbatch).data)
-            sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
+            sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
             B, L = mbatch.enc_ids.shape
             logits = ad.reshape(output_logits(params, hidden), (B * L, enc.vocab_size))
             aux = float(ad.cross_entropy(
@@ -55,8 +56,6 @@ class TestStepLoss:
         assert combined == pytest.approx(base + 0.7 * aux, abs=1e-12)
 
     def test_auxiliary_loss_changes_the_gradients(self):
-        import dataclasses
-
         params, train, enc, dec, mbatch = tiny_setup("enhanced", seed=5)
         for t in params.values():
             t.grad = None
@@ -69,8 +68,6 @@ class TestStepLoss:
         assert not np.array_equal(params["word_emb"].grad, plain)
 
     def test_auxiliary_gradient_matches_finite_differences(self):
-        import dataclasses
-
         params, train, enc, dec, mbatch = tiny_setup("enhanced", seed=6)
         train = dataclasses.replace(train, encoder_mlm_weight=0.5)
         for t in params.values():
@@ -86,6 +83,11 @@ class TestStepLoss:
         assert max_rel_error(analytic, fd) < 1e-4
 
 
+def _three_sentences(rng):
+    seqs = [TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, 50, size=n), [SEP_ID]])) for n in (6, 3, 5)]
+    return make_batch(seqs)
+
+
 def _full_logit_loss(params, states, targets, weights):
     """The loss over every position's logits, weighted 0/1: what
     ``reconstruction_loss`` computes from the loss rows alone."""
@@ -95,7 +97,7 @@ def _full_logit_loss(params, states, targets, weights):
 
 
 def _full_logit_step_loss(params, train, enc, dec, mbatch):
-    sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
+    sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
     if dec.mode == "basic":
         states, _ = decode_basic(params, dec, sentence, mbatch)
         weights = mbatch.dec_targets
@@ -111,8 +113,6 @@ def _full_logit_step_loss(params, train, enc, dec, mbatch):
 class TestReconstructionLoss:
     @pytest.mark.parametrize("mode", ["enhanced", "basic"])
     def test_equals_the_full_logit_loss_and_gradients(self, mode):
-        import dataclasses
-
         params, train, enc, dec, mbatch = tiny_setup(mode, seed=12)
         train = dataclasses.replace(train, encoder_mlm_weight=0.5)
         results = []
@@ -129,12 +129,10 @@ class TestReconstructionLoss:
 
     @pytest.mark.parametrize("mode, mlm_weight", [("basic", 0.0), ("enhanced", 0.0), ("basic", 0.5)])
     def test_a_step_projects_only_the_loss_rows(self, mode, mlm_weight, monkeypatch):
-        import dataclasses
-
         params, train, enc, dec, _ = tiny_setup(mode, seed=13, dtype=np.float32)
         train = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
         rng = np.random.default_rng(3)
-        seqs = [TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, 50, size=n), [SEP_ID]])) for n in (6, 3, 5)]
+        batch = _three_sentences(rng)
         masked, rows = [], []
 
         def recording_mask_batch(*args):
@@ -147,7 +145,7 @@ class TestReconstructionLoss:
 
         monkeypatch.setattr("dualmae.training.mask_batch", recording_mask_batch)
         monkeypatch.setattr("dualmae.decoder.output_logits", recording_output_logits)
-        train_step(params, AdamW(lr=1e-3), train, enc, dec, make_batch(seqs), rng, step=1)
+        train_step(params, AdamW(lr=1e-3), train, enc, dec, batch, rng, step=1)
         (mbatch,) = masked
         if mode == "basic":
             decoder_rows = int(mbatch.dec_targets.sum())
@@ -158,16 +156,67 @@ class TestReconstructionLoss:
 
     def test_all_zero_weights_are_rejected(self):
         params, _, enc, dec, mbatch = tiny_setup("enhanced", seed=14)
-        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
+        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
         zeros = np.zeros(mbatch.ids.shape, dtype=bool)
         with pytest.raises(ValueError, match="cross_entropy needs at least one weight-1 position"):
             reconstruction_loss(params, hidden, mbatch.ids, zeros)
 
     def test_non_binary_weights_are_rejected(self):
         params, _, enc, dec, mbatch = tiny_setup("enhanced", seed=14)
-        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real)
+        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
         with pytest.raises(ValueError, match="weights must be 0 or 1"):
             reconstruction_loss(params, hidden, mbatch.ids, mbatch.real * 2)
+
+
+def _full_last_block_step_loss(params, train, enc, dec, mbatch):
+    """``step_loss`` at encoder MLM weight 0, with the encoder's last block
+    run at every position instead of at position 0 alone."""
+    sentence, _ = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
+    decode = decode_basic if dec.mode == "basic" else decode_enhanced
+    _, loss = decode(params, dec, sentence, mbatch)
+    return loss
+
+
+class TestSentenceOnlyLastBlock:
+    @pytest.mark.parametrize("mode", ["enhanced", "basic"])
+    def test_equals_the_full_last_block(self, mode):
+        params, train, enc, dec, mbatch = tiny_setup(mode, seed=15)
+        assert train.encoder_mlm_weight == 0.0
+        with ad.no_grad():
+            pruned, states = encode(params, enc, mbatch.enc_ids, mbatch.real)
+            full, _ = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
+        assert states is None
+        np.testing.assert_allclose(pruned.data, full.data, rtol=1e-9, atol=1e-13)
+        results = []
+        for loss_fn in (step_loss, _full_last_block_step_loss):
+            for t in params.values():
+                t.grad = None
+            loss = loss_fn(params, train, enc, dec, mbatch)
+            ad.backward(loss)
+            results.append((float(loss.data), {name: ad.grad_or_zeros(t).copy() for name, t in params.items()}))
+        (pruned_loss, grads), (full_loss, full_grads) = results
+        assert pruned_loss == pytest.approx(full_loss, rel=1e-12)
+        for name in params:
+            np.testing.assert_allclose(grads[name], full_grads[name], rtol=1e-9, atol=1e-13, err_msg=name)
+
+    def test_a_step_runs_the_last_feed_forward_where_the_loss_reads(self, monkeypatch):
+        params, train, enc, dec, _ = tiny_setup("enhanced", seed=16, dtype=np.float32)
+        rng = np.random.default_rng(4)
+        batch = _three_sentences(rng)
+        B, L = batch.ids.shape
+        rows = {}
+
+        def recording_feed_forward(params, prefix, x):
+            rows[prefix] = x.shape[:-1]
+            return feed_forward(params, prefix, x)
+
+        monkeypatch.setattr("dualmae.model.feed_forward", recording_feed_forward)
+        opt = AdamW(lr=1e-3)
+        for step, (mlm_weight, last_rows) in enumerate([(0.0, (B, 1)), (0.5, (B, L))], start=1):
+            rows.clear()
+            weighted = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
+            train_step(params, opt, weighted, enc, dec, batch, rng, step=step)
+            assert rows == {"enc0": (B, L), "enc1": last_rows, "dec0": (B, L)}, mlm_weight
 
 
 class TestBatchCoverage:
@@ -232,6 +281,44 @@ class TestTrainStep:
             np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
             np.testing.assert_array_equal(opt.moments[name][0], moments[name][0], err_msg=name)
             np.testing.assert_array_equal(opt.moments[name][1], moments[name][1], err_msg=name)
+
+    def test_no_graph_tensor_outlives_a_step(self, monkeypatch):
+        # every graph node is recorded through a weak reference; with the
+        # cyclic collector off, only reference counting can free them
+        params, train, enc, dec, _ = tiny_setup("enhanced", seed=9)
+        rng = np.random.default_rng(1)
+        batch = _three_sentences(rng)
+        opt = AdamW(lr=1e-3)
+        made = []
+        real_make = ad._make
+
+        def recording_make(*args):
+            out = real_make(*args)
+            made.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        gc.disable()
+        try:
+            train_step(params, opt, train, enc, dec, batch, rng, step=1)
+            assert made
+            assert [r for r in made if r() is not None] == []
+
+            made.clear()
+            # the decoder's feed-forward overflows: the encoder and the
+            # decoder's attention are already recorded when the step raises
+            params["dec0.ffn.w2"].data[0, 0] = np.inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    train_step(params, opt, train, enc, dec, batch, rng, step=2)
+                except TrainingDiverged:
+                    pass
+                else:
+                    pytest.fail("a non-finite weight did not stop the step")
+            assert len(made) > 20
+            assert [r for r in made if r() is not None] == []
+        finally:
+            gc.enable()
 
 
 WORDS = [
