@@ -17,6 +17,15 @@ stored in ``_backward``, which ``backward`` calls once per node; code that
 times ops wraps that attribute and relies on this shape. Interior nodes
 keep their ``grad`` after the sweep.
 
+Gradient ownership: an interior node takes the first gradient it is
+handed as its ``grad``, without a copy or a zero-fill, and a later one is
+added into a new array (``grad = grad + g``). A parameter (a leaf that
+requires a gradient) copies the first gradient it is handed, so it always
+owns its ``grad``. Nothing writes into a ``grad`` in place except
+``optim.clip_global_norm``, which scales parameter gradients only, so no
+write can reach another tensor's gradient. Every handed-over gradient must
+match its tensor's shape and dtype exactly.
+
 A closure reaches its own output through a ``weakref`` and its parents
 directly, so references only point from a node towards the leaves and a
 graph holds no reference cycle. Reference counting frees it, activations
@@ -64,7 +73,11 @@ _GRAD_ENABLED = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block. Forward values are unchanged."""
+    """Disable graph recording inside the block. Forward values are unchanged.
+
+    Only ``_make`` reads the switch: a parameter created inside the block
+    still requires a gradient and collects one once it is used outside.
+    """
     global _GRAD_ENABLED
     saved = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -87,7 +100,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[], None] | None = None
 
@@ -105,9 +118,14 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
+        if g.shape != self.data.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a tensor of shape {self.data.shape}")
+        if g.dtype != self.data.dtype:
+            raise TypeError(f"gradient of dtype {g.dtype} for a tensor of dtype {self.data.dtype}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g) if self._backward is None else g
+        else:
+            self.grad = self.grad + g
 
 
 def parameter(data, dtype=np.float32) -> Tensor:
@@ -441,21 +459,24 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
     visible = np.asarray(visible)
     if visible.dtype != np.bool_:
         raise MaskFormatError(f"visibility mask must be bool, got {visible.dtype}")
+    sd = scores.data
     try:
-        visible = np.broadcast_to(visible, scores.data.shape)
-    except ValueError as e:
-        raise ShapeError(f"mask shape {visible.shape} does not broadcast to {scores.data.shape}") from e
+        fits = np.broadcast_shapes(visible.shape, sd.shape) == sd.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"mask shape {visible.shape} does not broadcast to {sd.shape}")
+    # each row of the broadcast mask is a row of the mask itself, so the
+    # check runs on the mask's own shape
+    visible = np.atleast_1d(visible)
     if not visible.any(axis=-1).all():
         raise MaskedRowError("softmax row with all columns masked")
-    sd = scores.data
-    neg = np.asarray(-np.inf, dtype=sd.dtype)
-    rowmax = np.max(np.where(visible, sd, neg), axis=-1, keepdims=True)
-    # exp only where visible: a blocked column may hold an arbitrarily large
-    # score and must not overflow on the discarded branch
-    shifted = np.where(visible, sd - rowmax, np.asarray(0.0, dtype=sd.dtype))
-    expd = np.exp(shifted) * visible
-    denom = expd.sum(axis=-1, keepdims=True)
-    data = expd / denom
+    # a blocked column reads -inf, whose exp is exactly 0: however large its
+    # score, it can neither set the row max nor overflow
+    data = np.where(visible, sd, np.asarray(-np.inf, dtype=sd.dtype))
+    data -= data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def back():
         g = _out().grad
@@ -489,7 +510,10 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
     picked = targets[rows]
     if picked.min() < 0 or picked.max() >= V:
         raise ValueError("weighted target id outside the vocabulary")
-    z = logits.data[rows]
+    # with every row read, the logits are used as they are and backward
+    # hands the softmax gradient over whole
+    every_row = rows.size == T
+    z = logits.data if every_row else logits.data[rows]
     zmax = z.max(axis=-1, keepdims=True)
     shifted = z - zmax
     logz = np.log(np.sum(np.exp(shifted), axis=-1)) + zmax[:, 0]
@@ -499,7 +523,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
     def back():
         soft = np.exp(shifted - (logz - zmax[:, 0])[:, None])
         soft[np.arange(rows.size), picked] -= 1.0
-        logits._accumulate(_scatter(logits.data, rows, soft * (_out().grad / rows.size)))
+        soft *= _out().grad / rows.size
+        logits._accumulate(soft if every_row else _scatter(logits.data, rows, soft))
 
     out = _make(data, (logits,), back, "cross_entropy")
     _out = weakref.ref(out)

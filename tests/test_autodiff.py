@@ -26,8 +26,12 @@ class TestBackwardMechanics:
 
     def test_shared_input_accumulates(self):
         x = leaf(np.random.default_rng(1), 5)
-        ad.backward(ad.sum_all(ad.add(x, x)))
+        out = ad.add(x, x)
+        ad.backward(ad.sum_all(out))
         np.testing.assert_array_equal(x.grad, np.full(5, 2.0))
+        # the parameter's sum lives in its own array, not in add's gradient
+        np.testing.assert_array_equal(out.grad, np.ones(5))
+        assert not np.shares_memory(x.grad, out.grad)
 
     def test_product_rule_through_square(self):
         x = leaf(np.random.default_rng(2), 4)
@@ -85,6 +89,15 @@ class TestBackwardMechanics:
         assert not out.requires_grad
         assert out._parents == ()
 
+    def test_parameter_made_under_no_grad_still_learns(self):
+        # no_grad stops recording, not the parameter: used outside the block
+        # it collects its gradient like any other
+        with ad.no_grad():
+            p = ad.parameter(np.ones(3), dtype=np.float64)
+        assert p.requires_grad
+        ad.backward(ad.sum_all(ad.mul(p, p)))
+        np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+
     def test_gradients_accumulate_across_graphs(self):
         # two independent graphs over the same leaf add up; callers reset
         # with grad = None between steps
@@ -104,6 +117,52 @@ class TestBackwardMechanics:
         x = ad.parameter(np.array([1e300]), dtype=np.float64)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             ad.scale(x, 1e300)
+
+
+class TestGradientOwnership:
+    def test_add_gives_each_parameter_its_own_gradient(self):
+        # add hands the same array to both inputs; each parameter copies it
+        rng = np.random.default_rng(8)
+        p, q = leaf(rng, 3), leaf(rng, 3)
+        w = rng.standard_normal(3)
+        out = ad.add(p, q)
+        ad.backward(scalar_probe(out, w))
+        for g in (p.grad, q.grad):
+            np.testing.assert_array_equal(g, w)
+            assert g.flags.writeable
+            assert not np.shares_memory(g, out.grad)
+        assert not np.shares_memory(p.grad, q.grad)
+        p.grad *= 2.0
+        np.testing.assert_array_equal(q.grad, w)
+        np.testing.assert_array_equal(out.grad, w)
+
+    def test_interior_nodes_take_the_gradient_they_are_handed(self):
+        # reshape hands its input a view of its own gradient: no copy
+        rng = np.random.default_rng(10)
+        p = leaf(rng, 2, 3)
+        inner = ad.mul(p, p)
+        flat = ad.reshape(inner, (6,))
+        ad.backward(scalar_probe(flat, rng.standard_normal(6)))
+        assert np.shares_memory(inner.grad, flat.grad)
+        assert not np.shares_memory(p.grad, inner.grad)
+
+    def test_a_second_gradient_is_added_into_a_new_array(self):
+        # the first gradient x receives is y's own; the sum must not write into it
+        rng = np.random.default_rng(11)
+        x = ad.mul(leaf(rng, 3), ad.constant(np.ones(3)))
+        y = ad.reshape(x, (3,))
+        w = rng.standard_normal(3)
+        ad.backward(scalar_probe(ad.add(y, x), w))
+        np.testing.assert_array_equal(y.grad, w)
+        np.testing.assert_array_equal(x.grad, 2.0 * w)
+
+    def test_gradient_shape_and_dtype_are_checked(self):
+        p = ad.parameter(np.zeros((2, 3)), dtype=np.float32)
+        with pytest.raises(ShapeError, match=r"gradient of shape \(3,\)"):
+            p._accumulate(np.ones(3, dtype=np.float32))
+        with pytest.raises(TypeError, match="gradient of dtype float64"):
+            p._accumulate(np.ones((2, 3)))
+        assert p.grad is None
 
 
 class TestElementwiseGradients:
@@ -309,7 +368,50 @@ def _random_mask(rng: np.random.Generator, shape) -> np.ndarray:
     return mask
 
 
+def _two_pass_softmax(scores: np.ndarray, visible: np.ndarray) -> np.ndarray:
+    """The formula masked_softmax computed before it became one pass."""
+    visible = np.broadcast_to(visible, scores.shape)
+    rowmax = np.max(np.where(visible, scores, np.asarray(-np.inf, dtype=scores.dtype)), axis=-1, keepdims=True)
+    shifted = np.where(visible, scores - rowmax, np.asarray(0.0, dtype=scores.dtype))
+    expd = np.exp(shifted) * visible
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
 class TestMaskedSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mask_shape", [(3, 1, 1, 7), (3, 1, 7, 7)])
+    def test_equals_the_two_pass_formula_bit_for_bit(self, dtype, mask_shape):
+        rng = np.random.default_rng(46)
+        data = (rng.standard_normal((3, 4, 7, 7)) * 4.0).astype(dtype)
+        mask = _random_mask(rng, mask_shape)
+        # blocked columns hold scores that would overflow exp or win the max
+        blocked = ~np.broadcast_to(mask, data.shape)
+        huge = np.finfo(dtype).max / 4
+        data[blocked] = np.where(rng.random(blocked.sum()) < 0.5, huge, -huge)
+        scores = ad.parameter(data, dtype=dtype)
+        w = rng.standard_normal(data.shape).astype(dtype)
+        out = ad.masked_softmax(scores, mask)
+        expected = _two_pass_softmax(data, mask)
+        np.testing.assert_array_equal(out.data, expected)
+        assert np.all(out.data[blocked] == 0.0)
+        ad.backward(scalar_probe(out, w))
+        np.testing.assert_array_equal(scores.grad, expected * (w - np.sum(w * expected, axis=-1, keepdims=True)))
+
+    def test_blocked_row_found_on_a_size_one_last_axis(self):
+        scores = ad.constant(np.zeros((2, 3, 4)))
+        mask = np.ones((2, 3, 1), dtype=bool)
+        ad.masked_softmax(scores, mask)
+        mask[1, 2, 0] = False
+        with pytest.raises(MaskedRowError):
+            ad.masked_softmax(scores, mask)
+        with pytest.raises(MaskedRowError):
+            ad.masked_softmax(scores, np.zeros((2, 1, 1), dtype=bool))
+
+    def test_mask_may_not_enlarge_the_scores(self):
+        for scores_shape, mask_shape in [((2, 3, 4), (5, 2, 3, 4)), ((2, 1, 4), (2, 3, 4)), ((2, 3, 4), (2, 3, 5))]:
+            with pytest.raises(ShapeError, match="does not broadcast"):
+                ad.masked_softmax(ad.constant(np.zeros(scores_shape)), np.ones(mask_shape, dtype=bool))
+
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(40)
         scores = rng.standard_normal((2, 3, 5, 5))
@@ -407,6 +509,19 @@ class TestCrossEntropy:
         logits = rng.standard_normal((5, 7))
         targets = rng.integers(0, 7, size=5)
         weights = np.array([1, 0, 1, 0, 0])
+        # all-ones weights read the logits in place and hand the gradient over
+        # whole; extra zero-weight rows go through the gather and scatter:
+        # value and gradient agree bit for bit
+        for dtype in (np.float32, np.float64):
+            full = ad.parameter(logits, dtype=dtype)
+            sub = ad.parameter(logits[weights == 1], dtype=dtype)
+            full_loss = ad.cross_entropy(full, targets, weights)
+            sub_loss = ad.cross_entropy(sub, targets[weights == 1], np.ones(2, dtype=np.int64))
+            np.testing.assert_array_equal(sub_loss.data, full_loss.data)
+            ad.backward(full_loss)
+            ad.backward(sub_loss)
+            np.testing.assert_array_equal(sub.grad, full.grad[weights == 1])
+            assert np.all(full.grad[weights == 0] == 0.0)
         full = ad.cross_entropy(ad.constant(logits), targets, weights)
         sub = ad.cross_entropy(
             ad.constant(logits[weights == 1]), targets[weights == 1], np.ones(2, dtype=np.int64)

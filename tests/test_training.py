@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dualmae import autodiff as ad
+from dualmae import training
 from dualmae.checkpoint import load_checkpoint
 from dualmae.config import TrainConfig
 from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_loss
@@ -22,7 +23,7 @@ from dualmae.encoder import encode
 from dualmae.gradcheck import finite_difference_grad, max_rel_error, tiny_setup
 from dualmae.masking import mask_batch
 from dualmae.model import DecoderConfig, EncoderConfig, feed_forward, init_params, output_logits
-from dualmae.optim import AdamW
+from dualmae.optim import AdamW, clip_global_norm
 from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
 from dualmae.training import (
     TrainingDiverged,
@@ -281,6 +282,38 @@ class TestTrainStep:
             np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
             np.testing.assert_array_equal(opt.moments[name][0], moments[name][0], err_msg=name)
             np.testing.assert_array_equal(opt.moments[name][1], moments[name][1], err_msg=name)
+
+    @pytest.mark.parametrize("mode", ["enhanced", "basic"])
+    def test_parameter_gradients_are_owned_and_clipped_once(self, mode, monkeypatch):
+        # the clip scales gradients in place, so no parameter's gradient may
+        # share memory with another's: each must be scaled exactly once
+        params, train, enc, dec, _ = tiny_setup(mode, seed=9, dtype=np.float32)
+        rng = np.random.default_rng(1)
+        batch = _three_sentences(rng)
+        clipped = {}
+
+        def recording_clip(grads, max_norm):
+            clipped["before"] = [g.copy() for g in grads]
+            norm = clip_global_norm(grads, max_norm)
+            clipped["after"] = [g.copy() for g in grads]
+            return norm
+
+        monkeypatch.setattr(training, "clip_global_norm", recording_clip)
+        monkeypatch.setattr(training, "GRAD_CLIP_NORM", 1e-3)
+        train_step(params, AdamW(lr=1e-3), train, enc, dec, batch, rng, step=1)
+        names = list(params)
+        grads = [params[name].grad for name in names]
+        for i, (name, g) in enumerate(zip(names, grads)):
+            assert g is not None, name
+            assert g.flags.writeable, name
+            assert (g.shape, g.dtype) == (params[name].shape, params[name].dtype), name
+            for other, h in zip(names[i + 1:], grads[i + 1:]):
+                assert not np.shares_memory(g, h), (name, other)
+        reference = [g.copy() for g in clipped["before"]]
+        assert clip_global_norm(reference, 1e-3) > 1e-3
+        for name, g, after, ref in zip(names, grads, clipped["after"], reference):
+            np.testing.assert_array_equal(after, ref, err_msg=name)
+            np.testing.assert_array_equal(g, ref, err_msg=name)
 
     def test_no_graph_tensor_outlives_a_step(self, monkeypatch):
         # every graph node is recorded through a weak reference; with the
