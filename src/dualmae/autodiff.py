@@ -38,8 +38,10 @@ is a general row gather: besides the token tables, it picks the loss rows
 out of flattened hidden states before the vocabulary projection.
 
 Training runs in float32; gradient checking builds the same graph in
-float64. Ops never change dtype on their own beyond numpy's usual
-promotion rules.
+float64. Dtype promotion is not supported: every tensor an op records as
+a parent that requires a gradient has the output's dtype, and ``_make``
+raises ``TypeError`` at the op that would promote, so a gradient never
+has to change dtype on its way back.
 """
 
 from __future__ import annotations
@@ -149,6 +151,9 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
     _check_finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        for p in parents:
+            if p.requires_grad and p.data.dtype != data.dtype:
+                raise TypeError(f"{op} turns a {p.data.dtype} operand into {data.dtype}")
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -504,27 +509,31 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
         raise ShapeError("targets and weights must each have one entry per logit row")
     if not np.all((weights == 0) | (weights == 1)):
         raise ValueError("weights must be 0 or 1")
-    rows = np.flatnonzero(weights)
-    if rows.size == 0:
+    keep = weights == 1
+    n = int(np.count_nonzero(keep))
+    if n == 0:
         raise ValueError("cross_entropy needs at least one weight-1 position")
-    picked = targets[rows]
+    picked = targets[keep]
     if picked.min() < 0 or picked.max() >= V:
         raise ValueError("weighted target id outside the vocabulary")
-    # with every row read, the logits are used as they are and backward
-    # hands the softmax gradient over whole
-    every_row = rows.size == T
-    z = logits.data if every_row else logits.data[rows]
+    # every row is reduced on its own, so a weight-1 row gets the bits it
+    # would get alone and all-one weights copy no rows; weight-0 rows read
+    # target 0, drop out of the mean and get gradient rows of exactly 0
+    every = np.arange(T)
+    safe = np.where(keep, targets, 0)
+    z = logits.data
     zmax = z.max(axis=-1, keepdims=True)
     shifted = z - zmax
     logz = np.log(np.sum(np.exp(shifted), axis=-1)) + zmax[:, 0]
-    nll = logz - z[np.arange(rows.size), picked]
-    data = np.asarray(nll.mean(), dtype=logits.data.dtype)
+    nll = logz - z[every, safe]
+    data = np.asarray(nll[keep].mean(), dtype=logits.data.dtype)
 
     def back():
         soft = np.exp(shifted - (logz - zmax[:, 0])[:, None])
-        soft[np.arange(rows.size), picked] -= 1.0
-        soft *= _out().grad / rows.size
-        logits._accumulate(soft if every_row else _scatter(logits.data, rows, soft))
+        soft[every, safe] -= 1.0
+        soft[~keep] = 0.0
+        soft *= _out().grad / n
+        logits._accumulate(soft)
 
     out = _make(data, (logits,), back, "cross_entropy")
     _out = weakref.ref(out)

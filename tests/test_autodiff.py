@@ -164,6 +164,14 @@ class TestGradientOwnership:
             p._accumulate(np.ones((2, 3)))
         assert p.grad is None
 
+    def test_an_op_that_would_promote_is_refused_at_the_op(self):
+        p = ad.parameter(np.ones(3), dtype=np.float32)
+        with pytest.raises(TypeError, match="mul turns a float32 operand into float64"):
+            ad.mul(p, ad.constant(np.ones(3)))
+        with ad.no_grad():
+            assert ad.mul(p, ad.constant(np.ones(3))).dtype == np.float64
+        assert ad.mul(p, ad.constant(np.ones(3), dtype=np.float32)).dtype == np.float32
+
 
 class TestElementwiseGradients:
     def test_add_with_broadcast(self):
@@ -509,9 +517,8 @@ class TestCrossEntropy:
         logits = rng.standard_normal((5, 7))
         targets = rng.integers(0, 7, size=5)
         weights = np.array([1, 0, 1, 0, 0])
-        # all-ones weights read the logits in place and hand the gradient over
-        # whole; extra zero-weight rows go through the gather and scatter:
-        # value and gradient agree bit for bit
+        # each row is reduced on its own, so the rows kept under 0/1 weights
+        # give the same value and gradient, bit for bit, as those rows alone
         for dtype in (np.float32, np.float64):
             full = ad.parameter(logits, dtype=dtype)
             sub = ad.parameter(logits[weights == 1], dtype=dtype)
