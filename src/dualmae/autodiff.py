@@ -34,8 +34,12 @@ caller drops the loss, or when an exception that abandoned the graph
 halfway is discarded. The cyclic collector never has to run for it.
 
 Every affine map of the model is one ``linear`` node. ``embedding_lookup``
-is a general row gather: besides the token tables, it picks the loss rows
-out of flattened hidden states before the vocabulary projection.
+gathers rows that may repeat, the token and position tables' case, and
+accumulates its gradient with ``np.add.at``. ``gather_rows`` and
+``scatter_rows`` move rows between a packed (N, d) stream and a
+(B, L, d) grid by unique flat index, so their backward is a plain
+assignment into one fresh buffer: they carry the real rows past the pads
+and pick the loss rows before the vocabulary projection.
 
 Training runs in float32; gradient checking builds the same graph in
 float64. Dtype promotion is not supported: every tensor an op records as
@@ -47,6 +51,7 @@ has to change dtype on its way back.
 from __future__ import annotations
 
 import contextlib
+import math
 import weakref
 from typing import Callable, Sequence
 
@@ -274,9 +279,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The affine map ``x @ w + b``: x is (..., d), w is (d, e), b is (e,).
 
-    One node instead of a matmul and an add. The forward product stays
-    stacked, so each sentence of a batch is multiplied on its own and a
-    batched result equals the sentence computed alone, bit for bit. The
+    One node instead of a matmul and an add. With OpenBLAS (checked on
+    0.3.31 at the desk widths) a row's bits do not depend on how many rows
+    share the product, stacked or packed, except in a 1-row product, which
+    takes the matrix-vector path and rounds differently. So a sentence's
+    rows get the same bits alone as in a batch as long as no product
+    shrinks to one row for it alone. The
     weight gradient is one 2-D product over every row of ``x`` and the bias
     gradient one row sum.
     """
@@ -388,6 +396,70 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         table._accumulate(g)
 
     out = _make(data, (table,), back, "embedding_lookup")
+    _out = weakref.ref(out)
+    return out
+
+
+def _row_index(rows, count: int, op: str) -> np.ndarray:
+    """``rows`` checked as strictly ascending, so unique, integer indices
+    into ``count`` rows."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise ShapeError(f"{op} rows must be a 1-D integer array, got {rows.dtype} of shape {rows.shape}")
+    if rows.size and (rows[0] < 0 or rows[-1] >= count):
+        raise ShapeError(f"{op} row index out of range for {count} rows")
+    if not (rows[1:] > rows[:-1]).all():
+        raise ShapeError(f"{op} rows must be strictly ascending: no index may repeat")
+    return rows
+
+
+def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows of ``a`` picked by flat index: the (n, d) array ``A[rows]``.
+
+    ``a`` is (..., d) and ``A`` is it read as a stack of its last axis, one
+    row per entry of the leading axes, so an index into a (B, L, d) tensor
+    names a cell of its (B, L) grid. The indices must be strictly
+    ascending, so none repeats, and backward writes each gradient row to
+    its place in one fresh buffer.
+    """
+    d = a.data.shape[-1]
+    flat = a.data.reshape(-1, d)
+    count = flat.shape[0]
+    rows = _row_index(rows, count, "gather_rows")
+    data = flat[rows]
+
+    def back():
+        g = np.zeros((count, d), dtype=a.data.dtype)
+        g[rows] = _out().grad
+        a._accumulate(g.reshape(a.data.shape))
+
+    out = _make(data, (a,), back, "gather_rows")
+    _out = weakref.ref(out)
+    return out
+
+
+def scatter_rows(a: Tensor, rows: np.ndarray, shape: tuple[int, ...]) -> Tensor:
+    """The inverse placement: an array of ``shape`` that, read in C order
+    as rows of the (n, d) ``a``'s width, holds row i of ``a`` at row
+    ``rows[i]`` and exact zeros everywhere else. So ``shape`` may be a
+    (B, L) grid plus (d,), or plus any split of d such as attention's
+    (heads, head_dim). The indices must be strictly ascending."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"scatter_rows expects (n, d) rows, got {a.data.shape}")
+    n, d = a.data.shape
+    count, rest = divmod(math.prod(shape), d)
+    if rest:
+        raise ShapeError(f"scatter_rows cannot lay rows of width {d} into shape {shape}")
+    rows = _row_index(rows, count, "scatter_rows")
+    if rows.size != n:
+        raise ShapeError(f"scatter_rows got {rows.size} indices for {n} rows")
+    full = np.zeros((count, d), dtype=a.data.dtype)
+    full[rows] = a.data
+
+    def back():
+        a._accumulate(_out().grad.reshape(count, d)[rows])
+
+    out = _make(full.reshape(shape), (a,), back, "scatter_rows")
     _out = weakref.ref(out)
     return out
 

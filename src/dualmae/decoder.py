@@ -15,12 +15,21 @@ reconstructs, so both decoders run the same steps on the same fields: embed
 ``dec_ids`` after position 0 behind the sentence embedding, attend under
 ``dec_visible`` and take the loss on ``dec_targets``.
 
-Both decoders return their final hidden states with the loss. The loss
-projects onto the vocabulary only the rows it reads (BERT's masked-position
-gather): ``reconstruction_loss`` picks the weight-1 rows of the flattened
-states, then runs the output projection and the cross-entropy on those
-alone. Evaluation that needs every position's logits calls
+Both decoders return their (B, L, d) final hidden states with the loss.
+The loss projects onto the vocabulary only the rows it reads (BERT's
+masked-position gather): ``reconstruction_loss`` gathers the weight-1 rows
+of the states, then runs the output projection and the cross-entropy on
+those alone. Evaluation that needs every position's logits calls
 ``output_logits`` on the returned states.
+
+The basic decoder runs its block on the full grid, every position
+included: each of its outputs, pads too, reads the sentence vector. The
+enhanced layer packs (``model`` explains how). Its key/value stream is
+gathered to the batch's real rows; its query stream and everything after
+``weights @ v`` run on the loss rows (``dec_targets``) alone. The full
+score, softmax and ``weights @ v`` products stay, and only their output
+narrows, the rule the encoder's last block follows for position 0. So
+its returned states hold the loss rows and exact zeros everywhere else.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .masking import MaskedBatch
 # attention and feed_forward stay imported: perfbench/tracer.py swaps decoder.attention/feed_forward by name
-from .model import DecoderConfig, ModelParams, attention, feed_forward, output_logits, transformer_block  # noqa: F401
+from .model import DecoderConfig, ModelParams, Rows, attention, feed_forward, output_logits, transformer_block  # noqa: F401
 
 
 def reconstruction_loss(params: ModelParams, states: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -43,15 +52,14 @@ def reconstruction_loss(params: ModelParams, states: Tensor, targets: np.ndarray
     gradient. The value equals the cross-entropy over the full (B·L, V)
     logits under the same weights.
     """
-    B, L, d = states.shape
+    B, L = states.shape[:2]
     weights = np.asarray(weights)
     if weights.shape != (B, L) or np.shape(targets) != (B, L):
         raise ad.ShapeError(f"targets and weights must be {(B, L)}, got {np.shape(targets)} and {weights.shape}")
     if not np.isin(weights, (0, 1)).all():
         raise ValueError("weights must be 0 or 1")
     rows = np.flatnonzero(weights)
-    picked = ad.embedding_lookup(ad.reshape(states, (B * L, d)), rows)
-    logits = output_logits(params, picked)
+    logits = output_logits(params, ad.gather_rows(states, rows))
     return ad.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], np.ones(rows.size, dtype=np.int64))
 
 
@@ -104,16 +112,32 @@ def _enhanced_states(
     sentence: Tensor,
     tail: Tensor,
     visible: np.ndarray,
+    keys: np.ndarray,
+    queries: np.ndarray,
 ) -> Tensor:
-    """The two-stream layer's (B, L, d) output.
+    """The two-stream layer's (B, L, d) output at the ``queries`` cells,
+    exact zeros elsewhere.
 
     The query stream is the sentence embedding at every position; the
     key/value stream is ``_token_stream`` over ``tail``, the (B, L - 1, d)
     token embeddings of positions 1.. ``visible`` is the (B, L, L) bool
-    visibility, shared by every head.
+    visibility, shared by every head. ``keys`` and ``queries`` are (B, L)
+    bool: the key/value cells the layer packs, which must cover every
+    column ``visible`` opens, and the cells whose output it computes.
     """
     head, positions, stream = _token_stream(params, sentence, tail)
-    return transformer_block(params, "dec0", ad.add(head, positions), stream, visible[:, None], dec_config.heads)
+    kv_rows, rows = Rows(keys), Rows(queries)
+    out = transformer_block(
+        params,
+        "dec0",
+        ad.gather_rows(ad.add(head, positions), rows.index),
+        ad.gather_rows(stream, kv_rows.index),
+        visible[:, None],
+        dec_config.heads,
+        rows=rows,
+        kv_rows=kv_rows,
+    )
+    return ad.scatter_rows(out, rows.index, (*rows.grid, out.shape[-1]))
 
 
 def enhanced_logits(
@@ -128,8 +152,10 @@ def enhanced_logits(
     token embeddings without touching the shared table. Position 0 of the
     (B, L, d) ``token_embeddings`` is never read.
     """
-    tail = ad.narrow(token_embeddings, 1, 1, token_embeddings.shape[1] - 1)
-    return output_logits(params, _enhanced_states(params, dec_config, sentence, tail, attention_masks))
+    B, L, _ = token_embeddings.shape
+    tail = ad.narrow(token_embeddings, 1, 1, L - 1)
+    every = np.ones((B, L), dtype=bool)
+    return output_logits(params, _enhanced_states(params, dec_config, sentence, tail, attention_masks, every, every))
 
 
 def decode_enhanced(
@@ -140,12 +166,13 @@ def decode_enhanced(
 ) -> tuple[Tensor, Tensor]:
     """Reconstruct every real token from its own sampled context.
 
-    Returns (states, loss): the (B, L, d) final hidden states, and the loss
-    over ``mbatch.dec_targets``, all real positions beyond 0.
+    Returns (states, loss): the (B, L, d) final hidden states, computed at
+    the loss rows ``mbatch.dec_targets`` (all real positions beyond 0) and
+    exactly 0 elsewhere, and the loss over those rows.
     """
     _check_mode("enhanced", dec_config, mbatch)
     tail = ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:])
-    x = _enhanced_states(params, dec_config, sentence, tail, mbatch.dec_visible)
+    x = _enhanced_states(params, dec_config, sentence, tail, mbatch.dec_visible, mbatch.real, mbatch.dec_targets)
     return x, reconstruction_loss(params, x, mbatch.ids, mbatch.dec_targets)
 
 

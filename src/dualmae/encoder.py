@@ -4,13 +4,26 @@ The sentence embedding is the final hidden state at position 0. Pad
 columns are blocked in every attention layer, so what a sentence's
 embedding sees never depends on how much padding the batch carries.
 
+Pad rows feed nothing, so the stack carries none. The token and position
+embeddings are added on the (B, L) grid, where the position gradient is
+one sum over the batch axis (looked up per packed row it would take an
+``np.add.at`` over N rows, which costs more than the pad rows save), and
+the batch's real rows are gathered once into a packed (N, d) stream.
+Every block then runs its
+projections, residuals, layer norms and feed-forward on those N rows, and
+only attention's per-sentence products see the grid (``model`` explains
+the packing). A packed product gives each real row the bits the stacked
+one gives it, so no forward value changes.
+
 The decoder and retrieval read nothing but that vector, so by default the
 last block carries position 0 alone past its attention: the output
 projection, residuals, layer norms and feed-forward of the last layer run
-on one row per sentence. A caller that reads every position's final state
-(the encoder-side MLM loss) asks for them with ``states=True``, which runs
-the last block in full. Both paths give the same sentence vector up to
-rounding.
+on one row per sentence, stacked as (B, 1, d) so that each sentence's
+products are the same 1-row products alone or in a batch. A caller that
+reads every position's final state (the encoder-side MLM loss) asks for
+them with ``states=True``, which runs the last block on every real row
+and returns the (B, L, d) states with pad rows exactly 0. Both paths give
+the same sentence vector up to rounding.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from .model import (
     LAYER_NORM_EPS,
     EncoderConfig,
     ModelParams,
+    Rows,
     transformer_block,
 )
 
@@ -40,7 +54,8 @@ def encode(
     ``ids`` is the (B, L) polluted input (or clean input at inference) and
     ``real`` the matching pad mask, True at token positions. Returns the
     (B, d) sentence embeddings and, with ``states``, the (B, L, d) final
-    hidden states; without, None in their place.
+    hidden states, exactly 0 at pad positions; without, None in their
+    place.
     """
     ids = np.asarray(ids)
     real = np.asarray(real, dtype=bool)
@@ -54,8 +69,9 @@ def encode(
 
     tokens = ad.embedding_lookup(params["word_emb"], ids)
     positions = ad.narrow(params["enc_pos"], 0, 0, L)
+    rows = Rows(real)
     x = ad.layer_norm(
-        ad.add(tokens, positions),
+        ad.gather_rows(ad.add(tokens, positions), rows.index),
         params["enc_emb_ln.gain"],
         params["enc_emb_ln.bias"],
         LAYER_NORM_EPS,
@@ -63,5 +79,9 @@ def encode(
     visible = real[:, None, None, :]
     for i in range(config.layers):
         first_only = not states and i == config.layers - 1
-        x = transformer_block(params, f"enc{i}", x, x, visible, config.heads, first_only=first_only)
-    return ad.select_index(x, 0, axis=1), (x if states else None)
+        x = transformer_block(
+            params, f"enc{i}", x, x, visible, config.heads, rows=rows, kv_rows=rows, first_only=first_only
+        )
+    if not states:
+        return ad.select_index(x, 0, axis=1), None
+    return ad.gather_rows(x, rows.locate(np.arange(B) * L)), ad.scatter_rows(x, rows.index, (B, L, x.shape[-1]))

@@ -7,6 +7,16 @@ key/value stream (the same tensor for self-attention) and a boolean
 visibility mask. The word-embedding table is shared between
 the encoder input, the decoder input, and the output projection; position
 tables are separate per side.
+
+A stream is either the full (B, L, d) grid or packed: (N, d), the rows of
+the grid cells a ``Rows`` names, with no pad rows at all. A block runs its
+position-wise work (projections, residuals, layer norms, feed-forward) on
+the rows it is given. Only attention's per-sentence products (the scores,
+the masked softmax and ``weights @ v``) need the grid: the projected
+queries, keys and values are scattered into it, with exact zeros in the
+cells the stream lacks, and the attended context is gathered back to the
+query rows right after ``weights @ v``. A key/value stream must therefore
+hold every cell that the mask lets a query read.
 """
 
 from __future__ import annotations
@@ -137,6 +147,39 @@ def init_params(
     return tensors
 
 
+class Rows:
+    """The cells of a (B, L) grid that a packed (N, d) stream holds, in
+    row-major order: row i of the stream is cell ``index[i]`` of the
+    flattened grid, and ``held`` is the (B, L) bool array of those cells."""
+
+    __slots__ = ("held", "index")
+
+    def __init__(self, held: np.ndarray):
+        self.held = np.asarray(held, dtype=bool)
+        self.index = np.flatnonzero(self.held)
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        return self.held.shape
+
+    def locate(self, cells: np.ndarray) -> np.ndarray:
+        """The stream rows that hold the given flat cells."""
+        if not self.held.reshape(-1)[cells].all():
+            raise ad.ShapeError("a requested cell is not among the packed rows")
+        return np.searchsorted(self.index, cells)
+
+
+def _projected(params: ModelParams, prefix: str, name: str, x: Tensor, rows: Rows | None, heads: int) -> Tensor:
+    """The ``name`` (q, k or v) projection of ``x``, split into heads on the
+    (B, L) grid: a packed ``x`` is projected on its own rows and scattered
+    straight into the (B, L, heads, head_dim) layout."""
+    y = ad.linear(x, params[f"{prefix}.attn.w{name}"], params[f"{prefix}.attn.b{name}"])
+    if rows is None:
+        return _split_heads(y, heads)
+    d = y.shape[-1]
+    return ad.transpose(ad.scatter_rows(y, rows.index, (*rows.grid, heads, d // heads)), (0, 2, 1, 3))
+
+
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     B, L, d = x.shape
     x = ad.reshape(x, (B, L, heads, d // heads))
@@ -157,19 +200,26 @@ def attention(
     visible: np.ndarray,
     heads: int,
     *,
+    rows: Rows | None = None,
+    kv_rows: Rows | None = None,
     first_only: bool = False,
 ) -> Tensor:
     """Multi-head scaled dot-product attention under a visibility mask.
 
     ``visible`` is a bool array that broadcasts against the (B, heads, L, L)
     score tensor; row i of it lists the key positions query i may read.
-    With ``first_only`` the output is (B, 1, d), position 0's alone: every
+    ``query_in`` is packed at ``rows`` and ``keyvalue_in`` at ``kv_rows``,
+    or either is the full (B, L, d) grid where its rows are None. The
+    output holds the query stream's rows: (N, d) packed, (B, L, d) on the
+    grid. With ``first_only`` it is (B, 1, d), position 0's alone: every
     query is still scored, and only position 0's context is merged and
     projected.
     """
-    q = _split_heads(ad.linear(query_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]), heads)
-    k = _split_heads(ad.linear(keyvalue_in, params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.bk"]), heads)
-    v = _split_heads(ad.linear(keyvalue_in, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]), heads)
+    if kv_rows is not None and (visible & ~kv_rows.held[:, None, None, :]).any():
+        raise ad.ShapeError("the mask lets a query read a cell the key/value stream does not hold")
+    q = _projected(params, prefix, "q", query_in, rows, heads)
+    k = _projected(params, prefix, "k", keyvalue_in, kv_rows, heads)
+    v = _projected(params, prefix, "v", keyvalue_in, kv_rows, heads)
     head_dim = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     weights = ad.masked_softmax(scores, visible)
@@ -178,9 +228,13 @@ def attention(
         # narrowing the queries before the scores would save more, but a
         # one-row product with the (L, head_dim) values rounds differently
         # as the pad width changes, and a sentence's vector must not depend
-        # on its batch's width
-        context = ad.narrow(context, 2, 0, 1)
-    context = _merge_heads(context)
+        # on its batch's width; for the same reason the tail stays stacked,
+        # one 1-row product per sentence, alone or in a batch
+        context = _merge_heads(ad.narrow(context, 2, 0, 1))
+    else:
+        context = _merge_heads(context)
+        if rows is not None:
+            context = ad.gather_rows(context, rows.index)
     return ad.linear(context, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
@@ -197,20 +251,26 @@ def transformer_block(
     visible: np.ndarray,
     heads: int,
     *,
+    rows: Rows | None = None,
+    kv_rows: Rows | None = None,
     first_only: bool = False,
 ) -> Tensor:
     """Post-layer-norm: normalize after each residual add.
 
     Queries and the residual come from ``x``, keys and values from
     ``keyvalue_in``; self-attention passes the same tensor twice. ``visible``
-    is the bool mask handed to ``attention``. With ``first_only`` the block
-    returns position 0 alone, (B, 1, d): attention reads every position,
-    but the residuals, both layer norms and the feed-forward run on one row
-    per sentence.
+    and the packing ``rows``/``kv_rows`` are handed to ``attention``, and
+    the block returns ``x``'s rows. With ``first_only``, which needs a
+    packed ``x``, it returns position 0 alone, (B, 1, d): attention reads
+    every position, but the residuals, both layer norms and the
+    feed-forward run on one row per sentence.
     """
-    attn_out = attention(params, prefix, x, keyvalue_in, visible, heads, first_only=first_only)
+    attn_out = attention(
+        params, prefix, x, keyvalue_in, visible, heads, rows=rows, kv_rows=kv_rows, first_only=first_only
+    )
     if first_only:
-        x = ad.narrow(x, 1, 0, 1)
+        B, L = rows.grid
+        x = ad.reshape(ad.gather_rows(x, rows.locate(np.arange(B) * L)), (B, 1, x.shape[-1]))
     x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
     ffn_out = feed_forward(params, prefix, x)
     return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)

@@ -42,9 +42,14 @@ def adamw_update(
 
 
 def global_grad_norm(grads: list[np.ndarray]) -> float:
+    """The float64 norm of all gradients together. Each gradient is copied
+    to float64 once and squared in place, which gives the same sum as
+    squaring into a second copy."""
     total = 0.0
     for g in grads:
-        total += float(np.sum(g.astype(np.float64) ** 2))
+        g64 = g.astype(np.float64)
+        np.multiply(g64, g64, out=g64)
+        total += float(g64.sum())
     return float(np.sqrt(total))
 
 

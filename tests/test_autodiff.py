@@ -273,6 +273,70 @@ class TestElementwiseGradients:
         np.testing.assert_array_equal(table.grad[0], np.zeros(3))
 
 
+class TestRowOps:
+    """``gather_rows``/``scatter_rows``: a packed (N, d) stream and its
+    (B, L, d) grid, by unique ascending flat cell index."""
+
+    CELLS = np.array([0, 1, 2, 5, 6, 9])  # of a (2, 5) grid
+
+    def test_gather_rows_gradient(self):
+        rng = np.random.default_rng(23)
+        grid = leaf(rng, 2, 5, 3)
+        w = rng.standard_normal((6, 3))
+        assert_grads_match(lambda: scalar_probe(ad.gather_rows(grid, self.CELLS), w), [grid])
+
+    def test_scatter_rows_gradient(self):
+        rng = np.random.default_rng(24)
+        packed = leaf(rng, 6, 3)
+        w = rng.standard_normal((2, 5, 3))
+        assert_grads_match(lambda: scalar_probe(ad.scatter_rows(packed, self.CELLS, (2, 5, 3)), w), [packed])
+
+    def test_scatter_then_gather_is_the_identity_with_zero_elsewhere(self):
+        rng = np.random.default_rng(25)
+        packed = leaf(rng, 6, 3)
+        grid = ad.scatter_rows(packed, self.CELLS, (2, 5, 3))
+        assert grid.shape == (2, 5, 3)
+        np.testing.assert_array_equal(grid.data.reshape(10, 3)[self.CELLS], packed.data)
+        assert np.all(np.delete(grid.data.reshape(10, 3), self.CELLS, axis=0) == 0.0)
+        back = ad.gather_rows(grid, self.CELLS)
+        np.testing.assert_array_equal(back.data, packed.data)
+        ad.backward(scalar_probe(back, np.ones((6, 3))))
+        np.testing.assert_array_equal(packed.grad, np.ones((6, 3)))
+
+    @pytest.mark.parametrize("op", ["gather", "scatter"])
+    @pytest.mark.parametrize("cells, match", [
+        (np.array([0, 2, 2, 5, 6, 9]), "ascending"),  # a repeat
+        (np.array([0, 1, 5, 2, 6, 9]), "ascending"),
+        (np.array([0, 1, 2, 5, 6, 10]), "out of range"),
+        (np.array([-1, 1, 2, 5, 6, 9]), "out of range"),
+        (np.array([0.0, 1, 2, 5, 6, 9]), "integer"),
+        (np.array([[0, 1, 2], [5, 6, 9]]), "1-D"),
+    ])
+    def test_bad_indices_are_rejected(self, op, cells, match):
+        rng = np.random.default_rng(26)
+        with pytest.raises(ShapeError, match=match):
+            if op == "gather":
+                ad.gather_rows(leaf(rng, 2, 5, 3), cells)
+            else:
+                ad.scatter_rows(leaf(rng, 6, 3), cells, (2, 5, 3))
+
+    def test_scatter_needs_one_index_per_row(self):
+        with pytest.raises(ShapeError, match="indices for"):
+            ad.scatter_rows(leaf(np.random.default_rng(27), 5, 3), self.CELLS, (2, 5, 3))
+
+    def test_scatter_lays_a_row_across_split_trailing_axes(self):
+        # attention scatters (N, d) projections straight into (B, L, heads, head_dim)
+        rng = np.random.default_rng(28)
+        packed = leaf(rng, 6, 4)
+        split = ad.scatter_rows(packed, self.CELLS, (2, 5, 2, 2))
+        flat = ad.scatter_rows(packed, self.CELLS, (2, 5, 4))
+        np.testing.assert_array_equal(split.data, flat.data.reshape(2, 5, 2, 2))
+        w = rng.standard_normal((2, 5, 2, 2))
+        assert_grads_match(lambda: scalar_probe(ad.scatter_rows(packed, self.CELLS, (2, 5, 2, 2)), w), [packed])
+        with pytest.raises(ShapeError, match="width"):
+            ad.scatter_rows(packed, self.CELLS, (2, 5, 3))
+
+
 class TestLinear:
     """``linear`` against the matmul-and-add graph it replaces, in float64."""
 

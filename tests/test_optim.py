@@ -83,6 +83,23 @@ class TestClipping:
         expected = np.sqrt(sum(float((g**2).sum()) for g in grads))
         assert global_grad_norm(grads) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("magnitude", [1e-6, 1e-3, 1.0, 10.0])
+    def test_norm_equals_the_two_copy_formula_bit_for_bit(self, magnitude):
+        # the formula the norm used before it squared its float64 copy in
+        # place; the clip factor, and so every trained byte, hangs on it
+        def two_copies(grads):
+            total = 0.0
+            for g in grads:
+                total += float(np.sum(g.astype(np.float64) ** 2))
+            return float(np.sqrt(total))
+
+        enc = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=256, max_len=128, vocab_size=2048)
+        params = init_params(enc, DecoderConfig(mode="enhanced", layers=1, heads=4), np.random.default_rng(0))
+        rng = np.random.default_rng(int(-np.log10(magnitude)) + 20)
+        for _ in range(3):
+            grads = [(rng.standard_normal(t.shape) * magnitude).astype(np.float32) for t in params.values()]
+            assert global_grad_norm(grads) == two_copies(grads)
+
     def test_under_the_limit_is_untouched(self):
         grads = [np.array([0.3, 0.4])]  # norm 0.5
         before = [g.copy() for g in grads]

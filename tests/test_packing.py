@@ -1,0 +1,190 @@
+"""Packed rows against the full-width forward they replaced.
+
+The encoder and the enhanced decoder run their position-wise work on a
+batch's real rows (or loss rows) alone. ``reference_step_loss`` below is
+the full-width forward they replaced, kept as the oracle: every block runs
+on the whole (B, L, d) grid, pads included, and the loss reads its rows
+through ``embedding_lookup``. Packing must not change a forward bit at
+desk widths in float32, where training runs, and may change gradients only
+by the summation order of their weight products.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from dualmae import autodiff as ad
+from dualmae.config import TrainConfig
+from dualmae.decoder import decode_enhanced
+from dualmae.encoder import encode
+from dualmae.gradcheck import tiny_setup
+from dualmae.masking import mask_batch
+from dualmae.model import (
+    LAYER_NORM_EPS,
+    DecoderConfig,
+    EncoderConfig,
+    init_params,
+    output_logits,
+)
+from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
+from dualmae.training import step_loss
+
+# ---------------------------------------------------------------------------
+# the full-width reference
+
+
+def _split_heads(x, heads):
+    B, L, d = x.shape
+    return ad.transpose(ad.reshape(x, (B, L, heads, d // heads)), (0, 2, 1, 3))
+
+
+def _merge_heads(x):
+    B, h, L, hd = x.shape
+    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (B, L, h * hd))
+
+
+def _attention(params, prefix, query_in, keyvalue_in, visible, heads, first_only=False):
+    def proj(x, name):
+        return _split_heads(ad.linear(x, params[f"{prefix}.attn.w{name}"], params[f"{prefix}.attn.b{name}"]), heads)
+
+    q, k, v = proj(query_in, "q"), proj(keyvalue_in, "k"), proj(keyvalue_in, "v")
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
+    context = ad.matmul(ad.masked_softmax(scores, visible), v)
+    if first_only:
+        context = ad.narrow(context, 2, 0, 1)
+    return ad.linear(_merge_heads(context), params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
+
+
+def _block(params, prefix, x, keyvalue_in, visible, heads, first_only=False):
+    attn_out = _attention(params, prefix, x, keyvalue_in, visible, heads, first_only)
+    if first_only:
+        x = ad.narrow(x, 1, 0, 1)
+    x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
+    h = ad.gelu(ad.linear(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
+    ffn_out = ad.linear(h, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
+    return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)
+
+
+def reference_encode(params, config, ids, real, states=False):
+    L = ids.shape[1]
+    x = ad.add(ad.embedding_lookup(params["word_emb"], ids), ad.narrow(params["enc_pos"], 0, 0, L))
+    x = ad.layer_norm(x, params["enc_emb_ln.gain"], params["enc_emb_ln.bias"], LAYER_NORM_EPS)
+    for i in range(config.layers):
+        first_only = not states and i == config.layers - 1
+        x = _block(params, f"enc{i}", x, x, real[:, None, None, :], config.heads, first_only)
+    return ad.select_index(x, 0, axis=1), (x if states else None)
+
+
+def _reference_loss(params, states, targets, weights):
+    B, L, d = states.shape
+    rows = np.flatnonzero(weights)
+    picked = ad.embedding_lookup(ad.reshape(states, (B * L, d)), rows)
+    return ad.cross_entropy(
+        output_logits(params, picked), targets.reshape(-1)[rows], np.ones(rows.size, dtype=np.int64)
+    )
+
+
+def _reference_decode(params, dec, sentence, mbatch):
+    B, L = mbatch.ids.shape
+    d = sentence.shape[-1]
+    head = ad.reshape(sentence, (B, 1, d))
+    tail = ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:])
+    positions = ad.narrow(params["dec_pos"], 0, 0, L)
+    stream = ad.add(ad.concat([head, tail], axis=1), positions)
+    visible = mbatch.dec_visible[:, None]
+    if dec.mode == "basic":
+        x = stream
+        for i in range(dec.layers):
+            x = _block(params, f"dec{i}", x, x, visible, dec.heads)
+    else:
+        x = _block(params, "dec0", ad.add(head, positions), stream, visible, dec.heads)
+    return x, _reference_loss(params, x, mbatch.ids, mbatch.dec_targets)
+
+
+def reference_step_loss(params, train, enc, dec, mbatch):
+    with_mlm = train.encoder_mlm_weight > 0.0
+    sentence, hidden = reference_encode(params, enc, mbatch.enc_ids, mbatch.real, states=with_mlm)
+    _, loss = _reference_decode(params, dec, sentence, mbatch)
+    if with_mlm:
+        aux = _reference_loss(params, hidden, mbatch.ids, mbatch.enc_masked)
+        loss = ad.add(loss, ad.scale(aux, train.encoder_mlm_weight))
+    return loss
+
+
+# ---------------------------------------------------------------------------
+
+DESK = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=256, max_len=64, vocab_size=512)
+MODES = [("enhanced", 0.0), ("enhanced", 0.5), ("basic", 0.0), ("basic", 0.5)]
+
+
+def _desk_batch(seed, count=24):
+    """A padded batch: lengths from 3 up to the full width of 64."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, DESK.max_len - 1, size=count)
+    lengths[0] = DESK.max_len - 2
+    seqs = [TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, 512, size=n), [SEP_ID]])) for n in lengths]
+    return make_batch(seqs)
+
+
+def _desk_setup(mode, mlm_weight, seed):
+    dec = DecoderConfig(mode=mode, layers=1, heads=4)
+    train = TrainConfig(encoder_mlm_weight=mlm_weight)
+    params = init_params(DESK, dec, np.random.default_rng([seed, 0]))
+    batch = _desk_batch(seed)
+    assert not batch.real.all()
+    mbatch = mask_batch(batch, mode, train.mask_ratio_encoder, train.mask_ratio_decoder, np.random.default_rng(seed))
+    return params, train, dec, mbatch
+
+
+class TestPackedForward:
+    @pytest.mark.parametrize("mode, mlm_weight", MODES)
+    def test_step_loss_equals_the_full_width_forward_bit_for_bit(self, mode, mlm_weight):
+        for seed in (0, 1):
+            params, train, dec, mbatch = _desk_setup(mode, mlm_weight, seed)
+            with ad.no_grad():
+                packed = step_loss(params, train, DESK, dec, mbatch).data
+                full = reference_step_loss(params, train, DESK, dec, mbatch).data
+            assert packed.dtype == np.float32
+            assert packed.tobytes() == full.tobytes(), (seed, float(packed), float(full))
+
+    @pytest.mark.parametrize("states", [False, True])
+    def test_sentence_vectors_and_real_states_equal_the_full_width_forward(self, states):
+        params, _, _, mbatch = _desk_setup("enhanced", 0.0, 2)
+        with ad.no_grad():
+            sentence, hidden = encode(params, DESK, mbatch.enc_ids, mbatch.real, states=states)
+            ref_sentence, ref_hidden = reference_encode(params, DESK, mbatch.enc_ids, mbatch.real, states=states)
+        assert sentence.data.tobytes() == ref_sentence.data.tobytes()
+        if states:
+            real = mbatch.real
+            assert hidden.data[real].tobytes() == ref_hidden.data[real].tobytes()
+            assert np.all(hidden.data[~real] == 0.0)
+
+    def test_enhanced_states_hold_the_loss_rows_and_zeros(self):
+        params, _, dec, mbatch = _desk_setup("enhanced", 0.0, 3)
+        with ad.no_grad():
+            sentence, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real)
+            states, _ = decode_enhanced(params, dec, sentence, mbatch)
+            ref_states, _ = _reference_decode(params, dec, sentence, mbatch)
+        rows = mbatch.dec_targets
+        assert states.data[rows].tobytes() == ref_states.data[rows].tobytes()
+        assert np.all(states.data[~rows] == 0.0)
+
+
+class TestPackedGradients:
+    @pytest.mark.parametrize("mode, mlm_weight", MODES)
+    def test_every_parameter_gradient_matches_the_full_width_forward(self, mode, mlm_weight):
+        params, train, enc, dec, mbatch = tiny_setup(mode, seed=17)
+        assert not mbatch.real.all()
+        train = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
+        results = []
+        for loss_fn in (step_loss, reference_step_loss):
+            for t in params.values():
+                t.grad = None
+            loss = loss_fn(params, train, enc, dec, mbatch)
+            ad.backward(loss)
+            results.append((float(loss.data), {name: ad.grad_or_zeros(t).copy() for name, t in params.items()}))
+        (packed, grads), (full, full_grads) = results
+        assert packed == pytest.approx(full, rel=1e-12)
+        for name in params:
+            np.testing.assert_allclose(grads[name], full_grads[name], rtol=1e-9, atol=1e-13, err_msg=name)

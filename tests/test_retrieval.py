@@ -519,6 +519,21 @@ class TestEmbedBuckets:
             store = embed_corpus(sentences, params, config, vocab, batch_size=bs)
             assert store.matrix.tobytes() == reference.tobytes()
 
+    def test_a_sentence_alone_equals_its_vector_in_a_mixed_batch(self):
+        # the encoder packs a batch's real rows into one product, so a
+        # sentence alone shares its products with no other sentence; the
+        # empty text gives the shortest input, [CLS] [SEP]
+        sentences, config, vocab, params = self._setup()
+        mixed = [""] + sentences + [s[: len(s) // 2] for s in sentences]
+        seqs = [encode_text(text, vocab, self.MAX_LEN) for text in mixed]
+        assert min(len(s) for s in seqs) == 2
+        widths = {_bucket_width(len(s), self.MAX_LEN) for s in seqs}
+        assert widths == {16, 32, 64, 128}
+        batched = embed_corpus(mixed, params, config, vocab).matrix
+        for i, text in enumerate(mixed):
+            alone = embed_corpus([text], params, config, vocab).matrix[0]
+            assert alone.tobytes() == batched[i].tobytes(), (i, len(seqs[i]))
+
 
 class TestSearchRun:
     def test_search_run_ranks_every_query(self):
