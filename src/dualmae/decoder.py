@@ -22,14 +22,18 @@ of the states, then runs the output projection and the cross-entropy on
 those alone. Evaluation that needs every position's logits calls
 ``output_logits`` on the returned states.
 
-The basic decoder runs its block on the full grid, every position
-included: each of its outputs, pads too, reads the sentence vector. The
-enhanced layer packs (``model`` explains how). Its key/value stream is
-gathered to the batch's real rows; its query stream and everything after
-``weights @ v`` run on the loss rows (``dec_targets``) alone. The full
-score, softmax and ``weights @ v`` products stay, and only their output
-narrows, the rule the encoder's last block follows for position 0. So
-its returned states hold the loss rows and exact zeros everywhere else.
+Both decoders pack (``model`` explains how). The basic decoder gathers the
+batch's real rows, exactly the columns its mask opens, runs every layer on
+them and scatters the last layer's output back to the grid: a pad
+position's state is exactly 0, so its logits are ``out_bias``. Pad columns
+are blocked in every attention and no loss reads a pad row, so this loses
+nothing observable. The enhanced layer packs its key/value stream at the
+real rows; its query stream and everything after ``weights @ v`` run on
+the loss rows (``dec_targets``) alone. The full score, softmax and
+``weights @ v`` products stay, and only their output narrows, the rule the
+encoder's last block follows for position 0. So every (B, L, d) state
+either decoder returns, like ``encode(states=True)``'s, is exactly 0
+outside the rows it computes.
 """
 
 from __future__ import annotations
@@ -93,16 +97,19 @@ def decode_basic(
 ) -> tuple[Tensor, Tensor]:
     """Reconstruct the decoder-masked positions of the batch.
 
-    Returns (states, loss): the (B, L, d) final hidden states, and the loss
-    over ``mbatch.dec_targets``, the [M] positions of the decoder-side
-    pollution.
+    Returns (states, loss): the (B, L, d) final hidden states, exactly 0 at
+    pads, and the loss over ``mbatch.dec_targets``, the [M] positions of
+    the decoder-side pollution.
     """
     _check_mode("basic", dec_config, mbatch)
     if not mbatch.dec_targets.any():
         raise ValueError("no masked positions to reconstruct")
-    _, _, x = _token_stream(params, sentence, ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:]))
+    _, _, stream = _token_stream(params, sentence, ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:]))
+    rows, visible = Rows(mbatch.real), mbatch.dec_visible[:, None]
+    x = ad.gather_rows(stream, rows.index)
     for i in range(dec_config.layers):
-        x = transformer_block(params, f"dec{i}", x, x, mbatch.dec_visible[:, None], dec_config.heads)
+        x = transformer_block(params, f"dec{i}", x, x, visible, dec_config.heads, rows=rows, kv_rows=rows)
+    x = ad.scatter_rows(x, rows.index, (*rows.grid, x.shape[-1]))
     return x, reconstruction_loss(params, x, mbatch.ids, mbatch.dec_targets)
 
 

@@ -8,15 +8,15 @@ visibility mask. The word-embedding table is shared between
 the encoder input, the decoder input, and the output projection; position
 tables are separate per side.
 
-A stream is either the full (B, L, d) grid or packed: (N, d), the rows of
-the grid cells a ``Rows`` names, with no pad rows at all. A block runs its
-position-wise work (projections, residuals, layer norms, feed-forward) on
-the rows it is given. Only attention's per-sentence products (the scores,
-the masked softmax and ``weights @ v``) need the grid: the projected
-queries, keys and values are scattered into it, with exact zeros in the
-cells the stream lacks, and the attended context is gathered back to the
-query rows right after ``weights @ v``. A key/value stream must therefore
-hold every cell that the mask lets a query read.
+A stream is packed: (N, d), the rows of the (B, L) grid cells a ``Rows``
+names, with no pad rows at all. A block runs its position-wise work
+(projections, residuals, layer norms, feed-forward) on the rows it is
+given. Only attention's per-sentence products (the scores, the masked
+softmax and ``weights @ v``) need the grid: the projected queries, keys
+and values are scattered into it, with exact zeros in the cells the
+stream lacks, and the attended context is gathered back to the query rows
+right after ``weights @ v``. A key/value stream must therefore hold every
+cell that the mask lets a query read.
 """
 
 from __future__ import annotations
@@ -169,21 +169,12 @@ class Rows:
         return np.searchsorted(self.index, cells)
 
 
-def _projected(params: ModelParams, prefix: str, name: str, x: Tensor, rows: Rows | None, heads: int) -> Tensor:
-    """The ``name`` (q, k or v) projection of ``x``, split into heads on the
-    (B, L) grid: a packed ``x`` is projected on its own rows and scattered
-    straight into the (B, L, heads, head_dim) layout."""
+def _projected(params: ModelParams, prefix: str, name: str, x: Tensor, rows: Rows, heads: int) -> Tensor:
+    """The ``name`` (q, k or v) projection of ``x``, taken on its packed
+    rows and scattered straight into the (B, heads, L, head_dim) layout."""
     y = ad.linear(x, params[f"{prefix}.attn.w{name}"], params[f"{prefix}.attn.b{name}"])
-    if rows is None:
-        return _split_heads(y, heads)
     d = y.shape[-1]
     return ad.transpose(ad.scatter_rows(y, rows.index, (*rows.grid, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    B, L, d = x.shape
-    x = ad.reshape(x, (B, L, heads, d // heads))
-    return ad.transpose(x, (0, 2, 1, 3))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
@@ -200,8 +191,8 @@ def attention(
     visible: np.ndarray,
     heads: int,
     *,
-    rows: Rows | None = None,
-    kv_rows: Rows | None = None,
+    rows: Rows,
+    kv_rows: Rows,
     first_only: bool = False,
 ) -> Tensor:
     """Multi-head scaled dot-product attention under a visibility mask.
@@ -209,13 +200,12 @@ def attention(
     ``visible`` is a bool array that broadcasts against the (B, heads, L, L)
     score tensor; row i of it lists the key positions query i may read.
     ``query_in`` is packed at ``rows`` and ``keyvalue_in`` at ``kv_rows``,
-    or either is the full (B, L, d) grid where its rows are None. The
-    output holds the query stream's rows: (N, d) packed, (B, L, d) on the
-    grid. With ``first_only`` it is (B, 1, d), position 0's alone: every
-    query is still scored, and only position 0's context is merged and
-    projected.
+    which must hold every cell ``visible`` opens (``ShapeError``
+    otherwise). The output is packed at ``rows``, (N, d). With
+    ``first_only`` it is (B, 1, d), position 0's alone: every query is
+    still scored, and only position 0's context is merged and projected.
     """
-    if kv_rows is not None and (visible & ~kv_rows.held[:, None, None, :]).any():
+    if (visible & ~kv_rows.held[:, None, None, :]).any():
         raise ad.ShapeError("the mask lets a query read a cell the key/value stream does not hold")
     q = _projected(params, prefix, "q", query_in, rows, heads)
     k = _projected(params, prefix, "k", keyvalue_in, kv_rows, heads)
@@ -232,9 +222,7 @@ def attention(
         # one 1-row product per sentence, alone or in a batch
         context = _merge_heads(ad.narrow(context, 2, 0, 1))
     else:
-        context = _merge_heads(context)
-        if rows is not None:
-            context = ad.gather_rows(context, rows.index)
+        context = ad.gather_rows(_merge_heads(context), rows.index)
     return ad.linear(context, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
@@ -251,17 +239,17 @@ def transformer_block(
     visible: np.ndarray,
     heads: int,
     *,
-    rows: Rows | None = None,
-    kv_rows: Rows | None = None,
+    rows: Rows,
+    kv_rows: Rows,
     first_only: bool = False,
 ) -> Tensor:
     """Post-layer-norm: normalize after each residual add.
 
-    Queries and the residual come from ``x``, keys and values from
-    ``keyvalue_in``; self-attention passes the same tensor twice. ``visible``
-    and the packing ``rows``/``kv_rows`` are handed to ``attention``, and
-    the block returns ``x``'s rows. With ``first_only``, which needs a
-    packed ``x``, it returns position 0 alone, (B, 1, d): attention reads
+    Queries and the residual come from ``x``, packed at ``rows``, keys and
+    values from ``keyvalue_in``, packed at ``kv_rows``; self-attention
+    passes the same tensor and rows twice. ``visible`` and both packings
+    are handed to ``attention``, and the block returns ``x``'s rows. With
+    ``first_only`` it returns position 0 alone, (B, 1, d): attention reads
     every position, but the residuals, both layer norms and the
     feed-forward run on one row per sentence.
     """

@@ -33,6 +33,8 @@ from .text import Vocabulary, encode_text, make_batch
 
 logger = logging.getLogger(__name__)
 
+EMBED_BATCH_SIZE = 32  # sentences per encoder call within one width bucket
+
 
 class RunFormatError(ValueError):
     """A run or label file line that cannot be used."""
@@ -65,21 +67,20 @@ def embed_corpus(
     enc_config: EncoderConfig,
     vocab: Vocabulary,
     ids: Sequence[str] | None = None,
-    batch_size: int = 32,
 ) -> EmbeddingStore:
     """Encode clean sentences (no masking at inference). Only the sentence
     vectors are read, so the encoder's last block runs at position 0 alone.
 
     Each sentence is padded to its bucket width: the smallest power of two
     that holds its tokens, at least 16 and at most the model's max_len.
-    Sentences are batched within a bucket and their vectors are put back
-    in input order. The width depends only on the sentence, so a vector
-    never depends on what else shared its batch. Pad columns are blocked
-    in attention, so a vector also matches the one the sentence gets at
-    width max_len; at the desk shape the tests check that the two are
-    equal bit for bit. At some other shapes the BLAS can pick a different
-    kernel for the narrower products, and the two may differ in the last
-    bit.
+    Sentences are batched within a bucket, ``EMBED_BATCH_SIZE`` at a time,
+    and their vectors are put back in input order. The width depends only
+    on the sentence, so a vector never depends on what else shared its
+    batch. Pad columns are blocked in attention, so a vector also matches
+    the one the sentence gets at width max_len; at the desk shape the tests
+    check that the two are equal bit for bit. At some other shapes the BLAS
+    can pick a different kernel for the narrower products, and the two may
+    differ in the last bit.
     """
     if ids is None:
         ids = [str(i) for i in range(len(sentences))]
@@ -91,8 +92,8 @@ def embed_corpus(
     with ad.no_grad():
         for width in np.unique(widths):
             rows = np.flatnonzero(widths == width)
-            for start in range(0, len(rows), batch_size):
-                chunk = rows[start : start + batch_size]
+            for start in range(0, len(rows), EMBED_BATCH_SIZE):
+                chunk = rows[start : start + EMBED_BATCH_SIZE]
                 batch = make_batch([seqs[i] for i in chunk], pad_to=int(width))
                 sentence_vecs, _ = encode(params, enc_config, batch.ids, batch.real)
                 matrix[chunk] = sentence_vecs.data

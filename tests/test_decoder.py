@@ -74,13 +74,23 @@ class TestBasicDecoding:
         np.testing.assert_array_equal(base.data, after.data)
 
     def test_sentence_embedding_reaches_every_logit(self):
+        # every real position's logits read the sentence vector; the
+        # decoder runs on the real rows alone, so a pad position's state is
+        # exactly 0 and its logits are the output bias
         params, dec, mbatch = _setup("basic")
+        params["out_bias"].data[:] = np.random.default_rng(3).standard_normal(ENC.vocab_size)
         sentence = _sentence(params, mbatch)
+        real = mbatch.real
+        assert not real.all()
         with ad.no_grad():
+            states, _ = decode_basic(params, dec, sentence, mbatch)
             base = _basic_logits(params, dec, sentence, mbatch)
             shifted = ad.constant(sentence.data + 0.25)
             after = _basic_logits(params, dec, shifted, mbatch)
-        assert np.all(base.data != after.data)
+        assert np.all(base.data[real] != after.data[real])
+        assert np.all(states.data[~real] == 0.0)
+        for logits in (base, after):
+            assert np.all(logits.data[~real] == params["out_bias"].data)
 
     def test_stacked_decoder_layers_change_the_output(self):
         params1, dec1, mbatch = _setup("basic")

@@ -8,6 +8,7 @@ from dualmae.model import (
     INIT_STD,
     DecoderConfig,
     EncoderConfig,
+    Rows,
     attention,
     init_params,
     output_logits,
@@ -89,44 +90,97 @@ class TestInit:
         assert all(t.grad is None for t in params.values())
 
 
+def _oracle_attention(params, query_in, keyvalue_in, visible):
+    """Single-head attention of ``enc0`` in plain NumPy on the (B, L, d) grid."""
+
+    def lin(x, name, b):
+        return x @ params[f"enc0.attn.{name}"].data + params[f"enc0.attn.{b}"].data
+
+    q, k, v = lin(query_in, "wq", "bq"), lin(keyvalue_in, "wk", "bk"), lin(keyvalue_in, "wv", "bv")
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[-1]) + np.where(visible[:, 0], 0.0, -np.inf)
+    weights = np.zeros_like(scores)
+    B, L = scores.shape[:2]
+    for bi in range(B):
+        for i in range(L):
+            vis = scores[bi, i] > -np.inf
+            e = np.exp(scores[bi, i][vis] - scores[bi, i][vis].max())
+            weights[bi, i][vis] = e / e.sum()
+    return (weights @ v) @ params["enc0.attn.wo"].data + params["enc0.attn.bo"].data
+
+
+def _one_head_params():
+    cfg = EncoderConfig(layers=1, hidden_dim=6, heads=1, ffn_dim=12, max_len=5, vocab_size=50)
+    return init_params(cfg, DecoderConfig(mode="basic", layers=1, heads=1),
+                       np.random.default_rng(7), dtype=np.float64)
+
+
 class TestAttention:
     def test_single_head_matches_numpy_oracle(self):
-        cfg = EncoderConfig(layers=1, hidden_dim=6, heads=1, ffn_dim=12, max_len=5, vocab_size=50)
-        params = init_params(cfg, DecoderConfig(mode="basic", layers=1, heads=1),
-                             np.random.default_rng(7), dtype=np.float64)
+        params = _one_head_params()
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 4, 6))
         real = np.array([[True] * 4, [True, True, True, False]])
         visible = real[:, None, None, :]
+        rows = Rows(real)
+
+        packed = ad.constant(x[real])
+        with ad.no_grad():
+            got = attention(params, "enc0", packed, packed, visible, heads=1, rows=rows, kv_rows=rows).data
+
+        np.testing.assert_allclose(got, _oracle_attention(params, x, x, visible)[real], atol=1e-12)
+
+    def test_queries_on_a_strict_subset_of_the_key_rows_match_numpy_oracle(self):
+        # the enhanced decoder's layout: keys and values at every real row,
+        # queries from another stream at the real rows past position 0, each
+        # under its own visibility row
+        params = _one_head_params()
+        rng = np.random.default_rng(14)
+        queries_in = rng.standard_normal((2, 5, 6))
+        keys_in = rng.standard_normal((2, 5, 6))
+        real = np.array([[True] * 5, [True, True, True, False, False]])
+        queries = real.copy()
+        queries[:, 0] = False
+        visible = (rng.random((2, 5, 5)) < 0.6) & real[:, None, :]
+        visible[..., 0] = True
+        visible = visible[:, None]
+        rows, kv_rows = Rows(queries), Rows(real)
 
         with ad.no_grad():
-            got = attention(params, "enc0", ad.constant(x), ad.constant(x), visible, heads=1).data
+            got = attention(params, "enc0", ad.constant(queries_in[queries]), ad.constant(keys_in[real]),
+                            visible, heads=1, rows=rows, kv_rows=kv_rows).data
 
-        def lin(name, b):
-            return x @ params[f"enc0.attn.{name}"].data + params[f"enc0.attn.{b}"].data
-
-        q, k, v = lin("wq", "bq"), lin("wk", "bk"), lin("wv", "bv")
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(6.0) + np.where(visible[:, 0], 0.0, -np.inf)
-        weights = np.zeros_like(scores)
-        for bi in range(2):
-            for i in range(4):
-                vis = scores[bi, i] > -np.inf
-                e = np.exp(scores[bi, i][vis] - scores[bi, i][vis].max())
-                weights[bi, i][vis] = e / e.sum()
-        expected = (weights @ v) @ params["enc0.attn.wo"].data + params["enc0.attn.bo"].data
+        assert got.shape == (int(queries.sum()), 6)
+        expected = _oracle_attention(params, queries_in, keys_in, visible)[queries]
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_a_mask_that_opens_a_cell_the_key_rows_lack_is_refused(self):
+        params = _one_head_params()
+        real = np.array([[True, True, True, False]])
+        rows = Rows(real)
+        x = ad.constant(np.random.default_rng(15).standard_normal((3, 6)))
+        with pytest.raises(ad.ShapeError):
+            attention(params, "enc0", x, x, np.ones((1, 1, 1, 4), dtype=bool), heads=1, rows=rows, kv_rows=rows)
 
     def test_multi_head_differs_from_single_head_mixing(self):
         # same parameters, different head count: the split changes which
         # dimensions may interact, so outputs must differ
         params = init_params(TINY, DEC, np.random.default_rng(9), dtype=np.float64)
         rng = np.random.default_rng(10)
-        x = ad.constant(rng.standard_normal((1, 5, 16)))
+        x = ad.constant(rng.standard_normal((5, 16)))
         visible = np.ones((1, 1, 1, 5), dtype=bool)
+        rows = Rows(np.ones((1, 5), dtype=bool))
         with ad.no_grad():
-            four = attention(params, "enc0", x, x, visible, heads=4).data
-            one = attention(params, "enc0", x, x, visible, heads=1).data
+            four = attention(params, "enc0", x, x, visible, heads=4, rows=rows, kv_rows=rows).data
+            one = attention(params, "enc0", x, x, visible, heads=1, rows=rows, kv_rows=rows).data
         assert not np.allclose(four, one)
+
+
+class TestRows:
+    def test_locate_refuses_a_cell_that_is_not_held(self):
+        rows = Rows(np.array([[True, True, False], [True, False, True]]))
+        np.testing.assert_array_equal(rows.locate(np.array([0, 3, 5])), [0, 2, 3])
+        with pytest.raises(ad.ShapeError):
+            rows.locate(np.array([0, 2]))
 
 
 class TestOutputLogits:

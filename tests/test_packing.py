@@ -1,12 +1,14 @@
 """Packed rows against the full-width forward they replaced.
 
-The encoder and the enhanced decoder run their position-wise work on a
-batch's real rows (or loss rows) alone. ``reference_step_loss`` below is
-the full-width forward they replaced, kept as the oracle: every block runs
-on the whole (B, L, d) grid, pads included, and the loss reads its rows
-through ``embedding_lookup``. Packing must not change a forward bit at
-desk widths in float32, where training runs, and may change gradients only
-by the summation order of their weight products.
+The encoder and both decoders run their position-wise work on a batch's
+real rows (or, past the enhanced layer's attention, its loss rows) alone.
+``reference_step_loss`` below is the full-width forward they replaced,
+kept as the oracle: every block runs on the whole (B, L, d) grid, pads
+included, and the loss reads its rows through ``embedding_lookup``.
+Packing must not change a forward bit at desk widths in float32, where
+training runs, and may change gradients only by the summation order of
+their weight products. Where the oracle computes pad states, the packed
+forward returns exact zeros.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import pytest
 
 from dualmae import autodiff as ad
 from dualmae.config import TrainConfig
-from dualmae.decoder import decode_enhanced
+from dualmae.decoder import decode_basic, decode_enhanced
 from dualmae.encoder import encode
 from dualmae.gradcheck import tiny_setup
 from dualmae.masking import mask_batch
@@ -115,7 +117,15 @@ def reference_step_loss(params, train, enc, dec, mbatch):
 # ---------------------------------------------------------------------------
 
 DESK = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=256, max_len=64, vocab_size=512)
-MODES = [("enhanced", 0.0), ("enhanced", 0.5), ("basic", 0.0), ("basic", 0.5)]
+# (mode, encoder MLM weight, decoder layers)
+MODES = [
+    pytest.param("enhanced", 0.0, 1, id="enhanced-0.0"),
+    pytest.param("enhanced", 0.5, 1, id="enhanced-0.5"),
+    pytest.param("basic", 0.0, 1, id="basic-0.0"),
+    pytest.param("basic", 0.5, 1, id="basic-0.5"),
+    pytest.param("basic", 0.0, 2, id="basic-0.0-2layers"),
+    pytest.param("basic", 0.5, 2, id="basic-0.5-2layers"),
+]
 
 
 def _desk_batch(seed, count=24):
@@ -127,8 +137,8 @@ def _desk_batch(seed, count=24):
     return make_batch(seqs)
 
 
-def _desk_setup(mode, mlm_weight, seed):
-    dec = DecoderConfig(mode=mode, layers=1, heads=4)
+def _desk_setup(mode, mlm_weight, seed, layers=1):
+    dec = DecoderConfig(mode=mode, layers=layers, heads=4)
     train = TrainConfig(encoder_mlm_weight=mlm_weight)
     params = init_params(DESK, dec, np.random.default_rng([seed, 0]))
     batch = _desk_batch(seed)
@@ -138,10 +148,10 @@ def _desk_setup(mode, mlm_weight, seed):
 
 
 class TestPackedForward:
-    @pytest.mark.parametrize("mode, mlm_weight", MODES)
-    def test_step_loss_equals_the_full_width_forward_bit_for_bit(self, mode, mlm_weight):
+    @pytest.mark.parametrize("mode, mlm_weight, layers", MODES)
+    def test_step_loss_equals_the_full_width_forward_bit_for_bit(self, mode, mlm_weight, layers):
         for seed in (0, 1):
-            params, train, dec, mbatch = _desk_setup(mode, mlm_weight, seed)
+            params, train, dec, mbatch = _desk_setup(mode, mlm_weight, seed, layers)
             with ad.no_grad():
                 packed = step_loss(params, train, DESK, dec, mbatch).data
                 full = reference_step_loss(params, train, DESK, dec, mbatch).data
@@ -170,13 +180,26 @@ class TestPackedForward:
         assert states.data[rows].tobytes() == ref_states.data[rows].tobytes()
         assert np.all(states.data[~rows] == 0.0)
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_basic_states_hold_the_real_rows_and_zeros(self, layers):
+        params, _, dec, mbatch = _desk_setup("basic", 0.0, 4, layers)
+        with ad.no_grad():
+            sentence, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real)
+            states, _ = decode_basic(params, dec, sentence, mbatch)
+            ref_states, _ = _reference_decode(params, dec, sentence, mbatch)
+        real = mbatch.real
+        assert states.data[real].tobytes() == ref_states.data[real].tobytes()
+        assert np.all(states.data[~real] == 0.0)
+
 
 class TestPackedGradients:
-    @pytest.mark.parametrize("mode, mlm_weight", MODES)
-    def test_every_parameter_gradient_matches_the_full_width_forward(self, mode, mlm_weight):
-        params, train, enc, dec, mbatch = tiny_setup(mode, seed=17)
+    @pytest.mark.parametrize("mode, mlm_weight, layers", MODES)
+    def test_every_parameter_gradient_matches_the_full_width_forward(self, mode, mlm_weight, layers):
+        _, train, enc, dec, mbatch = tiny_setup(mode, seed=17)
         assert not mbatch.real.all()
         train = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
+        dec = dataclasses.replace(dec, layers=layers)
+        params = init_params(enc, dec, np.random.default_rng([17, 0]), dtype=np.float64)
         results = []
         for loss_fn in (step_loss, reference_step_loss):
             for t in params.values():

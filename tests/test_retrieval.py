@@ -451,12 +451,12 @@ class TestEmbedCorpus:
         params = init_params(config, dec, np.random.default_rng(0))
         return config, vocab, params
 
-    def test_batch_size_never_changes_vectors(self):
+    def test_batch_size_never_changes_vectors(self, monkeypatch):
         config, vocab, params = self._setup()
-        stores = [
-            embed_corpus(self.SENTENCES, params, config, vocab, batch_size=bs)
-            for bs in (1, 3, 32)
-        ]
+        stores = []
+        for bs in (1, 3, 32):
+            monkeypatch.setattr("dualmae.retrieval.EMBED_BATCH_SIZE", bs)
+            stores.append(embed_corpus(self.SENTENCES, params, config, vocab))
         for store in stores[1:]:
             assert store.ids == stores[0].ids
             np.testing.assert_array_equal(store.matrix, stores[0].matrix)
@@ -504,7 +504,7 @@ class TestEmbedBuckets:
         assert widths == [32, 16, 64, 64, 16, 128, 128, 32, 128, 16, 128]
         assert _bucket_width(20, 24) == 24
 
-    def test_vectors_equal_encoding_alone_at_max_len(self):
+    def test_vectors_equal_encoding_alone_at_max_len(self, monkeypatch):
         sentences, config, vocab, params = self._setup()
         seqs = [encode_text(text, vocab, self.MAX_LEN) for text in sentences]
         assert [len(s) for s in seqs] == [min(n, self.MAX_LEN) for n in self.LENGTHS]
@@ -516,7 +516,8 @@ class TestEmbedBuckets:
                 reference.append(vec.data[0].astype(np.float32))
         reference = np.stack(reference)
         for bs in (1, 3, 32):
-            store = embed_corpus(sentences, params, config, vocab, batch_size=bs)
+            monkeypatch.setattr("dualmae.retrieval.EMBED_BATCH_SIZE", bs)
+            store = embed_corpus(sentences, params, config, vocab)
             assert store.matrix.tobytes() == reference.tobytes()
 
     def test_a_sentence_alone_equals_its_vector_in_a_mixed_batch(self):

@@ -201,13 +201,14 @@ class TestSentenceOnlyLastBlock:
             np.testing.assert_allclose(grads[name], full_grads[name], rtol=1e-9, atol=1e-13, err_msg=name)
 
     def test_a_step_runs_the_last_feed_forward_where_the_loss_reads(self, monkeypatch):
-        params, train, enc, dec, _ = tiny_setup("enhanced", seed=16, dtype=np.float32)
+        _, train, enc, _, _ = tiny_setup("enhanced", seed=16, dtype=np.float32)
         rng = np.random.default_rng(4)
         batch = _three_sentences(rng)
         B = batch.ids.shape[0]
         real = (int(batch.real.sum()),)
-        # enhanced decoding reconstructs every real position beyond 0
-        loss_rows = (int(batch.real[:, 1:].sum()),)
+        # enhanced decoding reconstructs every real position beyond 0; the
+        # basic decoder runs every layer on the real rows
+        enhanced_rows = (int(batch.real[:, 1:].sum()),)
         rows = {}
 
         def recording_feed_forward(params, prefix, x):
@@ -215,12 +216,16 @@ class TestSentenceOnlyLastBlock:
             return feed_forward(params, prefix, x)
 
         monkeypatch.setattr("dualmae.model.feed_forward", recording_feed_forward)
-        opt = AdamW(lr=1e-3)
-        for step, (mlm_weight, last_rows) in enumerate([(0.0, (B, 1)), (0.5, real)], start=1):
-            rows.clear()
-            weighted = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
-            train_step(params, opt, weighted, enc, dec, batch, rng, step=step)
-            assert rows == {"enc0": real, "enc1": last_rows, "dec0": loss_rows}, mlm_weight
+        for mode, layers, dec_rows in [("enhanced", 1, enhanced_rows), ("basic", 1, real), ("basic", 2, real)]:
+            dec = DecoderConfig(mode=mode, layers=layers, heads=4)
+            params = init_params(enc, dec, np.random.default_rng([16, 0]))
+            opt = AdamW(lr=1e-3)
+            expected_dec = {f"dec{i}": dec_rows for i in range(layers)}
+            for step, (mlm_weight, last_rows) in enumerate([(0.0, (B, 1)), (0.5, real)], start=1):
+                rows.clear()
+                weighted = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
+                train_step(params, opt, weighted, enc, dec, batch, rng, step=step)
+                assert rows == {"enc0": real, "enc1": last_rows, **expected_dec}, (mode, layers, mlm_weight)
 
 
 class TestBatchCoverage:
