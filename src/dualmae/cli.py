@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -136,6 +137,8 @@ def cmd_maskstats(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise ConfigError(f"--tolerance must be a finite positive number, got {args.tolerance}")
     worst = 0.0
     for mode in ("enhanced", "basic"):
         errors = model_gradient_errors(mode, seed=args.seed)

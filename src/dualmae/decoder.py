@@ -11,29 +11,33 @@ context, and no token can copy itself because its own column is blocked
 and the residual path carries the query stream.
 
 ``masking.mask_batch`` decides per mode what each decoder reads and
-reconstructs, so both decoders run the same steps on the same fields: embed
-``dec_ids`` after position 0 behind the sentence embedding, attend under
-``dec_visible`` and take the loss on ``dec_targets``.
+reconstructs, so both modes run one body on the same fields:
 
-Both decoders return their (B, L, d) final hidden states with the loss.
-The loss projects onto the vocabulary only the rows it reads (BERT's
-masked-position gather): ``reconstruction_loss`` gathers the weight-1 rows
-of the states, then runs the output projection and the cross-entropy on
-those alone. Evaluation that needs every position's logits calls
-``output_logits`` on the returned states.
+1. embed ``dec_ids`` after position 0 behind the sentence embedding and
+   add ``dec_pos``: the key/value stream;
+2. pack that stream at the batch's real rows (``model`` explains packing),
+   exactly the columns ``dec_visible`` opens;
+3. run every layer but the last as self-attention on those rows (basic
+   only: enhanced mode has one layer);
+4. run the last layer with its keys and values at the real rows and its
+   queries at the loss rows ``dec_targets`` alone;
+5. scatter its output to (B, L, d) and take ``reconstruction_loss`` on
+   ``dec_targets``.
 
-Both decoders pack (``model`` explains how). The basic decoder gathers the
-batch's real rows, exactly the columns its mask opens, runs every layer on
-them and scatters the last layer's output back to the grid: a pad
-position's state is exactly 0, so its logits are ``out_bias``. Pad columns
-are blocked in every attention and no loss reads a pad row, so this loses
-nothing observable. The enhanced layer packs its key/value stream at the
-real rows; its query stream and everything after ``weights @ v`` run on
-the loss rows (``dec_targets``) alone. The full score, softmax and
-``weights @ v`` products stay, and only their output narrows, the rule the
-encoder's last block follows for position 0. So every (B, L, d) state
-either decoder returns, like ``encode(states=True)``'s, is exactly 0
-outside the rows it computes.
+The modes differ only in the last layer's queries: the stream's own rows
+at the loss cells (basic) or the sentence embedding plus positions there
+(enhanced). The full score, softmax and ``weights @ v`` products stay, and
+only their output narrows, the rule the encoder's last block follows for
+position 0. Pad columns are blocked in every attention and no loss reads
+a row outside ``dec_targets``, so this loses nothing observable.
+
+Both decoders return their (B, L, d) final hidden states with the loss;
+like ``encode(states=True)``'s, a state is exactly 0 outside the rows the
+body computes, here ``dec_targets``, so such a position's logits are
+``out_bias``. The loss projects onto the vocabulary only the rows it reads
+(BERT's masked-position gather): ``reconstruction_loss`` gathers the
+weight-1 rows of the states, then runs the output projection and the
+cross-entropy on those alone.
 """
 
 from __future__ import annotations
@@ -74,19 +78,32 @@ def _check_mode(mode: str, dec_config: DecoderConfig, mbatch: MaskedBatch) -> No
         )
 
 
-def _token_stream(params: ModelParams, sentence: Tensor, tail: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """(head, positions, stream) of a decoder over L positions.
-
-    ``tail`` is the (B, L - 1, d) token embeddings of positions 1.., so
-    whatever id sits at position 0 never reaches the decoder. ``head`` is
-    the (B, 1, d) sentence embedding, ``positions`` the first L rows of
-    ``dec_pos``, and ``stream`` the sentence embedding followed by
-    ``tail``, plus positions.
-    """
-    B, n, d = tail.shape
-    head = ad.reshape(sentence, (B, 1, d))
-    positions = ad.narrow(params["dec_pos"], 0, 0, n + 1)
-    return head, positions, ad.add(ad.concat([head, tail], axis=1), positions)
+def _decode(
+    params: ModelParams,
+    dec_config: DecoderConfig,
+    sentence: Tensor,
+    mbatch: MaskedBatch,
+) -> tuple[Tensor, Tensor]:
+    """The decode body both modes share; see the module docstring."""
+    if not mbatch.dec_targets.any():
+        raise ValueError("no positions to reconstruct")
+    B, L = mbatch.ids.shape
+    head = ad.reshape(sentence, (B, 1, sentence.shape[-1]))
+    positions = ad.narrow(params["dec_pos"], 0, 0, L)
+    tail = ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:])
+    stream = ad.add(ad.concat([head, tail], axis=1), positions)
+    kv_rows, rows, visible = Rows(mbatch.real), Rows(mbatch.dec_targets), mbatch.dec_visible[:, None]
+    x = ad.gather_rows(stream, kv_rows.index)
+    last = dec_config.layers - 1
+    for i in range(last):
+        x = transformer_block(params, f"dec{i}", x, x, visible, dec_config.heads, rows=kv_rows, kv_rows=kv_rows)
+    if dec_config.mode == "basic":
+        queries = ad.gather_rows(x, kv_rows.locate(rows.index))
+    else:
+        queries = ad.gather_rows(ad.add(head, positions), rows.index)
+    out = transformer_block(params, f"dec{last}", queries, x, visible, dec_config.heads, rows=rows, kv_rows=kv_rows)
+    states = ad.scatter_rows(out, rows.index, (B, L, out.shape[-1]))
+    return states, reconstruction_loss(params, states, mbatch.ids, mbatch.dec_targets)
 
 
 def decode_basic(
@@ -97,72 +114,12 @@ def decode_basic(
 ) -> tuple[Tensor, Tensor]:
     """Reconstruct the decoder-masked positions of the batch.
 
-    Returns (states, loss): the (B, L, d) final hidden states, exactly 0 at
-    pads, and the loss over ``mbatch.dec_targets``, the [M] positions of
-    the decoder-side pollution.
+    Returns (states, loss): the (B, L, d) final hidden states at
+    ``mbatch.dec_targets``, the [M] positions of the decoder-side
+    pollution, exactly 0 elsewhere, and the loss over those positions.
     """
     _check_mode("basic", dec_config, mbatch)
-    if not mbatch.dec_targets.any():
-        raise ValueError("no masked positions to reconstruct")
-    _, _, stream = _token_stream(params, sentence, ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:]))
-    rows, visible = Rows(mbatch.real), mbatch.dec_visible[:, None]
-    x = ad.gather_rows(stream, rows.index)
-    for i in range(dec_config.layers):
-        x = transformer_block(params, f"dec{i}", x, x, visible, dec_config.heads, rows=rows, kv_rows=rows)
-    x = ad.scatter_rows(x, rows.index, (*rows.grid, x.shape[-1]))
-    return x, reconstruction_loss(params, x, mbatch.ids, mbatch.dec_targets)
-
-
-def _enhanced_states(
-    params: ModelParams,
-    dec_config: DecoderConfig,
-    sentence: Tensor,
-    tail: Tensor,
-    visible: np.ndarray,
-    keys: np.ndarray,
-    queries: np.ndarray,
-) -> Tensor:
-    """The two-stream layer's (B, L, d) output at the ``queries`` cells,
-    exact zeros elsewhere.
-
-    The query stream is the sentence embedding at every position; the
-    key/value stream is ``_token_stream`` over ``tail``, the (B, L - 1, d)
-    token embeddings of positions 1.. ``visible`` is the (B, L, L) bool
-    visibility, shared by every head. ``keys`` and ``queries`` are (B, L)
-    bool: the key/value cells the layer packs, which must cover every
-    column ``visible`` opens, and the cells whose output it computes.
-    """
-    head, positions, stream = _token_stream(params, sentence, tail)
-    kv_rows, rows = Rows(keys), Rows(queries)
-    out = transformer_block(
-        params,
-        "dec0",
-        ad.gather_rows(ad.add(head, positions), rows.index),
-        ad.gather_rows(stream, kv_rows.index),
-        visible[:, None],
-        dec_config.heads,
-        rows=rows,
-        kv_rows=kv_rows,
-    )
-    return ad.scatter_rows(out, rows.index, (*rows.grid, out.shape[-1]))
-
-
-def enhanced_logits(
-    params: ModelParams,
-    dec_config: DecoderConfig,
-    sentence: Tensor,
-    token_embeddings: Tensor,
-    attention_masks: np.ndarray,
-) -> Tensor:
-    """Full (B, L, V) logits of the two-stream layer, from already looked-up
-    token embeddings. Exposed separately so tests can perturb individual
-    token embeddings without touching the shared table. Position 0 of the
-    (B, L, d) ``token_embeddings`` is never read.
-    """
-    B, L, _ = token_embeddings.shape
-    tail = ad.narrow(token_embeddings, 1, 1, L - 1)
-    every = np.ones((B, L), dtype=bool)
-    return output_logits(params, _enhanced_states(params, dec_config, sentence, tail, attention_masks, every, every))
+    return _decode(params, dec_config, sentence, mbatch)
 
 
 def decode_enhanced(
@@ -173,14 +130,12 @@ def decode_enhanced(
 ) -> tuple[Tensor, Tensor]:
     """Reconstruct every real token from its own sampled context.
 
-    Returns (states, loss): the (B, L, d) final hidden states, computed at
-    the loss rows ``mbatch.dec_targets`` (all real positions beyond 0) and
-    exactly 0 elsewhere, and the loss over those rows.
+    Returns (states, loss): the (B, L, d) final hidden states at
+    ``mbatch.dec_targets`` (all real positions beyond 0), exactly 0
+    elsewhere, and the loss over those positions.
     """
     _check_mode("enhanced", dec_config, mbatch)
-    tail = ad.embedding_lookup(params["word_emb"], mbatch.dec_ids[:, 1:])
-    x = _enhanced_states(params, dec_config, sentence, tail, mbatch.dec_visible, mbatch.real, mbatch.dec_targets)
-    return x, reconstruction_loss(params, x, mbatch.ids, mbatch.dec_targets)
+    return _decode(params, dec_config, sentence, mbatch)
 
 
 def reconstruction_accuracy(logits: np.ndarray, targets: np.ndarray, positions: np.ndarray) -> float:

@@ -135,6 +135,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                 row = np.array([np.float32(x) for x in rest.split()], dtype=np.float32)
             except ValueError:
                 raise RunFormatError(f"{path}:{lineno}: bad vector component") from None
+            if not row.size:
+                raise RunFormatError(f"{path}:{lineno}: vector has no components")
             if rows and len(row) != len(rows[0]):
                 raise RunFormatError(f"{path}:{lineno}: expected {len(rows[0])} components, got {len(row)}")
             if not np.isfinite(row).all():

@@ -22,7 +22,7 @@ from dualmae.cli import main
 from dualmae.config import TrainConfig
 from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_accuracy
 from dualmae.encoder import encode
-from dualmae.masking import build_attention_mask, mask_batch, round_half_up
+from dualmae.masking import MaskedBatch, build_attention_mask, mask_batch, round_half_up
 from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
 from dualmae.optim import AdamW
 from dualmae.retrieval import EmbeddingStore, RankingRun, mrr_at_k, ndcg_at_k, recall_at_k, topk_search
@@ -129,10 +129,23 @@ def _two_stream_setup(bottleneck_row=None):
 
 
 def _logits(params, dec, sentence, tokens, masks):
-    from dualmae.decoder import enhanced_logits
-
+    """Every position's logits of the two-stream layer over the token
+    embeddings ``tokens``: each cell gets its own id, whose row of a copy
+    of the table holds the cell's embedding, and every cell is a loss row.
+    Logits are read through ``params``' own table, which the output
+    projection shares."""
+    B, L, _ = tokens.shape
+    ids = np.arange(5, 5 + B * L).reshape(B, L)
+    table = params["word_emb"].data.copy()
+    table[ids] = tokens
+    every = np.ones((B, L), dtype=bool)
+    mb = MaskedBatch(
+        mode="enhanced", ids=ids, real=every, enc_ids=ids, enc_masked=~every,
+        dec_ids=ids, dec_targets=every, dec_visible=masks,
+    )
     with ad.no_grad():
-        return enhanced_logits(params, dec, sentence, ad.constant(tokens), masks).data
+        states, _ = decode_enhanced({**params, "word_emb": ad.constant(table)}, dec, sentence, mb)
+        return output_logits(params, states).data
 
 
 def test_criterion_4_information_flow_in_the_two_stream_decoder():

@@ -544,6 +544,16 @@ class TestEvalCli:
         assert code == 2
         assert "emb.tsv:2: expected 3 components, got 2" in capsys.readouterr().err
 
+    def test_vector_without_components_is_exit_2(self, tmp_path, capsys):
+        labels_path = _self_labels(tmp_path / "labels.tsv", 2)
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("0\t\n1\t\n")
+        code = main(["eval", "--queries", str(emb), "--docs", str(emb), "--labels", str(labels_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "emb.tsv:1: vector has no components" in captured.err
+
     def test_dimension_mismatch_is_exit_2(self, tmp_path, capsys):
         labels_path = _self_labels(tmp_path / "labels.tsv", 2)
         queries = tmp_path / "queries.tsv"
@@ -591,3 +601,17 @@ class TestMaskstatsCli:
     def test_missing_corpus_is_exit_2(self, tmp_path, capsys):
         code = main(["maskstats", "--preset", "desk", "--corpus", str(tmp_path / "no.txt")])
         assert code == 2
+
+
+class TestGradcheckCli:
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "0", "-1e-4"])
+    def test_unusable_tolerance_is_exit_2_before_the_sweep(self, tolerance, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr("dualmae.cli.model_gradient_errors", no_sweep)
+        code = main(["gradcheck", f"--tolerance={tolerance}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--tolerance must be a finite positive number" in captured.err

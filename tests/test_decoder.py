@@ -12,14 +12,9 @@ import numpy as np
 import pytest
 
 from dualmae import autodiff as ad
-from dualmae.decoder import (
-    decode_basic,
-    decode_enhanced,
-    enhanced_logits,
-    reconstruction_accuracy,
-)
+from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_accuracy
 from dualmae.encoder import encode
-from dualmae.masking import mask_batch
+from dualmae.masking import MaskedBatch, mask_batch
 from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
 from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
 
@@ -74,23 +69,23 @@ class TestBasicDecoding:
         np.testing.assert_array_equal(base.data, after.data)
 
     def test_sentence_embedding_reaches_every_logit(self):
-        # every real position's logits read the sentence vector; the
-        # decoder runs on the real rows alone, so a pad position's state is
-        # exactly 0 and its logits are the output bias
+        # every masked position's logits read the sentence vector; the
+        # last layer runs on the loss rows alone, so any other position's
+        # state is exactly 0 and its logits are the output bias
         params, dec, mbatch = _setup("basic")
         params["out_bias"].data[:] = np.random.default_rng(3).standard_normal(ENC.vocab_size)
         sentence = _sentence(params, mbatch)
-        real = mbatch.real
-        assert not real.all()
+        targets = mbatch.dec_targets
+        assert not (targets | ~mbatch.real).all()
         with ad.no_grad():
             states, _ = decode_basic(params, dec, sentence, mbatch)
             base = _basic_logits(params, dec, sentence, mbatch)
             shifted = ad.constant(sentence.data + 0.25)
             after = _basic_logits(params, dec, shifted, mbatch)
-        assert np.all(base.data[real] != after.data[real])
-        assert np.all(states.data[~real] == 0.0)
+        assert np.all(base.data[targets] != after.data[targets])
+        assert np.all(states.data[~targets] == 0.0)
         for logits in (base, after):
-            assert np.all(logits.data[~real] == params["out_bias"].data)
+            assert np.all(logits.data[~targets] == params["out_bias"].data)
 
     def test_stacked_decoder_layers_change_the_output(self):
         params1, dec1, mbatch = _setup("basic")
@@ -133,6 +128,15 @@ class TestEnhancedDecoding:
             decode_enhanced(params, dec, _sentence(params, basic_batch), basic_batch)
 
 
+@pytest.mark.parametrize("mode", ["basic", "enhanced"])
+def test_a_batch_without_loss_rows_is_rejected(mode):
+    params, dec, mbatch = _setup(mode)
+    empty = dataclasses.replace(mbatch, dec_targets=np.zeros_like(mbatch.dec_targets))
+    decode = decode_basic if mode == "basic" else decode_enhanced
+    with pytest.raises(ValueError, match="no positions to reconstruct"):
+        decode(params, dec, _sentence(params, mbatch), empty)
+
+
 def _manual_masks(bottleneck_row=None):
     """Full cross-visibility except the diagonal; optionally one row that
     sees nothing but the sentence embedding."""
@@ -142,6 +146,29 @@ def _manual_masks(bottleneck_row=None):
     if bottleneck_row is not None:
         m[0, bottleneck_row, 1:] = False
     return m
+
+
+def _two_stream_logits(params, dec, sentence, embeddings, masks):
+    """Every position's (B, L, V) logits of the two-stream layer over the
+    token embeddings ``embeddings`` and the hand-built visibility ``masks``.
+
+    Each cell gets its own id, whose row of a copy of the table holds the
+    cell's embedding, and every cell is a loss row, so the layer computes
+    every position. Logits are read through ``params``' own table, which
+    the output projection shares.
+    """
+    B, L, _ = embeddings.shape
+    ids = np.arange(5, 5 + B * L).reshape(B, L)
+    table = params["word_emb"].data.copy()
+    table[ids] = embeddings
+    every = np.ones((B, L), dtype=bool)
+    mbatch = MaskedBatch(
+        mode="enhanced", ids=ids, real=every, enc_ids=ids, enc_masked=~every,
+        dec_ids=ids, dec_targets=every, dec_visible=masks,
+    )
+    with ad.no_grad():
+        states, _ = decode_enhanced({**params, "word_emb": ad.constant(table)}, dec, sentence, mbatch)
+        return output_logits(params, states).data
 
 
 class TestEnhancedInformationFlow:
@@ -156,41 +183,38 @@ class TestEnhancedInformationFlow:
     def test_no_token_sees_itself(self):
         dec, params, sentence, emb = self._pieces()
         masks = _manual_masks()
-        with ad.no_grad():
-            base = enhanced_logits(params, dec, sentence, ad.constant(emb), masks).data
-            for i in range(1, L):
-                zeroed = emb.copy()
-                zeroed[0, i] = 0.0
-                got = enhanced_logits(params, dec, sentence, ad.constant(zeroed), masks).data
-                # position i is untouched; its neighbors saw the change
-                np.testing.assert_array_equal(got[0, i], base[0, i])
-                assert not np.array_equal(got[0, (i % (L - 1)) + 1], base[0, (i % (L - 1)) + 1])
+        base = _two_stream_logits(params, dec, sentence, emb, masks)
+        for i in range(1, L):
+            zeroed = emb.copy()
+            zeroed[0, i] = 0.0
+            got = _two_stream_logits(params, dec, sentence, zeroed, masks)
+            # position i is untouched; its neighbors saw the change
+            np.testing.assert_array_equal(got[0, i], base[0, i])
+            assert not np.array_equal(got[0, (i % (L - 1)) + 1], base[0, (i % (L - 1)) + 1])
 
     def test_bottleneck_row_depends_only_on_the_sentence(self):
         row = 3
         dec, params, sentence, emb = self._pieces()
         masks = _manual_masks(bottleneck_row=row)
-        with ad.no_grad():
-            base = enhanced_logits(params, dec, sentence, ad.constant(emb), masks).data
-            for j in range(1, L):
-                poked = emb.copy()
-                poked[0, j] += 1.0
-                got = enhanced_logits(params, dec, sentence, ad.constant(poked), masks).data
-                np.testing.assert_array_equal(got[0, row], base[0, row])
-            moved = ad.constant(sentence.data + 0.25)
-            got = enhanced_logits(params, dec, moved, ad.constant(emb), masks).data
-            assert np.all(got[0, row] != base[0, row])
+        base = _two_stream_logits(params, dec, sentence, emb, masks)
+        for j in range(1, L):
+            poked = emb.copy()
+            poked[0, j] += 1.0
+            got = _two_stream_logits(params, dec, sentence, poked, masks)
+            np.testing.assert_array_equal(got[0, row], base[0, row])
+        moved = ad.constant(sentence.data + 0.25)
+        got = _two_stream_logits(params, dec, moved, emb, masks)
+        assert np.all(got[0, row] != base[0, row])
 
     def test_position_zero_key_carries_the_sentence_not_cls(self):
         # H2 starts with the sentence embedding: changing the embedding at
         # position 0 of the token stream must be invisible everywhere
         dec, params, sentence, emb = self._pieces()
         masks = _manual_masks()
-        with ad.no_grad():
-            base = enhanced_logits(params, dec, sentence, ad.constant(emb), masks).data
-            poked = emb.copy()
-            poked[0, 0] += 5.0
-            got = enhanced_logits(params, dec, sentence, ad.constant(poked), masks).data
+        base = _two_stream_logits(params, dec, sentence, emb, masks)
+        poked = emb.copy()
+        poked[0, 0] += 5.0
+        got = _two_stream_logits(params, dec, sentence, poked, masks)
         np.testing.assert_array_equal(got, base)
 
 

@@ -1,14 +1,14 @@
 """Packed rows against the full-width forward they replaced.
 
 The encoder and both decoders run their position-wise work on a batch's
-real rows (or, past the enhanced layer's attention, its loss rows) alone.
+real rows (or, past the decoders' last attention, their loss rows) alone.
 ``reference_step_loss`` below is the full-width forward they replaced,
 kept as the oracle: every block runs on the whole (B, L, d) grid, pads
 included, and the loss reads its rows through ``embedding_lookup``.
 Packing must not change a forward bit at desk widths in float32, where
 training runs, and may change gradients only by the summation order of
-their weight products. Where the oracle computes pad states, the packed
-forward returns exact zeros.
+their weight products. Where the oracle computes states outside those
+rows, the packed forward returns exact zeros.
 """
 
 import dataclasses
@@ -170,26 +170,17 @@ class TestPackedForward:
             assert hidden.data[real].tobytes() == ref_hidden.data[real].tobytes()
             assert np.all(hidden.data[~real] == 0.0)
 
-    def test_enhanced_states_hold_the_loss_rows_and_zeros(self):
-        params, _, dec, mbatch = _desk_setup("enhanced", 0.0, 3)
+    @pytest.mark.parametrize("mode, layers, seed", [("enhanced", 1, 3), ("basic", 1, 4), ("basic", 2, 4)])
+    def test_decoder_states_hold_the_loss_rows_and_zeros(self, mode, layers, seed):
+        params, _, dec, mbatch = _desk_setup(mode, 0.0, seed, layers)
+        decode = decode_basic if mode == "basic" else decode_enhanced
         with ad.no_grad():
             sentence, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real)
-            states, _ = decode_enhanced(params, dec, sentence, mbatch)
+            states, _ = decode(params, dec, sentence, mbatch)
             ref_states, _ = _reference_decode(params, dec, sentence, mbatch)
         rows = mbatch.dec_targets
         assert states.data[rows].tobytes() == ref_states.data[rows].tobytes()
         assert np.all(states.data[~rows] == 0.0)
-
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_basic_states_hold_the_real_rows_and_zeros(self, layers):
-        params, _, dec, mbatch = _desk_setup("basic", 0.0, 4, layers)
-        with ad.no_grad():
-            sentence, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real)
-            states, _ = decode_basic(params, dec, sentence, mbatch)
-            ref_states, _ = _reference_decode(params, dec, sentence, mbatch)
-        real = mbatch.real
-        assert states.data[real].tobytes() == ref_states.data[real].tobytes()
-        assert np.all(states.data[~real] == 0.0)
 
 
 class TestPackedGradients:

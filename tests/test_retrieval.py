@@ -94,6 +94,12 @@ class TestEmbeddingFiles:
         with pytest.raises(RunFormatError, match="no vectors"):
             load_embeddings(path)
 
+    def test_vector_without_components_names_line(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("doc0\t\n")
+        with pytest.raises(RunFormatError, match=r"emb\.tsv:1: vector has no components$"):
+            load_embeddings(path)
+
     def test_ragged_row_names_line_and_widths(self, tmp_path):
         path = tmp_path / "emb.tsv"
         path.write_text("doc0\t1.0 2.0 3.0\ndoc1\t1.0 2.0 3.0\ndoc2\t1.0 2.0\n")

@@ -206,25 +206,36 @@ class TestSentenceOnlyLastBlock:
         batch = _three_sentences(rng)
         B = batch.ids.shape[0]
         real = (int(batch.real.sum()),)
-        # enhanced decoding reconstructs every real position beyond 0; the
-        # basic decoder runs every layer on the real rows
-        enhanced_rows = (int(batch.real[:, 1:].sum()),)
-        rows = {}
+        # each decoder's last layer runs where its loss reads (every real
+        # position beyond 0 in enhanced mode, the [M] positions in basic
+        # mode); an earlier basic layer runs on the real rows
+        masked, rows = [], {}
+
+        def recording_mask_batch(*args):
+            masked.append(mask_batch(*args))
+            return masked[-1]
 
         def recording_feed_forward(params, prefix, x):
             rows[prefix] = x.shape[:-1]
             return feed_forward(params, prefix, x)
 
+        monkeypatch.setattr("dualmae.training.mask_batch", recording_mask_batch)
         monkeypatch.setattr("dualmae.model.feed_forward", recording_feed_forward)
-        for mode, layers, dec_rows in [("enhanced", 1, enhanced_rows), ("basic", 1, real), ("basic", 2, real)]:
+        for mode, layers in [("enhanced", 1), ("basic", 1), ("basic", 2)]:
             dec = DecoderConfig(mode=mode, layers=layers, heads=4)
             params = init_params(enc, dec, np.random.default_rng([16, 0]))
             opt = AdamW(lr=1e-3)
-            expected_dec = {f"dec{i}": dec_rows for i in range(layers)}
             for step, (mlm_weight, last_rows) in enumerate([(0.0, (B, 1)), (0.5, real)], start=1):
+                masked.clear()
                 rows.clear()
                 weighted = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
                 train_step(params, opt, weighted, enc, dec, batch, rng, step=step)
+                (mbatch,) = masked
+                loss_rows = (int(mbatch.dec_targets.sum()),)
+                assert loss_rows < real
+                if mode == "enhanced":
+                    assert loss_rows == (int(batch.real[:, 1:].sum()),)
+                expected_dec = {f"dec{i}": real for i in range(layers - 1)} | {f"dec{layers - 1}": loss_rows}
                 assert rows == {"enc0": real, "enc1": last_rows, **expected_dec}, (mode, layers, mlm_weight)
 
 
