@@ -10,12 +10,13 @@ graph once in reverse topological order.
 ``requires_grad`` is read in two places only. ``_make`` records a node
 (parents plus closure) when some parent requires a gradient, and
 ``Tensor._accumulate`` drops any gradient handed to a tensor that does not.
-So a backward closure states only its math: it computes a gradient for
-every parent and hands each to ``_accumulate``. Each closure takes no
-arguments, reads the output gradient from the node's own ``grad`` and is
-stored in ``_backward``, which ``backward`` calls once per node; code that
-times ops wraps that attribute and relies on this shape. Interior nodes
-keep their ``grad`` after the sweep.
+So a backward closure states only its math: it takes the output
+gradient, computes a gradient for every parent and hands each to
+``_accumulate``. ``_make`` stores in ``_backward`` a callable with no
+arguments that reads the node's own ``grad`` and hands it to the closure;
+``backward`` calls it once per node, and code that times ops wraps that
+attribute and relies on this shape. Interior nodes keep their ``grad``
+after the sweep.
 
 Gradient ownership: an interior node takes the first gradient it is
 handed as its ``grad``, without a copy or a zero-fill, and a later one is
@@ -26,12 +27,13 @@ owns its ``grad``. Nothing writes into a ``grad`` in place except
 write can reach another tensor's gradient. Every handed-over gradient must
 match its tensor's shape and dtype exactly.
 
-A closure reaches its own output through a ``weakref`` and its parents
-directly, so references only point from a node towards the leaves and a
-graph holds no reference cycle. Reference counting frees it, activations
-and gradients alike, the moment its last outside reference goes: when the
-caller drops the loss, or when an exception that abandoned the graph
-halfway is discarded. The cyclic collector never has to run for it.
+A closure holds its parents but never its output: ``_backward`` reaches
+the node through a ``weakref``, so references only point from a node
+towards the leaves and a graph holds no reference cycle. Reference
+counting frees it, activations and gradients alike, the moment its last
+outside reference goes: when the caller drops the loss, or when an
+exception that abandoned the graph halfway is discarded. The cyclic
+collector never has to run for it.
 
 Every affine map of the model is one ``linear`` node. ``embedding_lookup``
 gathers rows that may repeat, the token and position tables' case, and
@@ -152,7 +154,9 @@ def grad_or_zeros(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
+def _make(
+    data: np.ndarray, parents: Sequence[Tensor], backward_fn: Callable[[np.ndarray], None], op: str
+) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -161,7 +165,8 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
                 raise TypeError(f"{op} turns a {p.data.dtype} operand into {data.dtype}")
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward_fn
+        ref = weakref.ref(out)
+        out._backward = lambda: backward_fn(ref().grad)
     return out
 
 
@@ -219,39 +224,31 @@ def backward(loss: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
-    def back():
-        g = _out().grad
+    def back(g):
         a._accumulate(_sum_to_shape(g, a.data.shape))
         b._accumulate(_sum_to_shape(g, b.data.shape))
 
-    out = _make(data, (a, b), back, "add")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a, b), back, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
-    def back():
-        g = _out().grad
+    def back(g):
         a._accumulate(_sum_to_shape(g * b.data, a.data.shape))
         b._accumulate(_sum_to_shape(g * a.data, b.data.shape))
 
-    out = _make(data, (a, b), back, "mul")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a, b), back, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     data = a.data * np.asarray(c, dtype=a.data.dtype)
 
-    def back():
-        a._accumulate(_out().grad * np.asarray(c, dtype=a.data.dtype))
+    def back(g):
+        a._accumulate(g * np.asarray(c, dtype=a.data.dtype))
 
-    out = _make(data, (a,), back, "scale")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a,), back, "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -266,14 +263,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul leading dims differ: {a.data.shape} @ {b.data.shape}")
     data = np.matmul(a.data, b.data)
 
-    def back():
-        g = _out().grad
+    def back(g):
         a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-    out = _make(data, (a, b), back, "matmul")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a, b), back, "matmul")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -296,39 +290,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(x.data, w.data)
     data += b.data
 
-    def back():
-        g = _out().grad
+    def back(g):
         x._accumulate(np.matmul(g, w.data.T))
         g2 = g.reshape(-1, e)
         w._accumulate(x.data.reshape(-1, d).T @ g2)
         b._accumulate(g2.sum(axis=0))
 
-    out = _make(data, (x, w, b), back, "linear")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (x, w, b), back, "linear")
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = np.transpose(a.data, axes)
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
-    def back():
-        a._accumulate(np.transpose(_out().grad, inverse))
+    def back(g):
+        a._accumulate(np.transpose(g, inverse))
 
-    out = _make(data, (a,), back, "transpose")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a,), back, "transpose")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
 
-    def back():
-        a._accumulate(_out().grad.reshape(a.data.shape))
+    def back(g):
+        a._accumulate(g.reshape(a.data.shape))
 
-    out = _make(data, (a,), back, "reshape")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a,), back, "reshape")
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -337,13 +324,11 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=axis)
     splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
-    def back():
-        for p, g in zip(parts, np.split(_out().grad, splits, axis=axis)):
-            p._accumulate(g)
+    def back(g):
+        for p, part in zip(parts, np.split(g, splits, axis=axis)):
+            p._accumulate(part)
 
-    out = _make(data, tuple(parts), back, "concat")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, tuple(parts), back, "concat")
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -357,12 +342,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = tuple(index)
     data = a.data[index]
 
-    def back():
-        a._accumulate(_scatter(a.data, index, _out().grad))
+    def back(g):
+        a._accumulate(_scatter(a.data, index, g))
 
-    out = _make(data, (a,), back, "narrow")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a,), back, "narrow")
 
 
 def select_index(a: Tensor, index: int, axis: int) -> Tensor:
@@ -371,12 +354,10 @@ def select_index(a: Tensor, index: int, axis: int) -> Tensor:
     where = [slice(None)] * a.data.ndim
     where[axis] = index
 
-    def back():
-        a._accumulate(_scatter(a.data, tuple(where), _out().grad))
+    def back(g):
+        a._accumulate(_scatter(a.data, tuple(where), g))
 
-    out = _make(data, (a,), back, "select_index")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a,), back, "select_index")
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -390,14 +371,12 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ShapeError("embedding id out of range")
     data = table.data[ids]
 
-    def back():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), _out().grad.reshape(-1, table.data.shape[1]))
-        table._accumulate(g)
+    def back(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        table._accumulate(full)
 
-    out = _make(data, (table,), back, "embedding_lookup")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (table,), back, "embedding_lookup")
 
 
 def _row_index(rows, count: int, op: str) -> np.ndarray:
@@ -428,14 +407,12 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     rows = _row_index(rows, count, "gather_rows")
     data = flat[rows]
 
-    def back():
-        g = np.zeros((count, d), dtype=a.data.dtype)
-        g[rows] = _out().grad
-        a._accumulate(g.reshape(a.data.shape))
+    def back(g):
+        full = np.zeros((count, d), dtype=a.data.dtype)
+        full[rows] = g
+        a._accumulate(full.reshape(a.data.shape))
 
-    out = _make(data, (a,), back, "gather_rows")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (a,), back, "gather_rows")
 
 
 def scatter_rows(a: Tensor, rows: np.ndarray, shape: tuple[int, ...]) -> Tensor:
@@ -456,23 +433,19 @@ def scatter_rows(a: Tensor, rows: np.ndarray, shape: tuple[int, ...]) -> Tensor:
     full = np.zeros((count, d), dtype=a.data.dtype)
     full[rows] = a.data
 
-    def back():
-        a._accumulate(_out().grad.reshape(count, d)[rows])
+    def back(g):
+        a._accumulate(g.reshape(count, d)[rows])
 
-    out = _make(full.reshape(shape), (a,), back, "scatter_rows")
-    _out = weakref.ref(out)
-    return out
+    return _make(full.reshape(shape), (a,), back, "scatter_rows")
 
 
 def sum_all(a: Tensor) -> Tensor:
     data = a.data.sum()
 
-    def back():
-        a._accumulate(np.full(a.data.shape, _out().grad, dtype=a.data.dtype))
+    def back(g):
+        a._accumulate(np.full(a.data.shape, g, dtype=a.data.dtype))
 
-    out = _make(np.asarray(data), (a,), back, "sum_all")
-    _out = weakref.ref(out)
-    return out
+    return _make(np.asarray(data), (a,), back, "sum_all")
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +458,11 @@ def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(xd / np.sqrt(2.0).astype(xd.dtype)))
     data = xd * cdf
 
-    def back():
+    def back(g):
         pdf = np.exp(-0.5 * xd * xd) / np.sqrt(2.0 * np.pi).astype(xd.dtype)
-        x._accumulate(_out().grad * (cdf + xd * pdf))
+        x._accumulate(g * (cdf + xd * pdf))
 
-    out = _make(data, (x,), back, "gelu")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (x,), back, "gelu")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -506,8 +477,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = centered * inv
     data = xhat * gain.data + bias.data
 
-    def back():
-        g = _out().grad
+    def back(g):
         gain._accumulate(np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
         bias._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
         gx = g * gain.data
@@ -515,9 +485,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         x._accumulate((gx - m1 - xhat * m2) * inv)
 
-    out = _make(data, (x, gain, bias), back, "layer_norm")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (x, gain, bias), back, "layer_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +523,11 @@ def masked_softmax(scores: Tensor, visible: np.ndarray) -> Tensor:
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
 
-    def back():
-        g = _out().grad
+    def back(g):
         inner = np.sum(g * data, axis=-1, keepdims=True)
         scores._accumulate(data * (g - inner))
 
-    out = _make(data, (scores,), back, "masked_softmax")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (scores,), back, "masked_softmax")
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -600,13 +565,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
     nll = logz - z[every, safe]
     data = np.asarray(nll[keep].mean(), dtype=logits.data.dtype)
 
-    def back():
+    def back(g):
         soft = np.exp(shifted - (logz - zmax[:, 0])[:, None])
         soft[every, safe] -= 1.0
         soft[~keep] = 0.0
-        soft *= _out().grad / n
+        soft *= g / n
         logits._accumulate(soft)
 
-    out = _make(data, (logits,), back, "cross_entropy")
-    _out = weakref.ref(out)
-    return out
+    return _make(data, (logits,), back, "cross_entropy")
