@@ -273,22 +273,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The affine map ``x @ w + b``: x is (..., d), w is (d, e), b is (e,).
 
-    One node instead of a matmul and an add. With OpenBLAS (checked on
-    0.3.31 at the desk widths) a row's bits do not depend on how many rows
-    share the product, stacked or packed, except in a 1-row product, which
-    takes the matrix-vector path and rounds differently. So a sentence's
-    rows get the same bits alone as in a batch as long as no product
-    shrinks to one row for it alone. The
-    weight gradient is one 2-D product over every row of ``x`` and the bias
-    gradient one row sum.
+    One node instead of a matmul and an add. The forward is one 2-D
+    product over ``x`` read as (n, d) rows, and a 1-row product runs as a
+    2-row one on the row repeated, the copy dropped after. With OpenBLAS
+    (checked on 0.3.31 at the desk widths) a row's bits in a product of two
+    or more rows do not depend on how many rows share it, so a row's bits
+    never depend on its row count or on how its rows are stacked, packed
+    (n, d) or on a (B, L, d) grid: a sentence's rows get the same bits
+    alone as in a batch. The weight gradient is one 2-D product over every
+    row of ``x`` and the bias gradient one row sum.
     """
     if x.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(f"linear expects x with ndim >= 2 and a 2D weight, got {x.data.shape} and {w.data.shape}")
     d, e = w.data.shape
     if x.data.shape[-1] != d or b.data.shape != (e,):
         raise ShapeError(f"linear shapes do not line up: {x.data.shape} @ {w.data.shape} + {b.data.shape}")
-    data = np.matmul(x.data, w.data)
+    rows = x.data.reshape(-1, d)
+    n = rows.shape[0]
+    # a 1-row product would take the matrix-vector path, which rounds differently
+    data = ((np.repeat(rows, 2, axis=0) if n == 1 else rows) @ w.data)[:n]
     data += b.data
+    data = data.reshape(*x.data.shape[:-1], e)
 
     def back(g):
         x._accumulate(np.matmul(g, w.data.T))

@@ -233,11 +233,17 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         except (ValueError, TypeError, KeyError, OverflowError):
             raise CheckpointError(f"{path}: unreadable manifest line {name!r}") from None
 
-    optimizer.step_count = scalar("optimizer.steps", int)
+    def counter(name):
+        value = scalar(name, int)
+        if value < 0:
+            raise CheckpointError(f"{path}: manifest line {name!r} is negative: {value}")
+        return value
+
+    optimizer.step_count = counter("optimizer.steps")
     progress = Progress(
-        step=scalar("progress.step", int),
-        epoch=scalar("progress.epoch", int),
-        step_in_epoch=scalar("progress.step_in_epoch", int),
+        step=counter("progress.step"),
+        epoch=counter("progress.epoch"),
+        step_in_epoch=counter("progress.step_in_epoch"),
     )
     return LoadedCheckpoint(
         params=params,

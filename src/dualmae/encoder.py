@@ -16,14 +16,13 @@ the packing). A packed product gives each real row the bits the stacked
 one gives it, so no forward value changes.
 
 The decoder and retrieval read nothing but that vector, so by default the
-last block carries position 0 alone past its attention: the output
-projection, residuals, layer norms and feed-forward of the last layer run
-on one row per sentence, stacked as (B, 1, d) so that each sentence's
-products are the same 1-row products alone or in a batch. A caller that
+last block queries position 0 alone: its keys and values are every real
+row, and its output projection, residuals, layer norms and feed-forward
+run on one row per sentence, the (B, d) sentence vectors. A caller that
 reads every position's final state (the encoder-side MLM loss) asks for
 them with ``states=True``, which runs the last block on every real row
 and returns the (B, L, d) states with pad rows exactly 0. Both paths give
-the same sentence vector up to rounding.
+the same sentence vector bit for bit.
 """
 
 from __future__ import annotations
@@ -77,11 +76,12 @@ def encode(
         LAYER_NORM_EPS,
     )
     visible = real[:, None, None, :]
-    for i in range(config.layers):
-        first_only = not states and i == config.layers - 1
-        x = transformer_block(
-            params, f"enc{i}", x, x, visible, config.heads, rows=rows, kv_rows=rows, first_only=first_only
-        )
+    last = config.layers - 1
+    for i in range(last):
+        x = transformer_block(params, f"enc{i}", x, x, visible, config.heads, rows=rows, kv_rows=rows)
+    out_rows = rows if states else Rows(np.broadcast_to(np.arange(L) == 0, (B, L)))
+    queries = x if states else ad.gather_rows(x, rows.locate(out_rows.index))
+    x = transformer_block(params, f"enc{last}", queries, x, visible, config.heads, rows=out_rows, kv_rows=rows)
     if not states:
-        return ad.select_index(x, 0, axis=1), None
+        return x, None
     return ad.gather_rows(x, rows.locate(np.arange(B) * L)), ad.scatter_rows(x, rows.index, (B, L, x.shape[-1]))

@@ -16,7 +16,10 @@ softmax and ``weights @ v``) need the grid: the projected queries, keys
 and values are scattered into it, with exact zeros in the cells the
 stream lacks, and the attended context is gathered back to the query rows
 right after ``weights @ v``. A key/value stream must therefore hold every
-cell that the mask lets a query read.
+cell that the mask lets a query read, and the query stream may hold
+fewer: the last block of the encoder queries position 0 alone, the last
+decoder layer its loss rows. ``linear`` gives a row the same bits whatever
+its row count, so narrowing the query rows changes no bit of theirs.
 """
 
 from __future__ import annotations
@@ -193,7 +196,6 @@ def attention(
     *,
     rows: Rows,
     kv_rows: Rows,
-    first_only: bool = False,
 ) -> Tensor:
     """Multi-head scaled dot-product attention under a visibility mask.
 
@@ -201,9 +203,7 @@ def attention(
     score tensor; row i of it lists the key positions query i may read.
     ``query_in`` is packed at ``rows`` and ``keyvalue_in`` at ``kv_rows``,
     which must hold every cell ``visible`` opens (``ShapeError``
-    otherwise). The output is packed at ``rows``, (N, d). With
-    ``first_only`` it is (B, 1, d), position 0's alone: every query is
-    still scored, and only position 0's context is merged and projected.
+    otherwise). The output is packed at ``rows``, (N, d).
     """
     if (visible & ~kv_rows.held[:, None, None, :]).any():
         raise ad.ShapeError("the mask lets a query read a cell the key/value stream does not hold")
@@ -213,16 +213,7 @@ def attention(
     head_dim = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     weights = ad.masked_softmax(scores, visible)
-    context = ad.matmul(weights, v)
-    if first_only:
-        # narrowing the queries before the scores would save more, but a
-        # one-row product with the (L, head_dim) values rounds differently
-        # as the pad width changes, and a sentence's vector must not depend
-        # on its batch's width; for the same reason the tail stays stacked,
-        # one 1-row product per sentence, alone or in a batch
-        context = _merge_heads(ad.narrow(context, 2, 0, 1))
-    else:
-        context = ad.gather_rows(_merge_heads(context), rows.index)
+    context = ad.gather_rows(_merge_heads(ad.matmul(weights, v)), rows.index)
     return ad.linear(context, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
@@ -241,24 +232,15 @@ def transformer_block(
     *,
     rows: Rows,
     kv_rows: Rows,
-    first_only: bool = False,
 ) -> Tensor:
     """Post-layer-norm: normalize after each residual add.
 
     Queries and the residual come from ``x``, packed at ``rows``, keys and
     values from ``keyvalue_in``, packed at ``kv_rows``; self-attention
     passes the same tensor and rows twice. ``visible`` and both packings
-    are handed to ``attention``, and the block returns ``x``'s rows. With
-    ``first_only`` it returns position 0 alone, (B, 1, d): attention reads
-    every position, but the residuals, both layer norms and the
-    feed-forward run on one row per sentence.
+    are handed to ``attention``, and the block returns ``x``'s rows.
     """
-    attn_out = attention(
-        params, prefix, x, keyvalue_in, visible, heads, rows=rows, kv_rows=kv_rows, first_only=first_only
-    )
-    if first_only:
-        B, L = rows.grid
-        x = ad.reshape(ad.gather_rows(x, rows.locate(np.arange(B) * L)), (B, 1, x.shape[-1]))
+    attn_out = attention(params, prefix, x, keyvalue_in, visible, heads, rows=rows, kv_rows=kv_rows)
     x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
     ffn_out = feed_forward(params, prefix, x)
     return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)

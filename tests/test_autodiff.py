@@ -386,6 +386,27 @@ class TestLinear:
             alone = ad.linear(ad.constant(x[i : i + 1]), w, b).data
             assert alone.tobytes() == batched[i : i + 1].tobytes(), i
 
+    # the desk model's widths: attention projections, the feed-forward's two
+    # maps and the output projection onto a 2,048-token vocabulary
+    @pytest.mark.parametrize("d, e", [(64, 64), (64, 256), (256, 64), (64, 2048)])
+    def test_a_row_gets_the_same_bits_at_any_row_count(self, d, e):
+        rng = np.random.default_rng([34, d, e])
+        B, L = 5, 7
+        x = rng.standard_normal((B, L, d)).astype(np.float32)
+        w = ad.constant((rng.standard_normal((d, e)) / math.sqrt(d)).astype(np.float32))
+        b = ad.constant(rng.standard_normal(e).astype(np.float32))
+        grid = ad.linear(ad.constant(x), w, b).data
+        packed = ad.linear(ad.constant(x.reshape(-1, d)[::3]), w, b).data
+        firsts = ad.linear(ad.constant(x[:, :1]), w, b).data
+        assert grid.dtype == np.float32
+        for i in range(B):
+            cell = grid[i, 0].tobytes()
+            assert ad.linear(ad.constant(x[i, :1]), w, b).data.tobytes() == cell, ("one row", i)
+            assert firsts[i, 0].tobytes() == cell, ("stacked (B, 1, d)", i)
+            if (i * L) % 3 == 0:
+                assert packed[i * L // 3].tobytes() == cell, ("packed", i)
+        assert packed.tobytes() == grid.reshape(-1, e)[::3].tobytes()
+
     def test_shape_validation(self):
         rng = np.random.default_rng(33)
         with pytest.raises(ShapeError):

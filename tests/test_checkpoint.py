@@ -212,6 +212,14 @@ def _drop_line(name):
     return mutate
 
 
+def _set_line(name, value):
+    """Set the manifest line ``name = ...`` to ``value``."""
+    def mutate(manifest):
+        lines = manifest.splitlines(keepends=True)
+        return "".join(f"{name} = {value}\n" if line.startswith(f"{name} = ") else line for line in lines)
+    return mutate
+
+
 def _add_second_decoder_bias(manifest):
     """A ``dec1.attn.bq`` row pointing at ``dec0.attn.bq``'s bytes."""
     row = next(line for line in manifest.splitlines() if line.startswith("tensor = dec0.attn.bq "))
@@ -219,8 +227,8 @@ def _add_second_decoder_bias(manifest):
 
 
 CONFIG_LINES = [f"config.{key}" for key in config_as_flat_dict(TrainConfig(), ENC, DEC)]
-SCALAR_LINES = ["progress.step", "progress.epoch", "progress.step_in_epoch",
-                "optimizer.steps", "vocab.file", "rng.state"]
+COUNTER_LINES = ["progress.step", "progress.epoch", "progress.step_in_epoch", "optimizer.steps"]
+SCALAR_LINES = COUNTER_LINES + ["vocab.file", "rng.state"]
 
 
 class TestManifestValidation:
@@ -309,6 +317,26 @@ class TestManifestValidation:
         _rewrite_manifest(path, lambda m: m.replace("rng.state = {", "rng.state = {{", 1))
         with pytest.raises(CheckpointError, match="unreadable manifest line 'rng.state'"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", COUNTER_LINES)
+    def test_negative_counter(self, tmp_path, line):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, _set_line(line, "-2"))
+        with pytest.raises(CheckpointError, match=f"manifest line '{line}' is negative: -2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line", COUNTER_LINES)
+    def test_resume_from_a_negative_counter_is_exit_2(self, tmp_path, capsys, line):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, _set_line(line, "-5"))
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c\n")
+        out = tmp_path / "resumed"
+        code = main(["pretrain", "--corpus", str(corpus), "--out", str(out), "--resume", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"'{line}' is negative: -5" in err and "Traceback" not in err
+        assert not (out / "loss_log.tsv").exists()
 
     @pytest.mark.parametrize("mutate, named", [
         (_drop_line("rng.state"), "rng.state"),

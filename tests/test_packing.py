@@ -46,22 +46,18 @@ def _merge_heads(x):
     return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (B, L, h * hd))
 
 
-def _attention(params, prefix, query_in, keyvalue_in, visible, heads, first_only=False):
+def _attention(params, prefix, query_in, keyvalue_in, visible, heads):
     def proj(x, name):
         return _split_heads(ad.linear(x, params[f"{prefix}.attn.w{name}"], params[f"{prefix}.attn.b{name}"]), heads)
 
     q, k, v = proj(query_in, "q"), proj(keyvalue_in, "k"), proj(keyvalue_in, "v")
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
     context = ad.matmul(ad.masked_softmax(scores, visible), v)
-    if first_only:
-        context = ad.narrow(context, 2, 0, 1)
     return ad.linear(_merge_heads(context), params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 
-def _block(params, prefix, x, keyvalue_in, visible, heads, first_only=False):
-    attn_out = _attention(params, prefix, x, keyvalue_in, visible, heads, first_only)
-    if first_only:
-        x = ad.narrow(x, 1, 0, 1)
+def _block(params, prefix, x, keyvalue_in, visible, heads):
+    attn_out = _attention(params, prefix, x, keyvalue_in, visible, heads)
     x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
     h = ad.gelu(ad.linear(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
     ffn_out = ad.linear(h, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
@@ -73,8 +69,7 @@ def reference_encode(params, config, ids, real, states=False):
     x = ad.add(ad.embedding_lookup(params["word_emb"], ids), ad.narrow(params["enc_pos"], 0, 0, L))
     x = ad.layer_norm(x, params["enc_emb_ln.gain"], params["enc_emb_ln.bias"], LAYER_NORM_EPS)
     for i in range(config.layers):
-        first_only = not states and i == config.layers - 1
-        x = _block(params, f"enc{i}", x, x, real[:, None, None, :], config.heads, first_only)
+        x = _block(params, f"enc{i}", x, x, real[:, None, None, :], config.heads)
     return ad.select_index(x, 0, axis=1), (x if states else None)
 
 
@@ -169,6 +164,17 @@ class TestPackedForward:
             real = mbatch.real
             assert hidden.data[real].tobytes() == ref_hidden.data[real].tobytes()
             assert np.all(hidden.data[~real] == 0.0)
+
+    def test_sentence_vectors_take_the_same_bits_with_or_without_states(self):
+        # without states the last block queries position 0 alone; with them
+        # it runs on every real row, and the vectors must not tell
+        for seed in range(5):
+            params, _, _, mbatch = _desk_setup("enhanced", 0.0, seed)
+            with ad.no_grad():
+                alone, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real)
+                with_states, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real, states=True)
+            assert alone.shape == (mbatch.ids.shape[0], DESK.hidden_dim)
+            assert alone.data.tobytes() == with_states.data.tobytes(), seed
 
     @pytest.mark.parametrize("mode, layers, seed", [("enhanced", 1, 3), ("basic", 1, 4), ("basic", 2, 4)])
     def test_decoder_states_hold_the_loss_rows_and_zeros(self, mode, layers, seed):

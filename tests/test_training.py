@@ -225,7 +225,7 @@ class TestSentenceOnlyLastBlock:
             dec = DecoderConfig(mode=mode, layers=layers, heads=4)
             params = init_params(enc, dec, np.random.default_rng([16, 0]))
             opt = AdamW(lr=1e-3)
-            for step, (mlm_weight, last_rows) in enumerate([(0.0, (B, 1)), (0.5, real)], start=1):
+            for step, (mlm_weight, last_rows) in enumerate([(0.0, (B,)), (0.5, real)], start=1):
                 masked.clear()
                 rows.clear()
                 weighted = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
@@ -333,6 +333,23 @@ class TestTrainStep:
         for name, g, after, ref in zip(names, grads, clipped["after"], reference):
             np.testing.assert_array_equal(after, ref, err_msg=name)
             np.testing.assert_array_equal(g, ref, err_msg=name)
+
+    @pytest.mark.parametrize("mode", ["enhanced", "basic"])
+    def test_a_step_graph_is_freed_by_reference_counting(self, mode):
+        params, train, enc, dec, mbatch = tiny_setup(mode, seed=9)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = step_loss(params, train, enc, dec, mbatch)
+            ad.backward(loss)
+            interior = loss._parents[0]
+            assert interior._backward is not None and interior.grad is not None
+            refs = [weakref.ref(loss), weakref.ref(interior)]
+            del loss, interior
+            assert [r() for r in refs] == [None, None]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_no_graph_tensor_outlives_a_step(self, monkeypatch):
         # every graph node is recorded through a weak reference; with the
