@@ -38,10 +38,11 @@ collector never has to run for it.
 Every affine map of the model is one ``linear`` node. ``embedding_lookup``
 gathers rows that may repeat, the token and position tables' case, and
 accumulates its gradient with ``np.add.at``. ``gather_rows`` and
-``scatter_rows`` move rows between a packed (N, d) stream and a
-(B, L, d) grid by unique flat index, so their backward is a plain
-assignment into one fresh buffer: they carry the real rows past the pads
-and pick the loss rows before the vocabulary projection.
+``scatter_rows`` move rows between a packed (N, d) stream and a (B, L)
+grid by unique flat index, so their backward is a plain assignment into
+one fresh buffer: they carry the real rows past the pads, narrow a stream
+to the rows a block's queries or a loss read, and lay queries, keys and
+values out for attention's per-sentence products.
 
 Training runs in float32; gradient checking builds the same graph in
 float64. Dtype promotion is not supported: every tensor an op records as

@@ -21,8 +21,7 @@ reconstructs, so both modes run one body on the same fields:
    only: enhanced mode has one layer);
 4. run the last layer with its keys and values at the real rows and its
    queries at the loss rows ``dec_targets`` alone;
-5. scatter its output to (B, L, d) and take ``reconstruction_loss`` on
-   ``dec_targets``.
+5. take ``reconstruction_loss`` on that layer's output as it is.
 
 The modes differ only in the last layer's queries: the stream's own rows
 at the loss cells (basic) or the sentence embedding plus positions there
@@ -31,13 +30,11 @@ only their output narrows, the rule the encoder's last block follows for
 position 0. Pad columns are blocked in every attention and no loss reads
 a row outside ``dec_targets``, so this loses nothing observable.
 
-Both decoders return their (B, L, d) final hidden states with the loss;
-like ``encode(states=True)``'s, a state is exactly 0 outside the rows the
-body computes, here ``dec_targets``, so such a position's logits are
-``out_bias``. The loss projects onto the vocabulary only the rows it reads
-(BERT's masked-position gather): ``reconstruction_loss`` gathers the
-weight-1 rows of the states, then runs the output projection and the
-cross-entropy on those alone.
+Both decoders return their final hidden states with the loss, packed: one
+(N, d) row per ``dec_targets`` cell in row-major order, the rows the loss
+reads. The loss projects onto the vocabulary only those rows (BERT's
+masked-position gather), so no (B, L, d) grid is built past the last
+attention.
 """
 
 from __future__ import annotations
@@ -51,24 +48,14 @@ from .masking import MaskedBatch
 from .model import DecoderConfig, ModelParams, Rows, attention, feed_forward, output_logits, transformer_block  # noqa: F401
 
 
-def reconstruction_loss(params: ModelParams, states: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
-    """Mean cross-entropy of ``targets`` over the weight-1 positions.
+def reconstruction_loss(params: ModelParams, states: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of ``targets`` over the packed ``states``.
 
-    ``states`` is (B, L, d); ``targets`` and the 0/1 ``weights`` are (B, L).
-    Only the weight-1 rows are projected onto the vocabulary, so a position
-    outside the loss costs nothing and its state gets an exactly zero
-    gradient. The value equals the cross-entropy over the full (B·L, V)
-    logits under the same weights.
+    ``states`` is (N, d), one row per reconstructed position, and
+    ``targets`` holds the N matching ids. Only these rows are projected
+    onto the vocabulary, so a position outside the loss costs nothing.
     """
-    B, L = states.shape[:2]
-    weights = np.asarray(weights)
-    if weights.shape != (B, L) or np.shape(targets) != (B, L):
-        raise ad.ShapeError(f"targets and weights must be {(B, L)}, got {np.shape(targets)} and {weights.shape}")
-    if not np.isin(weights, (0, 1)).all():
-        raise ValueError("weights must be 0 or 1")
-    rows = np.flatnonzero(weights)
-    logits = output_logits(params, ad.gather_rows(states, rows))
-    return ad.cross_entropy(logits, np.asarray(targets).reshape(-1)[rows], np.ones(rows.size, dtype=np.int64))
+    return ad.cross_entropy(output_logits(params, states), targets, np.ones(np.shape(targets), dtype=np.int64))
 
 
 def _check_mode(mode: str, dec_config: DecoderConfig, mbatch: MaskedBatch) -> None:
@@ -102,8 +89,7 @@ def _decode(
     else:
         queries = ad.gather_rows(ad.add(head, positions), rows.index)
     out = transformer_block(params, f"dec{last}", queries, x, visible, dec_config.heads, rows=rows, kv_rows=kv_rows)
-    states = ad.scatter_rows(out, rows.index, (B, L, out.shape[-1]))
-    return states, reconstruction_loss(params, states, mbatch.ids, mbatch.dec_targets)
+    return out, reconstruction_loss(params, out, mbatch.ids[mbatch.dec_targets])
 
 
 def decode_basic(
@@ -114,9 +100,10 @@ def decode_basic(
 ) -> tuple[Tensor, Tensor]:
     """Reconstruct the decoder-masked positions of the batch.
 
-    Returns (states, loss): the (B, L, d) final hidden states at
+    Returns (states, loss): the final hidden states at
     ``mbatch.dec_targets``, the [M] positions of the decoder-side
-    pollution, exactly 0 elsewhere, and the loss over those positions.
+    pollution, packed (N, d) in row-major order, and the loss over those
+    positions.
     """
     _check_mode("basic", dec_config, mbatch)
     return _decode(params, dec_config, sentence, mbatch)
@@ -130,20 +117,9 @@ def decode_enhanced(
 ) -> tuple[Tensor, Tensor]:
     """Reconstruct every real token from its own sampled context.
 
-    Returns (states, loss): the (B, L, d) final hidden states at
-    ``mbatch.dec_targets`` (all real positions beyond 0), exactly 0
-    elsewhere, and the loss over those positions.
+    Returns (states, loss): the final hidden states at
+    ``mbatch.dec_targets`` (all real positions beyond 0), packed (N, d) in
+    row-major order, and the loss over those positions.
     """
     _check_mode("enhanced", dec_config, mbatch)
     return _decode(params, dec_config, sentence, mbatch)
-
-
-def reconstruction_accuracy(logits: np.ndarray, targets: np.ndarray, positions: np.ndarray) -> float:
-    """Fraction of selected positions whose argmax equals the target."""
-    logits = np.asarray(logits)
-    positions = np.asarray(positions, dtype=bool)
-    if not positions.any():
-        raise ValueError("accuracy over an empty position set is undefined")
-    pred = logits.argmax(axis=-1)
-    hits = (pred == targets) & positions
-    return float(hits.sum() / positions.sum())

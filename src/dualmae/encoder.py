@@ -15,14 +15,13 @@ only attention's per-sentence products see the grid (``model`` explains
 the packing). A packed product gives each real row the bits the stacked
 one gives it, so no forward value changes.
 
-The decoder and retrieval read nothing but that vector, so by default the
-last block queries position 0 alone: its keys and values are every real
-row, and its output projection, residuals, layer norms and feed-forward
-run on one row per sentence, the (B, d) sentence vectors. A caller that
-reads every position's final state (the encoder-side MLM loss) asks for
-them with ``states=True``, which runs the last block on every real row
-and returns the (B, L, d) states with pad rows exactly 0. Both paths give
-the same sentence vector bit for bit.
+The decoder and retrieval read nothing but that vector, so the last block
+queries position 0 alone: its keys and values are every real row, and its
+output projection, residuals, layer norms and feed-forward run on one row
+per sentence, the (B, d) sentence vectors. A caller that reads other
+final states (the encoder-side MLM loss) names their cells with
+``states_at``, and the last block queries those cells as well. Either way
+the sentence vector takes the same bits.
 """
 
 from __future__ import annotations
@@ -46,15 +45,16 @@ def encode(
     ids: np.ndarray,
     real: np.ndarray,
     *,
-    states: bool = False,
+    states_at: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor | None]:
     """Run the encoder stack.
 
     ``ids`` is the (B, L) polluted input (or clean input at inference) and
     ``real`` the matching pad mask, True at token positions. Returns the
-    (B, d) sentence embeddings and, with ``states``, the (B, L, d) final
-    hidden states, exactly 0 at pad positions; without, None in their
-    place.
+    (B, d) sentence embeddings and the final hidden states of the (B, L)
+    cells ``states_at`` is True at, packed (N, d) in row-major order;
+    without ``states_at``, None in their place. A cell outside ``real``
+    raises ``ShapeError``.
     """
     ids = np.asarray(ids)
     real = np.asarray(real, dtype=bool)
@@ -65,6 +65,8 @@ def encode(
         raise ValueError(f"sequence length {L} exceeds max_len {config.max_len}")
     if not real[:, 0].all():
         raise ValueError("position 0 must be a real token")
+    if states_at is not None and np.shape(states_at) != (B, L):
+        raise ValueError("states_at must share the (B, L) shape of ids")
 
     tokens = ad.embedding_lookup(params["word_emb"], ids)
     positions = ad.narrow(params["enc_pos"], 0, 0, L)
@@ -79,9 +81,11 @@ def encode(
     last = config.layers - 1
     for i in range(last):
         x = transformer_block(params, f"enc{i}", x, x, visible, config.heads, rows=rows, kv_rows=rows)
-    out_rows = rows if states else Rows(np.broadcast_to(np.arange(L) == 0, (B, L)))
-    queries = x if states else ad.gather_rows(x, rows.locate(out_rows.index))
+    first = np.broadcast_to(np.arange(L) == 0, (B, L))
+    out_rows = Rows(first if states_at is None else first | states_at)
+    queries = ad.gather_rows(x, rows.locate(out_rows.index))
     x = transformer_block(params, f"enc{last}", queries, x, visible, config.heads, rows=out_rows, kv_rows=rows)
-    if not states:
+    if states_at is None:
         return x, None
-    return ad.gather_rows(x, rows.locate(np.arange(B) * L)), ad.scatter_rows(x, rows.index, (B, L, x.shape[-1]))
+    sentence = ad.gather_rows(x, out_rows.locate(np.arange(B) * L))
+    return sentence, ad.gather_rows(x, out_rows.locate(np.flatnonzero(states_at)))

@@ -17,9 +17,12 @@ and values are scattered into it, with exact zeros in the cells the
 stream lacks, and the attended context is gathered back to the query rows
 right after ``weights @ v``. A key/value stream must therefore hold every
 cell that the mask lets a query read, and the query stream may hold
-fewer: the last block of the encoder queries position 0 alone, the last
-decoder layer its loss rows. ``linear`` gives a row the same bits whatever
-its row count, so narrowing the query rows changes no bit of theirs.
+fewer: the last block of the encoder queries position 0 and the cells
+whose states a caller reads, the last decoder layer its loss rows. A block
+returns its query rows, still packed, and that is what the encoder and the
+decoders hand on: no state goes back to the grid. ``linear`` gives a row
+the same bits whatever its row count, so narrowing the query rows changes
+no bit of theirs.
 """
 
 from __future__ import annotations

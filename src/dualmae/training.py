@@ -54,17 +54,19 @@ def step_loss(
 ) -> Tensor:
     """Forward pass for one already-masked batch, returning the scalar loss.
 
-    The encoder's final states are computed at every position only when
-    the encoder MLM loss reads them.
+    The encoder's final states are computed at the encoder-masked
+    positions only when the encoder MLM loss reads them.
     """
     with_mlm = train.encoder_mlm_weight > 0.0
-    sentence, hidden = encode(params, enc_config, mbatch.enc_ids, mbatch.real, states=with_mlm)
+    sentence, hidden = encode(
+        params, enc_config, mbatch.enc_ids, mbatch.real, states_at=mbatch.enc_masked if with_mlm else None
+    )
     if dec_config.mode == "basic":
         _, loss = decode_basic(params, dec_config, sentence, mbatch)
     else:
         _, loss = decode_enhanced(params, dec_config, sentence, mbatch)
     if with_mlm:
-        aux = reconstruction_loss(params, hidden, mbatch.ids, mbatch.enc_masked)
+        aux = reconstruction_loss(params, hidden, mbatch.ids[mbatch.enc_masked])
         loss = ad.add(loss, ad.scale(aux, train.encoder_mlm_weight))
     return loss
 

@@ -30,10 +30,12 @@ class TestEncode:
         params = _params()
         batch = make_batch([_seq([9, 8, 7]), _seq([6, 5])])
         with ad.no_grad():
-            sentence, hidden = encode(params, ENC, batch.ids, batch.real, states=True)
+            sentence, hidden = encode(params, ENC, batch.ids, batch.real, states_at=batch.real)
         assert sentence.shape == (2, 16)
-        assert hidden.shape == (2, 5, 16)
-        np.testing.assert_array_equal(sentence.data, hidden.data[:, 0])
+        assert hidden.shape == (int(batch.real.sum()), 16)
+        grid = np.zeros((2, 5, 16))
+        grid[batch.real] = hidden.data
+        np.testing.assert_array_equal(sentence.data, grid[:, 0])
 
     def test_deterministic(self):
         params = _params()
@@ -76,7 +78,7 @@ class TestEncode:
                 tensor.data = np.zeros_like(tensor.data)
         batch = make_batch([_seq([9, 8, 7])])
         with ad.no_grad():
-            _, hidden = encode(params, ENC, batch.ids, batch.real, states=True)
+            _, hidden = encode(params, ENC, batch.ids, batch.real, states_at=batch.real)
 
         def norm(x, gain, bias):
             mu = x.mean(axis=-1, keepdims=True)
@@ -88,7 +90,7 @@ class TestEncode:
         for i in range(2):
             x = norm(x, params[f"enc{i}.ln1.gain"].data, params[f"enc{i}.ln1.bias"].data)
             x = norm(x, params[f"enc{i}.ln2.gain"].data, params[f"enc{i}.ln2.bias"].data)
-        np.testing.assert_allclose(hidden.data, x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hidden.data, x[batch.real], rtol=0, atol=1e-12)
 
     def test_decoding_mode_never_touches_the_encoder(self):
         # parameter draws are ordered encoder-first, so both modes start
@@ -129,3 +131,18 @@ class TestEncodeValidation:
         batch = make_batch([_seq([9])])
         with pytest.raises(ValueError):
             encode(params, ENC, batch.ids, batch.real[:, :2])
+
+    def test_states_at_a_pad_cell_are_refused(self):
+        params = _params()
+        batch = make_batch([_seq([9, 8, 7]), _seq([6])])
+        assert not batch.real[1, -1]
+        states_at = np.zeros_like(batch.real)
+        states_at[1, -1] = True
+        with pytest.raises(ad.ShapeError):
+            encode(params, ENC, batch.ids, batch.real, states_at=states_at)
+
+    def test_states_at_must_share_the_grid(self):
+        params = _params()
+        batch = make_batch([_seq([9, 8, 7]), _seq([6])])
+        with pytest.raises(ValueError):
+            encode(params, ENC, batch.ids, batch.real, states_at=batch.real[0])

@@ -7,8 +7,8 @@ kept as the oracle: every block runs on the whole (B, L, d) grid, pads
 included, and the loss reads its rows through ``embedding_lookup``.
 Packing must not change a forward bit at desk widths in float32, where
 training runs, and may change gradients only by the summation order of
-their weight products. Where the oracle computes states outside those
-rows, the packed forward returns exact zeros.
+their weight products. The packed forward returns states only at the rows
+it computes, and each equals the oracle's state at its cell.
 """
 
 import dataclasses
@@ -156,14 +156,25 @@ class TestPackedForward:
     @pytest.mark.parametrize("states", [False, True])
     def test_sentence_vectors_and_real_states_equal_the_full_width_forward(self, states):
         params, _, _, mbatch = _desk_setup("enhanced", 0.0, 2)
+        real = mbatch.real
         with ad.no_grad():
-            sentence, hidden = encode(params, DESK, mbatch.enc_ids, mbatch.real, states=states)
-            ref_sentence, ref_hidden = reference_encode(params, DESK, mbatch.enc_ids, mbatch.real, states=states)
+            sentence, hidden = encode(params, DESK, mbatch.enc_ids, real, states_at=real if states else None)
+            ref_sentence, ref_hidden = reference_encode(params, DESK, mbatch.enc_ids, real, states=states)
         assert sentence.data.tobytes() == ref_sentence.data.tobytes()
         if states:
-            real = mbatch.real
-            assert hidden.data[real].tobytes() == ref_hidden.data[real].tobytes()
-            assert np.all(hidden.data[~real] == 0.0)
+            assert hidden.shape == (int(real.sum()), DESK.hidden_dim)
+            assert hidden.data.tobytes() == ref_hidden.data[real].tobytes()
+
+    def test_states_at_the_masked_cells_equal_the_full_width_forward(self):
+        for seed in range(3):
+            params, _, _, mbatch = _desk_setup("enhanced", 0.5, seed)
+            masked = mbatch.enc_masked
+            assert masked.any() and not (masked | ~mbatch.real).all()
+            with ad.no_grad():
+                _, hidden = encode(params, DESK, mbatch.enc_ids, mbatch.real, states_at=masked)
+                _, ref_hidden = reference_encode(params, DESK, mbatch.enc_ids, mbatch.real, states=True)
+            assert hidden.shape == (int(masked.sum()), DESK.hidden_dim)
+            assert hidden.data.tobytes() == ref_hidden.data[masked].tobytes(), seed
 
     def test_sentence_vectors_take_the_same_bits_with_or_without_states(self):
         # without states the last block queries position 0 alone; with them
@@ -172,12 +183,12 @@ class TestPackedForward:
             params, _, _, mbatch = _desk_setup("enhanced", 0.0, seed)
             with ad.no_grad():
                 alone, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real)
-                with_states, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real, states=True)
+                with_states, _ = encode(params, DESK, mbatch.enc_ids, mbatch.real, states_at=mbatch.real)
             assert alone.shape == (mbatch.ids.shape[0], DESK.hidden_dim)
             assert alone.data.tobytes() == with_states.data.tobytes(), seed
 
     @pytest.mark.parametrize("mode, layers, seed", [("enhanced", 1, 3), ("basic", 1, 4), ("basic", 2, 4)])
-    def test_decoder_states_hold_the_loss_rows_and_zeros(self, mode, layers, seed):
+    def test_decoder_states_are_the_loss_rows(self, mode, layers, seed):
         params, _, dec, mbatch = _desk_setup(mode, 0.0, seed, layers)
         decode = decode_basic if mode == "basic" else decode_enhanced
         with ad.no_grad():
@@ -185,8 +196,8 @@ class TestPackedForward:
             states, _ = decode(params, dec, sentence, mbatch)
             ref_states, _ = _reference_decode(params, dec, sentence, mbatch)
         rows = mbatch.dec_targets
-        assert states.data[rows].tobytes() == ref_states.data[rows].tobytes()
-        assert np.all(states.data[~rows] == 0.0)
+        assert states.shape == (int(rows.sum()), DESK.hidden_dim)
+        assert states.data.tobytes() == ref_states.data[rows].tobytes()
 
 
 class TestPackedGradients:

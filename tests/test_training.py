@@ -17,7 +17,7 @@ import pytest
 from dualmae import autodiff as ad
 from dualmae import training
 from dualmae.checkpoint import load_checkpoint
-from dualmae.config import TrainConfig
+from dualmae.config import TrainConfig, resolve_configs
 from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_loss
 from dualmae.encoder import encode
 from dualmae.gradcheck import finite_difference_grad, max_rel_error, tiny_setup
@@ -48,11 +48,10 @@ class TestStepLoss:
         with ad.no_grad():
             base = float(step_loss(params, train, enc, dec, mbatch).data)
             combined = float(step_loss(params, weighted, enc, dec, mbatch).data)
-            sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
-            B, L = mbatch.enc_ids.shape
-            logits = ad.reshape(output_logits(params, hidden), (B * L, enc.vocab_size))
+            real = mbatch.real
+            sentence, hidden = encode(params, enc, mbatch.enc_ids, real, states_at=real)
             aux = float(ad.cross_entropy(
-                logits, mbatch.ids.reshape(-1), mbatch.enc_masked.reshape(-1).astype(np.int64)
+                output_logits(params, hidden), mbatch.ids[real], mbatch.enc_masked[real].astype(np.int64)
             ).data)
         assert combined == pytest.approx(base + 0.7 * aux, abs=1e-12)
 
@@ -89,16 +88,18 @@ def _three_sentences(rng):
     return make_batch(seqs)
 
 
-def _full_logit_loss(params, states, targets, weights):
+def _full_logit_loss(params, states, held, targets, weights):
     """The loss over every position's logits, weighted 0/1: what
-    ``reconstruction_loss`` computes from the loss rows alone."""
-    B, L, d = states.shape
-    flat = ad.reshape(output_logits(params, states), (B * L, params["out_bias"].shape[0]))
-    return ad.cross_entropy(flat, targets.reshape(-1), weights.reshape(-1).astype(np.int64))
+    ``reconstruction_loss`` computes from the loss rows alone. ``states``
+    is packed at the (B, L) cells ``held`` and goes back to the grid with
+    zero rows elsewhere."""
+    B, L = held.shape
+    grid = ad.scatter_rows(states, np.flatnonzero(held), (B * L, states.shape[-1]))
+    return ad.cross_entropy(output_logits(params, grid), targets.reshape(-1), weights.reshape(-1).astype(np.int64))
 
 
 def _full_logit_step_loss(params, train, enc, dec, mbatch):
-    sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
+    sentence, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states_at=mbatch.real)
     if dec.mode == "basic":
         states, _ = decode_basic(params, dec, sentence, mbatch)
         weights = mbatch.dec_targets
@@ -106,8 +107,8 @@ def _full_logit_step_loss(params, train, enc, dec, mbatch):
         states, _ = decode_enhanced(params, dec, sentence, mbatch)
         weights = mbatch.real.copy()
         weights[:, 0] = False
-    loss = _full_logit_loss(params, states, mbatch.ids, weights)
-    aux = _full_logit_loss(params, hidden, mbatch.ids, mbatch.enc_masked)
+    loss = _full_logit_loss(params, states, mbatch.dec_targets, mbatch.ids, weights)
+    aux = _full_logit_loss(params, hidden, mbatch.real, mbatch.ids, mbatch.enc_masked)
     return ad.add(loss, ad.scale(aux, train.encoder_mlm_weight))
 
 
@@ -157,22 +158,17 @@ class TestReconstructionLoss:
 
     def test_all_zero_weights_are_rejected(self):
         params, _, enc, dec, mbatch = tiny_setup("enhanced", seed=14)
-        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
         zeros = np.zeros(mbatch.ids.shape, dtype=bool)
+        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states_at=zeros)
+        assert hidden.shape == (0, enc.hidden_dim)
         with pytest.raises(ValueError, match="cross_entropy needs at least one weight-1 position"):
-            reconstruction_loss(params, hidden, mbatch.ids, zeros)
-
-    def test_non_binary_weights_are_rejected(self):
-        params, _, enc, dec, mbatch = tiny_setup("enhanced", seed=14)
-        _, hidden = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
-        with pytest.raises(ValueError, match="weights must be 0 or 1"):
-            reconstruction_loss(params, hidden, mbatch.ids, mbatch.real * 2)
+            reconstruction_loss(params, hidden, mbatch.ids[zeros])
 
 
 def _full_last_block_step_loss(params, train, enc, dec, mbatch):
     """``step_loss`` at encoder MLM weight 0, with the encoder's last block
     run at every position instead of at position 0 alone."""
-    sentence, _ = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
+    sentence, _ = encode(params, enc, mbatch.enc_ids, mbatch.real, states_at=mbatch.real)
     decode = decode_basic if dec.mode == "basic" else decode_enhanced
     _, loss = decode(params, dec, sentence, mbatch)
     return loss
@@ -185,7 +181,7 @@ class TestSentenceOnlyLastBlock:
         assert train.encoder_mlm_weight == 0.0
         with ad.no_grad():
             pruned, states = encode(params, enc, mbatch.enc_ids, mbatch.real)
-            full, _ = encode(params, enc, mbatch.enc_ids, mbatch.real, states=True)
+            full, _ = encode(params, enc, mbatch.enc_ids, mbatch.real, states_at=mbatch.real)
         assert states is None
         np.testing.assert_allclose(pruned.data, full.data, rtol=1e-9, atol=1e-13)
         results = []
@@ -206,9 +202,11 @@ class TestSentenceOnlyLastBlock:
         batch = _three_sentences(rng)
         B = batch.ids.shape[0]
         real = (int(batch.real.sum()),)
-        # each decoder's last layer runs where its loss reads (every real
-        # position beyond 0 in enhanced mode, the [M] positions in basic
-        # mode); an earlier basic layer runs on the real rows
+        # the encoder's last block runs at position 0 and, with the MLM
+        # loss, at the encoder-masked positions; each decoder's last layer
+        # runs where its loss reads (every real position beyond 0 in
+        # enhanced mode, the [M] positions in basic mode); an earlier basic
+        # layer runs on the real rows
         masked, rows = [], {}
 
         def recording_mask_batch(*args):
@@ -225,12 +223,14 @@ class TestSentenceOnlyLastBlock:
             dec = DecoderConfig(mode=mode, layers=layers, heads=4)
             params = init_params(enc, dec, np.random.default_rng([16, 0]))
             opt = AdamW(lr=1e-3)
-            for step, (mlm_weight, last_rows) in enumerate([(0.0, (B,)), (0.5, real)], start=1):
+            for step, mlm_weight in enumerate([0.0, 0.5], start=1):
                 masked.clear()
                 rows.clear()
                 weighted = dataclasses.replace(train, encoder_mlm_weight=mlm_weight)
                 train_step(params, opt, weighted, enc, dec, batch, rng, step=step)
                 (mbatch,) = masked
+                last_rows = (B + int(mbatch.enc_masked.sum()),) if mlm_weight > 0 else (B,)
+                assert not mbatch.enc_masked[:, 0].any() and last_rows < real
                 loss_rows = (int(mbatch.dec_targets.sum()),)
                 assert loss_rows < real
                 if mode == "enhanced":
@@ -388,6 +388,36 @@ class TestTrainStep:
             assert [r for r in made if r() is not None] == []
         finally:
             gc.enable()
+
+
+    @pytest.mark.parametrize("mode, layers, mlm_weight, nodes", [
+        ("enhanced", 1, 0.0, 92),
+        ("basic", 1, 0.0, 91),
+        ("basic", 2, 0.0, 116),
+        ("enhanced", 1, 0.5, 99),
+        ("basic", 1, 0.5, 98),
+    ])
+    def test_a_desk_step_scatters_only_into_attention(self, mode, layers, mlm_weight, nodes, monkeypatch):
+        # states stay packed up to the loss: the only (B, L) grids scattered
+        # into are attention's (B, L, heads, head_dim) queries, keys and values
+        overrides = {"mode": mode, "decoder_layers": layers, "encoder_mlm_weight": mlm_weight}
+        train, enc, dec = resolve_configs(preset="desk", overrides=overrides, env={})
+        params = init_params(enc, dec, np.random.default_rng([train.seed, 0]))
+        rng = np.random.default_rng(7)
+        seqs = [TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, enc.vocab_size, size=n), [SEP_ID]]))
+                for n in rng.integers(3, 40, size=8)]
+        made = []
+        real_make = ad._make
+
+        def recording_make(data, parents, backward_fn, op):
+            made.append((op, data.ndim))
+            return real_make(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        train_step(params, AdamW(lr=1e-3), train, enc, dec, make_batch(seqs), rng, step=1)
+        assert len(made) == nodes
+        scatters = [ndim for op, ndim in made if op == "scatter_rows"]
+        assert scatters and set(scatters) == {4}
 
 
 WORDS = [
