@@ -389,7 +389,6 @@ class TestTrainStep:
         finally:
             gc.enable()
 
-
     @pytest.mark.parametrize("mode, layers, mlm_weight, nodes", [
         ("enhanced", 1, 0.0, 92),
         ("basic", 1, 0.0, 91),
