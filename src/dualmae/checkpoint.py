@@ -1,27 +1,34 @@
 """Checkpoint container: a text manifest plus raw little-endian payloads.
 
-The file starts with one ASCII header line naming the format and the
-manifest's byte length, followed by the UTF-8 manifest and then the tensor
-bytes. The manifest lists config, progress counters, the random-generator
-state, the vocabulary file name, and one line per tensor with dtype,
-shape, offset, and size. Serialization is canonical: saving a loaded
-checkpoint reproduces the input byte for byte.
+The file starts with one ASCII header line naming the format
+(``dualmae-ckpt-v2``) and the manifest's byte length, followed by the UTF-8
+manifest and then the tensor bytes. The manifest lists config, the global
+step, the vocabulary file name, the random-generator state, one line per
+tensor with dtype, shape, offset, and size, and last the sha256 of the
+payload. The step is the only progress counter: the epoch, the batch
+offset in it and AdamW's bias-correction step all follow from it.
+Serialization is canonical: saving a loaded checkpoint reproduces the
+input byte for byte, and two saves of the same state write the same bytes.
 
 Optimizer moments ride along as ``opt.m.<name>`` / ``opt.v.<name>``
 tensors; without them a resumed run could not retrace the uninterrupted
 loss curve exactly.
 
-Loading is all or nothing. The ``config.*`` lines must hold exactly the
-flat config keys, every other line save writes must be present, and the
-tensor set and shapes must be exactly the config's parameters plus their
-two moments, and the payload must hold exactly those tensors back to back;
-anything else raises ``CheckpointError`` naming the item. Saving writes a
-temporary file beside the target and renames it over the target, so a
-killed save leaves the previous checkpoint intact.
+Loading is all or nothing. The header must name this format; a file of
+another format (v1 included) is refused, not converted. The ``config.*``
+lines must hold exactly the flat config keys, every other line save writes
+must be present, and the tensor set and shapes must be exactly the
+config's parameters plus their two moments. The payload must hold exactly
+those tensors back to back and match its digest before any array is
+built, and every tensor must be finite. Anything else raises
+``CheckpointError`` naming the item. Saving writes a temporary file beside
+the target and renames it over the target, so a killed save leaves the
+previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -36,30 +43,21 @@ from .model import DecoderConfig, EncoderConfig, ModelParams, param_shapes
 from .optim import AdamW
 from .text import Vocabulary
 
-MAGIC = "dualmae-ckpt-v1"
+MAGIC = "dualmae-ckpt-v2"
 
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
 
 # every manifest line besides config.* and tensor lines; all are required
 _SCALARS = (
     "progress.step",
-    "progress.epoch",
-    "progress.step_in_epoch",
-    "optimizer.steps",
     "vocab.file",
     "rng.state",
+    "payload.sha256",
 )
 
 
 class CheckpointError(ValueError):
     """The file is not a readable checkpoint."""
-
-
-@dataclass
-class Progress:
-    step: int = 0
-    epoch: int = 0
-    step_in_epoch: int = 0
 
 
 @dataclass
@@ -70,7 +68,7 @@ class LoadedCheckpoint:
     decoder: DecoderConfig
     optimizer: AdamW
     rng: np.random.Generator
-    progress: Progress
+    progress: int  # the global step: optimizer updates taken so far
     vocab_file: str
 
 
@@ -89,7 +87,7 @@ def save_checkpoint(
     decoder: DecoderConfig,
     optimizer: AdamW,
     rng: np.random.Generator,
-    progress: Progress,
+    progress: int,
     vocab_file: str,
 ) -> None:
     entries: list[tuple[str, np.ndarray]] = []
@@ -105,14 +103,12 @@ def save_checkpoint(
     manifest_lines: list[str] = []
     for key, value in config_as_flat_dict(train, encoder, decoder).items():
         manifest_lines.append(f"config.{key} = {value}")
-    manifest_lines.append(f"progress.step = {progress.step}")
-    manifest_lines.append(f"progress.epoch = {progress.epoch}")
-    manifest_lines.append(f"progress.step_in_epoch = {progress.step_in_epoch}")
-    manifest_lines.append(f"optimizer.steps = {optimizer.step_count}")
+    manifest_lines.append(f"progress.step = {progress}")
     manifest_lines.append(f"vocab.file = {vocab_file}")
     manifest_lines.append(f"rng.state = {json.dumps(rng.bit_generator.state, sort_keys=True)}")
 
     payloads: list[bytes] = []
+    digest = hashlib.sha256()
     offset = 0
     for name, arr in entries:
         tag = _dtype_tag(arr.dtype)
@@ -120,7 +116,9 @@ def save_checkpoint(
         dims = "x".join(str(n) for n in arr.shape) if arr.shape else "scalar"
         manifest_lines.append(f"tensor = {name} {tag} {dims} {offset} {len(raw)}")
         payloads.append(raw)
+        digest.update(raw)
         offset += len(raw)
+    manifest_lines.append(f"payload.sha256 = {digest.hexdigest()}")
 
     manifest = "\n".join(manifest_lines) + "\n"
     manifest_bytes = manifest.encode("utf-8")
@@ -141,6 +139,8 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if newline < 0:
         raise CheckpointError(f"{path}: not a checkpoint")
     header = blob[:newline].decode("ascii", errors="replace").split()
+    if header and header[0].startswith("dualmae-ckpt-") and header[0] != MAGIC:
+        raise CheckpointError(f"{path}: checkpoint format {header[0]!r} is not readable, expected {MAGIC!r}")
     if len(header) != 2 or header[0] != MAGIC or not header[1].isdigit():
         raise CheckpointError(f"{path}: bad header, expected '{MAGIC} <manifest-bytes>'")
     manifest_len = int(header[1])
@@ -206,11 +206,9 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             )
 
     # the payload is the tensors back to back in manifest order, and nothing more
-    arrays: dict[str, np.ndarray] = {}
     end = 0
     for name, (tag, shape, offset, nbytes) in tensors.items():
-        dtype = np.dtype(_DTYPES[tag])
-        need = math.prod(shape) * dtype.itemsize
+        need = math.prod(shape) * np.dtype(_DTYPES[tag]).itemsize
         if nbytes != need:
             raise CheckpointError(f"{path}: tensor {name!r} has {nbytes} bytes, its shape {shape} needs {need}")
         if offset != end:
@@ -218,9 +216,16 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         end += nbytes
         if end > len(payload):
             raise CheckpointError(f"{path}: payload truncated at tensor {name}")
-        arrays[name] = np.frombuffer(payload[offset:end], dtype=dtype).reshape(shape).copy()
     if end != len(payload):
         raise CheckpointError(f"{path}: {len(payload) - end} bytes after the last tensor")
+    if hashlib.sha256(payload).hexdigest() != scalars["payload.sha256"]:
+        raise CheckpointError(f"{path}: payload does not match its sha256; the file is damaged")
+
+    arrays: dict[str, np.ndarray] = {}
+    for name, (tag, shape, offset, nbytes) in tensors.items():
+        arrays[name] = np.frombuffer(payload[offset : offset + nbytes], dtype=_DTYPES[tag]).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
 
     params = {name: ad.parameter(arrays[name], dtype=arrays[name].dtype) for name in shapes}
     optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
@@ -233,18 +238,9 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         except (ValueError, TypeError, KeyError, OverflowError):
             raise CheckpointError(f"{path}: unreadable manifest line {name!r}") from None
 
-    def counter(name):
-        value = scalar(name, int)
-        if value < 0:
-            raise CheckpointError(f"{path}: manifest line {name!r} is negative: {value}")
-        return value
-
-    optimizer.step_count = counter("optimizer.steps")
-    progress = Progress(
-        step=counter("progress.step"),
-        epoch=counter("progress.epoch"),
-        step_in_epoch=counter("progress.step_in_epoch"),
-    )
+    step = scalar("progress.step", int)
+    if step < 0:
+        raise CheckpointError(f"{path}: manifest line 'progress.step' is negative: {step}")
     return LoadedCheckpoint(
         params=params,
         train=train,
@@ -252,7 +248,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         decoder=decoder,
         optimizer=optimizer,
         rng=scalar("rng.state", _generator),
-        progress=progress,
+        progress=step,
         vocab_file=scalars["vocab.file"],
     )
 

@@ -3,7 +3,9 @@
 Results go to stdout as flat ``key = value`` lines; anything diagnostic
 goes to stderr. Exit codes: 0 on success, 1 when a run fails underway
 (divergence), 2 for unusable input (missing file, bad config, malformed
-run file) and for an output path that cannot be written.
+run file, a checkpoint that fails validation, a model whose forward pass
+overflows outside training) and for an output path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import sys
 from pathlib import Path
 
+from .autodiff import NonFiniteError
 from .checkpoint import load_checkpoint, load_checkpoint_vocabulary
 from .config import (
     ConfigError,
@@ -212,6 +215,10 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDiverged as e:
         print(str(e), file=sys.stderr)
         return 1
+    except NonFiniteError as e:
+        # training turns this into TrainingDiverged; elsewhere the input is at fault
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 2
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2

@@ -77,16 +77,15 @@ def warmup_scale(step: int, warmup_steps: int) -> float:
 
 class AdamW:
     """Stateful wrapper applying ``adamw_update``, with its default betas
-    and eps, across a parameter store."""
+    and eps, across a parameter store. It keeps the moments only; the
+    caller passes the 1-based global step, which sets the bias correction."""
 
     def __init__(self, lr: float, weight_decay: float = 0.01):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.step_count = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, params: ModelParams, lr_scale: float = 1.0) -> None:
-        self.step_count += 1
+    def step(self, params: ModelParams, step: int, lr_scale: float = 1.0) -> None:
         for name, tensor in params.items():
             grad = grad_or_zeros(tensor)
             if name not in self.moments:
@@ -100,7 +99,7 @@ class AdamW:
                 grad,
                 m,
                 v,
-                self.step_count,
+                step,
                 self.lr * lr_scale,
                 weight_decay=self.weight_decay,
             )

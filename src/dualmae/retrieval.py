@@ -252,14 +252,6 @@ def search_run(
     return RankingRun(candidates=candidates, labels=labels or {})
 
 
-def save_run(path: str | Path, run: RankingRun) -> None:
-    """query_id, doc_id, rank, score; one candidate per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for qid in run.candidates:
-            for rank, (doc, score) in enumerate(run.candidates[qid], start=1):
-                f.write(f"{qid}\t{doc}\t{rank}\t{score:.17g}\n")
-
-
 def load_run(path: str | Path, labels: dict[str, dict[str, int]] | None = None) -> RankingRun:
     candidates: dict[str, list[tuple[str, float]]] = {}
     expected_rank: dict[str, int] = {}

@@ -12,6 +12,7 @@ exact trajectory the uninterrupted run would have taken.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
-from .checkpoint import LoadedCheckpoint, Progress, load_checkpoint, load_checkpoint_vocabulary, save_checkpoint
+from .checkpoint import LoadedCheckpoint, load_checkpoint, load_checkpoint_vocabulary, save_checkpoint
 from .config import TrainConfig
 from .decoder import decode_basic, decode_enhanced, reconstruction_loss
 from .encoder import encode
@@ -94,7 +95,7 @@ def train_step(
     if not np.isfinite(clip_global_norm(grads, GRAD_CLIP_NORM)):
         # raised before the update, so parameters and moments stay as they were
         raise TrainingDiverged(f"step {step}: non-finite gradient norm")
-    optimizer.step(params, lr_scale=warmup_scale(step, train.warmup_steps))
+    optimizer.step(params, step, lr_scale=warmup_scale(step, train.warmup_steps))
     # The step's graph holds no reference cycle, so it dies by reference
     # counting when this returns and drops ``loss``. Releasing it here,
     # after the update, and not right after backward is deliberate. Freed
@@ -145,7 +146,9 @@ def run_pretraining(
     exact trajectory; ``stop_after_steps`` ends the run early after that
     global step count, which is how an interruption is simulated. A step
     argument the run cannot honour raises ValueError before anything is
-    trained or written.
+    trained or written. The global step is the only progress a checkpoint
+    records: the epoch and the batch offset in it are ``divmod(step,
+    batches_per_epoch)``.
     """
     if stop_after_steps is not None and stop_after_steps < 1:
         raise ValueError(f"stop_after_steps must be at least 1, got {stop_after_steps}")
@@ -161,11 +164,9 @@ def run_pretraining(
         train, enc_config, dec_config = loaded.train, loaded.encoder, loaded.decoder
         optimizer = loaded.optimizer
         mask_rng = loaded.rng
-        progress = loaded.progress
-        if stop_after_steps is not None and stop_after_steps <= progress.step:
-            raise ValueError(
-                f"stop_after_steps {stop_after_steps} is not past the checkpoint's step {progress.step}"
-            )
+        step = loaded.progress
+        if stop_after_steps is not None and stop_after_steps <= step:
+            raise ValueError(f"stop_after_steps {stop_after_steps} is not past the checkpoint's step {step}")
         vocab = load_checkpoint_vocabulary(resume_from, loaded)
     else:
         vocab = build_vocabulary(corpus_lines(corpus_path), enc_config.vocab_size)
@@ -175,46 +176,34 @@ def run_pretraining(
         params = init_params(enc_config, dec_config, np.random.default_rng([train.seed, 0]))
         optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
         mask_rng = np.random.default_rng([train.seed, 1])
-        progress = Progress()
+        step = 0
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab.save(out_dir / VOCAB_NAME)
-    _cut_log(out_dir / LOG_NAME, progress.step)
+    _cut_log(out_dir / LOG_NAME, step)
 
     seqs = load_corpus(corpus_path, vocab, enc_config.max_len)
+    batches_per_epoch = -(-len(seqs) // train.batch_size)  # as many as batch_iter yields
 
-    def save(progress_now: Progress) -> None:
+    def save() -> None:
+        """Checkpoint the state after the current ``step``."""
         log.flush()  # the log never trails the checkpoint it goes with
-        save_checkpoint(
-            ckpt_path,
-            params,
-            train,
-            enc_config,
-            dec_config,
-            optimizer,
-            mask_rng,
-            progress_now,
-            VOCAB_NAME,
-        )
+        save_checkpoint(ckpt_path, params, train, enc_config, dec_config, optimizer, mask_rng, step, VOCAB_NAME)
 
     with open(out_dir / LOG_NAME, "a", encoding="utf-8") as log:
-        for epoch in range(progress.epoch, train.epochs):
-            skip = progress.step_in_epoch if epoch == progress.epoch else 0
+        first_epoch, skip = divmod(step, batches_per_epoch)
+        for epoch in range(first_epoch, train.epochs):
             batches = batch_iter(seqs, train.batch_size, _epoch_seed(train.seed, epoch))
-            for index, batch in enumerate(batches):
-                if index < skip:
-                    continue
-                step = progress.step + 1
+            for batch in itertools.islice(batches, skip if epoch == first_epoch else 0, None):
+                step += 1
                 loss, coverage = train_step(
                     params, optimizer, train, enc_config, dec_config, batch, mask_rng, step
                 )
                 log.write(f"{step}\t{loss:.8f}\t{coverage:.6f}\n")
-                progress = Progress(step=step, epoch=epoch, step_in_epoch=index + 1)
                 if checkpoint_every and step % checkpoint_every == 0:
-                    save(progress)
+                    save()
                 if stop_after_steps is not None and step >= stop_after_steps:
-                    save(progress)
+                    save()
                     return ckpt_path
-            progress = Progress(step=progress.step, epoch=epoch + 1, step_in_epoch=0)
-            save(progress)
-        save(progress)
+            save()
+        save()
     return ckpt_path

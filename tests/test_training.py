@@ -296,7 +296,7 @@ class TestTrainStep:
         monkeypatch.setattr(ad, "backward", inf_gradient)
         with pytest.raises(TrainingDiverged, match=r"^step 2: non-finite gradient norm$"):
             train_step(params, opt, train, enc, dec, batch, rng, step=2)
-        assert opt.step_count == 1
+        # the moments are AdamW's whole state; the step comes from the caller
         for name, tensor in params.items():
             np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
             np.testing.assert_array_equal(opt.moments[name][0], moments[name][0], err_msg=name)
@@ -457,12 +457,16 @@ class TestRunPretraining:
         assert all(math.isfinite(float(x)) for x in losses)
         assert set(coverages) == {"1.000000"}
         loaded = load_checkpoint(ckpt)
-        assert loaded.progress.step == 6
-        assert loaded.progress.epoch == 2
-        assert loaded.optimizer.step_count == 6
+        assert loaded.progress == 6
+        # the global step is the one progress count: the epoch (2), the batch
+        # offset (0) and AdamW's bias-correction step all follow from it
+        manifest = ckpt.read_bytes().split(b"\ntensor = ", 1)[0].decode()
+        assert [line for line in manifest.splitlines() if line.startswith(("progress.", "optimizer."))] == [
+            "progress.step = 6"
+        ]
         assert loaded.encoder.vocab_size == len(WORDS) + 5  # capped by the real corpus
 
-    @pytest.mark.parametrize("stop_at", [2, 4])
+    @pytest.mark.parametrize("stop_at", [2, 3, 4])  # 3 is the end of epoch 0
     def test_interrupt_and_resume_reproduce_the_straight_run(self, tmp_path, stop_at):
         corpus = _write_corpus(tmp_path / "corpus.txt")
         train, enc, dec = _micro_configs()
@@ -471,7 +475,7 @@ class TestRunPretraining:
         interrupted = run_pretraining(
             corpus, tmp_path / "b", train, enc, dec, stop_after_steps=stop_at
         )
-        assert load_checkpoint(interrupted).progress.step == stop_at
+        assert load_checkpoint(interrupted).progress == stop_at
         resumed = run_pretraining(
             corpus, tmp_path / "b", train, enc, dec, resume_from=interrupted
         )
@@ -479,6 +483,29 @@ class TestRunPretraining:
         assert (tmp_path / "b" / "loss_log.tsv").read_text() == (
             tmp_path / "a" / "loss_log.tsv"
         ).read_text()
+
+    def test_one_step_has_one_checkpoint_whichever_save_wrote_it(self, tmp_path, monkeypatch):
+        # 3 batches per epoch: a run stopped at step 3 and a run killed during
+        # step 4, which keeps its end-of-epoch save, hold the same state
+        corpus = _write_corpus(tmp_path / "corpus.txt")
+        train, enc, dec = _micro_configs()
+        stopped = run_pretraining(corpus, tmp_path / "a", train, enc, dec, stop_after_steps=3)
+
+        class Killed(Exception):
+            pass
+
+        def dies_at_step_4(*args):
+            if args[-1] == 4:
+                raise Killed
+            return train_step(*args)
+
+        monkeypatch.setattr("dualmae.training.train_step", dies_at_step_4)
+        with pytest.raises(Killed):
+            run_pretraining(corpus, tmp_path / "b", train, enc, dec)
+        monkeypatch.undo()
+        killed = tmp_path / "b" / "model.ckpt"
+        assert load_checkpoint(killed).progress == 3
+        assert killed.read_bytes() == stopped.read_bytes()
 
     def test_resume_after_a_crash_cuts_the_log_back_to_the_checkpoint(self, tmp_path, monkeypatch):
         corpus = _write_corpus(tmp_path / "corpus.txt", n=48)  # 6 batches per epoch, 2 epochs
@@ -500,7 +527,7 @@ class TestRunPretraining:
         log = tmp_path / "b" / "loss_log.tsv"
         assert [line.split("\t")[0] for line in log.read_text().splitlines()] == ["1", "2", "3", "4", "5"]
         ckpt = tmp_path / "b" / "model.ckpt"
-        assert load_checkpoint(ckpt).progress.step == 3
+        assert load_checkpoint(ckpt).progress == 3
 
         resumed = run_pretraining(corpus, tmp_path / "b", train, enc, dec, resume_from=ckpt, checkpoint_every=3)
         assert log.read_bytes() == (tmp_path / "a" / "loss_log.tsv").read_bytes()
@@ -524,7 +551,7 @@ class TestRunPretraining:
         ckpt = run_pretraining(
             corpus, tmp_path / "run", train, enc, dec, stop_after_steps=3, checkpoint_every=2
         )
-        assert load_checkpoint(ckpt).progress.step == 3
+        assert load_checkpoint(ckpt).progress == 3
 
     def test_resuming_a_finished_run_is_a_no_op(self, tmp_path):
         corpus = _write_corpus(tmp_path / "corpus.txt")
