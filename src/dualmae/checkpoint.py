@@ -1,28 +1,30 @@
-"""Checkpoint container: a text manifest plus raw little-endian payloads.
+"""Checkpoint container: a text manifest plus one raw float32 payload.
 
 The file starts with one ASCII header line naming the format
-(``dualmae-ckpt-v2``) and the manifest's byte length, followed by the UTF-8
-manifest and then the tensor bytes. The manifest lists config, the global
-step, the vocabulary file name, the random-generator state, one line per
-tensor with dtype, shape, offset, and size, and last the sha256 of the
-payload. The step is the only progress counter: the epoch, the batch
-offset in it and AdamW's bias-correction step all follow from it.
-Serialization is canonical: saving a loaded checkpoint reproduces the
-input byte for byte, and two saves of the same state write the same bytes.
+(``dualmae-ckpt-v3``) and the manifest's byte length, followed by the UTF-8
+manifest and then the payload. The manifest holds the config, the global
+step, the vocabulary file name and the random-generator state; its last
+line is the sha256 of the manifest lines above it and the payload, in file
+order. The step is the only progress counter: the epoch, the batch offset
+in it and AdamW's bias-correction step all follow from it.
 
-Optimizer moments ride along as ``opt.m.<name>`` / ``opt.v.<name>``
-tensors; without them a resumed run could not retrace the uninterrupted
-loss curve exactly.
+The config alone fixes the payload's layout: every parameter in
+``param_shapes`` order, then each parameter's two AdamW moments
+(``opt.m.<name>``, ``opt.v.<name>``), all little-endian float32 back to
+back. Without the moments a resumed run could not retrace the
+uninterrupted loss curve exactly. Serialization is canonical: saving a
+loaded checkpoint reproduces the input byte for byte, and two saves of the
+same state write the same bytes.
 
 Loading is all or nothing. The header must name this format; a file of
-another format (v1 included) is refused, not converted. The ``config.*``
-lines must hold exactly the flat config keys, every other line save writes
-must be present, and the tensor set and shapes must be exactly the
-config's parameters plus their two moments. The payload must hold exactly
-those tensors back to back and match its digest before any array is
-built, and every tensor must be finite. Anything else raises
-``CheckpointError`` naming the item. Saving writes a temporary file beside
-the target and renames it over the target, so a killed save leaves the
+another format (v1 and v2 included) is refused, not converted. The
+``config.*`` lines must hold exactly the flat config keys, and every other
+line save writes must be present, the digest last. The payload must be
+exactly as long as the config's layout and match the digest before any
+array is built, and every tensor must be finite. Anything else raises
+``CheckpointError`` naming the item. Saving refuses any tensor that is not
+float32 in the config's shape, and writes a temporary file beside the
+target and renames it over the target, so a killed save leaves the
 previous checkpoint intact.
 """
 
@@ -43,16 +45,16 @@ from .model import DecoderConfig, EncoderConfig, ModelParams, param_shapes
 from .optim import AdamW
 from .text import Vocabulary
 
-MAGIC = "dualmae-ckpt-v2"
+MAGIC = "dualmae-ckpt-v3"
 
-_DTYPES = {"f4": "<f4", "f8": "<f8"}
+_FLOAT32 = np.dtype("<f4")
 
-# every manifest line besides config.* and tensor lines; all are required
+# every manifest line besides config.*; all are required, the digest last
 _SCALARS = (
     "progress.step",
     "vocab.file",
     "rng.state",
-    "payload.sha256",
+    "sha256",
 )
 
 
@@ -72,11 +74,10 @@ class LoadedCheckpoint:
     vocab_file: str
 
 
-def _dtype_tag(dtype: np.dtype) -> str:
-    for tag, np_name in _DTYPES.items():
-        if np.dtype(np_name) == np.dtype(dtype).newbyteorder("<"):
-            return tag
-    raise CheckpointError(f"unsupported tensor dtype {dtype}")
+def _layout(encoder: EncoderConfig, decoder: DecoderConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The payload's tensors in order: every parameter, then each one's two moments."""
+    shapes = param_shapes(encoder, decoder)
+    return shapes + [(f"opt.{side}.{name}", shape) for name, shape in shapes for side in ("m", "v")]
 
 
 def save_checkpoint(
@@ -90,38 +91,34 @@ def save_checkpoint(
     progress: int,
     vocab_file: str,
 ) -> None:
-    entries: list[tuple[str, np.ndarray]] = []
+    arrays = {name: tensor.data for name, tensor in params.items()}
     for name, tensor in params.items():
-        entries.append((name, tensor.data))
-    for name, _ in params.items():
-        m, v = optimizer.moments.get(
-            name, (np.zeros_like(params[name].data), np.zeros_like(params[name].data))
-        )
-        entries.append((f"opt.m.{name}", m))
-        entries.append((f"opt.v.{name}", v))
-
-    manifest_lines: list[str] = []
-    for key, value in config_as_flat_dict(train, encoder, decoder).items():
-        manifest_lines.append(f"config.{key} = {value}")
-    manifest_lines.append(f"progress.step = {progress}")
-    manifest_lines.append(f"vocab.file = {vocab_file}")
-    manifest_lines.append(f"rng.state = {json.dumps(rng.bit_generator.state, sort_keys=True)}")
-
+        zeros = np.zeros_like(tensor.data)
+        arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"] = optimizer.moments.get(name, (zeros, zeros))
     payloads: list[bytes] = []
-    digest = hashlib.sha256()
-    offset = 0
-    for name, arr in entries:
-        tag = _dtype_tag(arr.dtype)
-        raw = np.ascontiguousarray(arr).astype(_DTYPES[tag], copy=False).tobytes()
-        dims = "x".join(str(n) for n in arr.shape) if arr.shape else "scalar"
-        manifest_lines.append(f"tensor = {name} {tag} {dims} {offset} {len(raw)}")
-        payloads.append(raw)
-        digest.update(raw)
-        offset += len(raw)
-    manifest_lines.append(f"payload.sha256 = {digest.hexdigest()}")
+    for name, shape in _layout(encoder, decoder):
+        arr = arrays.pop(name, None)
+        if arr is None:
+            raise CheckpointError(f"cannot save: no tensor {name!r}, which the config needs")
+        if arr.dtype != _FLOAT32 or arr.shape != shape:
+            raise CheckpointError(
+                f"cannot save tensor {name!r}: it is {arr.dtype} {arr.shape}, the config needs float32 {shape}"
+            )
+        payloads.append(arr.tobytes())
+    if arrays:
+        raise CheckpointError(f"cannot save tensor {next(iter(arrays))!r}: the config has no such parameter")
 
-    manifest = "\n".join(manifest_lines) + "\n"
-    manifest_bytes = manifest.encode("utf-8")
+    lines = [f"config.{key} = {value}" for key, value in config_as_flat_dict(train, encoder, decoder).items()]
+    lines += [
+        f"progress.step = {progress}",
+        f"vocab.file = {vocab_file}",
+        f"rng.state = {json.dumps(rng.bit_generator.state, sort_keys=True)}",
+    ]
+    signed = "".join(line + "\n" for line in lines).encode("utf-8")
+    digest = hashlib.sha256(signed)
+    for raw in payloads:
+        digest.update(raw)
+    manifest_bytes = signed + f"sha256 = {digest.hexdigest()}\n".encode("ascii")
     # a kill mid-write leaves the previous checkpoint in place
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -143,37 +140,25 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: checkpoint format {header[0]!r} is not readable, expected {MAGIC!r}")
     if len(header) != 2 or header[0] != MAGIC or not header[1].isdigit():
         raise CheckpointError(f"{path}: bad header, expected '{MAGIC} <manifest-bytes>'")
-    manifest_len = int(header[1])
     manifest_start = newline + 1
+    payload_start = manifest_start + int(header[1])
+    manifest_bytes = blob[manifest_start:payload_start]
     try:
-        manifest = blob[manifest_start : manifest_start + manifest_len].decode("utf-8")
+        manifest = manifest_bytes.decode("utf-8")
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: manifest is not UTF-8") from None
-    payload = blob[manifest_start + manifest_len :]
+    payload = blob[payload_start:]
 
     config_values: dict[str, str] = {}
     scalars: dict[str, str] = {}
-    tensors: dict[str, tuple[str, tuple[int, ...], int, int]] = {}  # name -> tag, shape, offset, bytes
-    for lineno, line in enumerate(manifest.splitlines(), start=2):
+    lines = manifest.splitlines()
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         key, _, value = line.partition(" = ")
         if not value:
             raise CheckpointError(f"{path}:{lineno}: malformed manifest line")
-        if key == "tensor":
-            parts = value.split()
-            if len(parts) != 5 or not (parts[3].isdecimal() and parts[4].isdecimal()):
-                raise CheckpointError(f"{path}:{lineno}: malformed tensor line")
-            name, tag, dims = parts[:3]
-            if name in tensors:
-                raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-            if tag not in _DTYPES:
-                raise CheckpointError(f"{path}: unknown dtype tag {tag!r} for {name}")
-            if dims != "scalar" and not all(n.isdecimal() for n in dims.split("x")):
-                raise CheckpointError(f"{path}:{lineno}: bad shape field {dims!r} for tensor {name}")
-            shape = () if dims == "scalar" else tuple(int(n) for n in dims.split("x"))
-            tensors[name] = (tag, shape, int(parts[3]), int(parts[4]))
-        elif key.startswith("config."):
+        if key.startswith("config."):
             config_values[key[len("config.") :]] = value
         elif key in _SCALARS:
             scalars[key] = value
@@ -188,50 +173,6 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     except ConfigError as e:
         raise CheckpointError(f"{path}: {e}") from None
 
-    # the tensor set is exactly the config's parameters plus two moments each
-    shapes = dict(param_shapes(encoder, decoder))
-    expected: dict[str, tuple[int, ...]] = {}
-    for name, shape in shapes.items():
-        expected[name] = expected[f"opt.m.{name}"] = expected[f"opt.v.{name}"] = shape
-    for name in tensors:
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}; the config has no such parameter")
-    for name, shape in expected.items():
-        if name not in tensors:
-            what = "optimizer state" if name.startswith("opt.") else "parameter"
-            raise CheckpointError(f"{path}: missing {what} {name!r}")
-        if tensors[name][1] != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tensors[name][1]}, the config expects {shape}"
-            )
-
-    # the payload is the tensors back to back in manifest order, and nothing more
-    end = 0
-    for name, (tag, shape, offset, nbytes) in tensors.items():
-        need = math.prod(shape) * np.dtype(_DTYPES[tag]).itemsize
-        if nbytes != need:
-            raise CheckpointError(f"{path}: tensor {name!r} has {nbytes} bytes, its shape {shape} needs {need}")
-        if offset != end:
-            raise CheckpointError(f"{path}: tensor {name!r} starts at payload byte {offset}, expected {end}")
-        end += nbytes
-        if end > len(payload):
-            raise CheckpointError(f"{path}: payload truncated at tensor {name}")
-    if end != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - end} bytes after the last tensor")
-    if hashlib.sha256(payload).hexdigest() != scalars["payload.sha256"]:
-        raise CheckpointError(f"{path}: payload does not match its sha256; the file is damaged")
-
-    arrays: dict[str, np.ndarray] = {}
-    for name, (tag, shape, offset, nbytes) in tensors.items():
-        arrays[name] = np.frombuffer(payload[offset : offset + nbytes], dtype=_DTYPES[tag]).reshape(shape).copy()
-        if not np.isfinite(arrays[name]).all():
-            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
-
-    params = {name: ad.parameter(arrays[name], dtype=arrays[name].dtype) for name in shapes}
-    optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
-    for name in shapes:
-        optimizer.moments[name] = (arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"])
-
     def scalar(name, parse):
         try:
             return parse(scalars[name])
@@ -241,13 +182,43 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     step = scalar("progress.step", int)
     if step < 0:
         raise CheckpointError(f"{path}: manifest line 'progress.step' is negative: {step}")
+    rng = scalar("rng.state", _generator)
+
+    # the config fixes the payload: its tensors back to back, and nothing more
+    layout = _layout(encoder, decoder)
+    need = _FLOAT32.itemsize * sum(math.prod(shape) for _, shape in layout)
+    if len(payload) < need:
+        raise CheckpointError(f"{path}: payload truncated: {len(payload)} bytes, the config needs {need}")
+    if len(payload) > need:
+        raise CheckpointError(f"{path}: {len(payload) - need} bytes after the last tensor")
+    # the digest covers every manifest line above it, so nothing may follow it
+    if not lines[-1].startswith("sha256 = "):
+        raise CheckpointError(f"{path}: manifest line 'sha256' is not the last line")
+    digest = hashlib.sha256(manifest_bytes[: manifest_bytes.rindex(b"sha256 = ")])
+    digest.update(payload)
+    if digest.hexdigest() != scalars["sha256"]:
+        raise CheckpointError(f"{path}: manifest and payload do not match their sha256; the file is damaged")
+
+    flat = np.frombuffer(payload, dtype=_FLOAT32)
+    arrays: dict[str, np.ndarray] = {}
+    at = 0
+    for name, shape in layout:
+        n = math.prod(shape)
+        arrays[name] = flat[at : at + n].reshape(shape).copy()
+        at += n
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
+
+    params = {name: ad.parameter(arrays[name]) for name, _ in param_shapes(encoder, decoder)}
+    optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
+    optimizer.moments = {name: (arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"]) for name in params}
     return LoadedCheckpoint(
         params=params,
         train=train,
         encoder=encoder,
         decoder=decoder,
         optimizer=optimizer,
-        rng=scalar("rng.state", _generator),
+        rng=rng,
         progress=step,
         vocab_file=scalars["vocab.file"],
     )

@@ -16,9 +16,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff import NonFiniteError
 from .checkpoint import load_checkpoint, load_checkpoint_vocabulary
 from .config import (
+    PRESETS,
     ConfigError,
     parse_config_file,
     parse_overrides,
@@ -57,7 +60,7 @@ def _configs_from_args(args: argparse.Namespace):
 
 def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--preset", default="full", choices=["full", "desk"], help="base configuration")
+    p.add_argument("--preset", default="full", choices=sorted(PRESETS), help="base configuration")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
 
 
@@ -208,7 +211,10 @@ def main(argv: list[str] | None = None) -> int:
         print("eval needs either --run or both --queries and --docs", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # every op checks its output and names itself, so numpy's own overflow
+        # warnings would only print ahead of that message
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except OSError as e:
         print(str(e), file=sys.stderr)
         return 2

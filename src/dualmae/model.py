@@ -92,7 +92,7 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.
     return out.astype(dtype)
 
 
-# named parameter tensors, in the serialization-stable order of ``param_shapes``
+# named parameter tensors, in ``param_shapes`` order: the checkpoint payload's order
 ModelParams = dict[str, Tensor]
 
 

@@ -18,7 +18,7 @@ from dualmae.checkpoint import (
     save_checkpoint,
 )
 from dualmae.cli import main
-from dualmae.config import TrainConfig, config_as_flat_dict, resolve_configs
+from dualmae.config import TrainConfig, config_as_flat_dict, configs_from_flat_dict, resolve_configs
 from dualmae.masking import mask_batch
 from dualmae.model import DecoderConfig, EncoderConfig, init_params, param_shapes
 from dualmae.optim import AdamW
@@ -206,45 +206,37 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
-    def test_missing_optimizer_state(self, tmp_path):
-        path = self._saved(tmp_path)
-        _rewrite_manifest(path, lambda m: "\n".join(
-            line for line in m.splitlines() if not line.startswith("tensor = opt.m.word_emb ")
-        ) + "\n")
-        with pytest.raises(CheckpointError, match="missing optimizer state"):
-            load_checkpoint(path)
-
-    def test_unknown_dtype_tag(self, tmp_path):
-        path = self._saved(tmp_path)
-        _rewrite_manifest(path, lambda m: m.replace("tensor = word_emb f4", "tensor = word_emb f2", 1))
-        with pytest.raises(CheckpointError, match="dtype"):
-            load_checkpoint(path)
-
 
 def _drop_line(name):
-    """Drop the manifest line ``name = ...``, or the row of tensor ``name``."""
+    """Drop the manifest line ``name = ...``."""
     def mutate(manifest):
         lines = manifest.splitlines(keepends=True)
-        return "".join(line for line in lines if not line.startswith((f"{name} = ", f"tensor = {name} ")))
+        return "".join(line for line in lines if not line.startswith(f"{name} = "))
+    return mutate
+
+
+def _set_lines(values):
+    """Set each manifest line ``name = ...`` to ``values[name]``."""
+    def mutate(manifest):
+        lines = manifest.splitlines(keepends=True)
+        for name, value in values.items():
+            lines = [f"{name} = {value}\n" if line.startswith(f"{name} = ") else line for line in lines]
+        return "".join(lines)
     return mutate
 
 
 def _set_line(name, value):
     """Set the manifest line ``name = ...`` to ``value``."""
-    def mutate(manifest):
-        lines = manifest.splitlines(keepends=True)
-        return "".join(f"{name} = {value}\n" if line.startswith(f"{name} = ") else line for line in lines)
-    return mutate
+    return _set_lines({name: value})
 
 
-def _add_second_decoder_bias(manifest):
-    """A ``dec1.attn.bq`` row pointing at ``dec0.attn.bq``'s bytes."""
-    row = next(line for line in manifest.splitlines() if line.startswith("tensor = dec0.attn.bq "))
-    return manifest + row.replace("dec0.", "dec1.") + "\n"
+def _payload_bytes(enc, dec):
+    """Every parameter and its two moments, as float32."""
+    return 3 * 4 * sum(int(np.prod(shape)) for _, shape in param_shapes(enc, dec))
 
 
 CONFIG_LINES = [f"config.{key}" for key in config_as_flat_dict(TrainConfig(), ENC, DEC)]
-SCALAR_LINES = ["progress.step", "vocab.file", "rng.state", "payload.sha256"]
+SCALAR_LINES = ["progress.step", "vocab.file", "rng.state", "sha256"]
 
 
 class TestManifestValidation:
@@ -274,7 +266,7 @@ class TestManifestValidation:
 
     def test_every_written_line_is_covered(self, tmp_path):
         names = [line.split(" = ")[0] for line in _manifest(self._saved(tmp_path)).splitlines()]
-        assert [n for n in names if n != "tensor"] == CONFIG_LINES + SCALAR_LINES
+        assert names == CONFIG_LINES + SCALAR_LINES
 
     def test_unknown_config_key(self, tmp_path):
         path = self._saved(tmp_path)
@@ -288,22 +280,39 @@ class TestManifestValidation:
         with pytest.raises(CheckpointError, match="unknown manifest line 'progress.lap'"):
             load_checkpoint(path)
 
-    def test_extra_decoder_layer_tensor(self, tmp_path):
-        path = self._saved(tmp_path)
-        _rewrite_manifest(path, _add_second_decoder_bias)
-        with pytest.raises(CheckpointError, match="unexpected tensor 'dec1.attn.bq'"):
-            load_checkpoint(path)
-
-    def test_missing_parameter_tensor(self, tmp_path):
-        path = self._saved(tmp_path)
-        _rewrite_manifest(path, _drop_line("out_bias"))
-        with pytest.raises(CheckpointError, match="missing parameter 'out_bias'"):
-            load_checkpoint(path)
-
     def test_shape_disagreeing_with_config(self, tmp_path):
+        # two position tables of 8 more rows each: 2 * 8 * 16 float32 values
+        # for the parameters and as many for each moment
         path = self._saved(tmp_path)
         _rewrite_manifest(path, lambda m: m.replace("config.max_len = 8\n", "config.max_len = 16\n"))
-        with pytest.raises(CheckpointError, match=r"'enc_pos' has shape \(8, 16\), the config expects \(16, 16\)"):
+        need = _payload_bytes(ENC, DEC) + 3 * 4 * 2 * 8 * 16
+        with pytest.raises(CheckpointError, match=f"payload truncated: {_payload_bytes(ENC, DEC)} bytes, "
+                                                  f"the config needs {need}"):
+            load_checkpoint(path)
+
+    def test_a_line_after_the_digest_is_refused(self, tmp_path):
+        # the digest covers the lines above it; a line below it would not be
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, lambda m: m + "progress.step = 5\n")
+        with pytest.raises(CheckpointError, match="manifest line 'sha256' is not the last line"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(_set_line("config.learning_rate", "0.002"), id="learning-rate"),
+        # at hidden_dim 16, 17 more rows in each position table and 32 fewer
+        # words in word_emb and out_bias keep the payload's size: the
+        # parameters would be cut at the wrong boundaries
+        pytest.param(_set_lines({"config.max_len": "25", "config.vocab_size": "8"}), id="size-preserving-shape"),
+    ])
+    def test_a_valid_config_edit_is_refused(self, tmp_path, mutate):
+        path = self._saved(tmp_path)
+        _rewrite_manifest(path, mutate)
+        train, enc, dec = configs_from_flat_dict({
+            line.split(" = ")[0][len("config."):]: line.split(" = ")[1]
+            for line in _manifest(path).splitlines() if line.startswith("config.")
+        })
+        assert _payload_bytes(enc, dec) == _payload_bytes(ENC, DEC)
+        with pytest.raises(CheckpointError, match="manifest and payload do not match their sha256"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("line, bad, message", [
@@ -320,12 +329,6 @@ class TestManifestValidation:
         path = self._saved(tmp_path)
         _rewrite_manifest(path, lambda m: m.replace("config.encoder_mlm_weight = 0.0\n", "config.encoder_mlm_weight = nan\n", 1))
         with pytest.raises(CheckpointError, match="encoder_mlm_weight must be finite and non-negative, got nan"):
-            load_checkpoint(path)
-
-    def test_non_numeric_tensor_offset(self, tmp_path):
-        path = self._saved(tmp_path)
-        _rewrite_manifest(path, lambda m: m.replace("tensor = word_emb f4 40x16 0 ", "tensor = word_emb f4 40x16 zero ", 1))
-        with pytest.raises(CheckpointError, match="malformed tensor line"):
             load_checkpoint(path)
 
     def test_unreadable_rng_state(self, tmp_path):
@@ -364,8 +367,9 @@ class TestManifestValidation:
     @pytest.mark.parametrize("mutate, named", [
         (_drop_line("rng.state"), "rng.state"),
         (_drop_line("config.max_len"), "max_len"),
-        (_drop_line("opt.v.enc_pos"), "opt.v.enc_pos"),
-        (_add_second_decoder_bias, "dec1.attn.bq"),
+        pytest.param(_set_line("config.learning_rate", "0.002"), "sha256", id="learning-rate-edit"),
+        pytest.param(_set_lines({"config.max_len": "25", "config.vocab_size": "8"}), "sha256",
+                     id="size-preserving-edit"),
         (lambda m: m.replace("config.decoder_layers = 1", "config.decoder_layers = 2"), "one decoder layer"),
     ])
     def test_embed_exits_2_without_traceback(self, tmp_path, capsys, mutate, named):
@@ -378,19 +382,6 @@ class TestManifestValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert named in err and "Traceback" not in err
-
-
-def _set_tensor_field(name, field, value):
-    """Rewrite one field (2 shape, 3 offset, 4 byte count) of tensor ``name``'s row."""
-    def mutate(manifest):
-        lines = manifest.splitlines(keepends=True)
-        for i, line in enumerate(lines):
-            if line.startswith(f"tensor = {name} "):
-                parts = line.split()
-                parts[2 + field] = value
-                lines[i] = " ".join(parts) + "\n"
-        return "".join(lines)
-    return mutate
 
 
 def _append_garbage(path):
@@ -408,23 +399,22 @@ def _in_manifest(mutate):
     return lambda path: _rewrite_manifest(path, mutate)
 
 
-# enc_pos follows word_emb (40x16 float32, 2560 bytes) in the payload
+def _cut_last_byte(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
 LAYOUT_DAMAGE = [
     pytest.param(_append_garbage, "7 bytes after the last tensor", id="trailing-bytes"),
-    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 3, "0")),
-                 "'enc_pos' starts at payload byte 0, expected 2560", id="overlapping-offset"),
-    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 3, "2564")),
-                 "'enc_pos' starts at payload byte 2564, expected 2560", id="gap-before-tensor"),
-    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 2, "8xsixteen")),
-                 "bad shape field '8xsixteen' for tensor enc_pos", id="non-numeric-shape"),
-    pytest.param(_in_manifest(_set_tensor_field("enc_pos", 4, "508")),
-                 "'enc_pos' has 508 bytes, its shape (8, 16) needs 512", id="shape-disagrees-with-bytes"),
+    pytest.param(_cut_last_byte, f"payload truncated: {_payload_bytes(ENC, DEC) - 1} bytes, "
+                                 f"the config needs {_payload_bytes(ENC, DEC)}", id="truncated"),
+    pytest.param(_in_manifest(_set_line("config.max_len", "7")),
+                 f"{3 * 4 * 2 * 16} bytes after the last tensor", id="config-disagrees-with-payload"),
     pytest.param(_non_utf8_manifest, "manifest is not UTF-8", id="manifest-not-utf8"),
 ]
 
 
 class TestPayloadLayout:
-    """The payload holds exactly the manifest's tensors, back to back."""
+    """The payload holds exactly the config's tensors, back to back."""
 
     def _saved(self, tmp_path):
         params, train, opt, rng, progress = _trained_state()
@@ -493,23 +483,69 @@ class TestAtomicSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
+class TestSaveRefuses:
+    """Save writes only what the config's layout can hold: float32 tensors
+    of the config's shapes, no more and no fewer."""
+
+    def _state(self):
+        params = init_params(ENC, DEC, np.random.default_rng(0))
+        return params, TrainConfig(), AdamW(lr=1e-4), np.random.default_rng(1)
+
+    def test_float64_parameters(self, tmp_path):
+        params = init_params(ENC, DEC, np.random.default_rng(0), dtype=np.float64)
+        with pytest.raises(CheckpointError, match=re.escape(
+                "cannot save tensor 'word_emb': it is float64 (40, 16), the config needs float32 (40, 16)")):
+            save_checkpoint(tmp_path / "model.ckpt", params, TrainConfig(), ENC, DEC, AdamW(lr=1e-4),
+                            np.random.default_rng(1), 0, "vocab.txt")
+        assert not list(tmp_path.iterdir())
+
+    def test_a_moment_of_the_wrong_shape(self, tmp_path):
+        params, train, opt, rng = self._state()
+        opt.moments["enc_pos"] = (np.zeros((8, 16), np.float32), np.zeros((9, 16), np.float32))
+        with pytest.raises(CheckpointError, match=re.escape(
+                "cannot save tensor 'opt.v.enc_pos': it is float32 (9, 16), the config needs float32 (8, 16)")):
+            save_checkpoint(tmp_path / "model.ckpt", params, train, ENC, DEC, opt, rng, 0, "vocab.txt")
+
+    def test_a_missing_parameter(self, tmp_path):
+        params, train, opt, rng = self._state()
+        del params["out_bias"]
+        with pytest.raises(CheckpointError, match="no tensor 'out_bias', which the config needs"):
+            save_checkpoint(tmp_path / "model.ckpt", params, train, ENC, DEC, opt, rng, 0, "vocab.txt")
+
+    def test_a_parameter_the_config_lacks(self, tmp_path):
+        params, train, opt, rng = self._state()
+        params["dec1.attn.bq"] = params["dec0.attn.bq"]
+        with pytest.raises(CheckpointError, match="tensor 'dec1.attn.bq': the config has no such parameter"):
+            save_checkpoint(tmp_path / "model.ckpt", params, train, ENC, DEC, opt, rng, 0, "vocab.txt")
+
+
 def _payload_start(blob):
     newline = blob.index(b"\n")
     return newline + 1 + int(blob[:newline].split()[1])
 
 
 def _signed(blob):
-    """``blob`` with its ``payload.sha256`` line set to the digest of its
-    payload, as if the damage had been saved that way."""
-    key = b"payload.sha256 = "
-    at = blob.index(key) + len(key)
-    return blob[:at] + hashlib.sha256(blob[_payload_start(blob):]).hexdigest().encode() + blob[at + 64:]
+    """``blob`` with its ``sha256`` line set to the digest of the manifest
+    lines above it and the payload, as if the damage had been saved that way."""
+    start, end = blob.index(b"\n") + 1, _payload_start(blob)
+    line = blob.rindex(b"\nsha256 = ", start, end) + 1
+    at = line + len(b"sha256 = ")
+    digest = hashlib.sha256(blob[start:line] + blob[end:]).hexdigest().encode()
+    return blob[:at] + digest + blob[at + 64:]
+
+
+# the payload's tensors in order, all float32: every parameter in
+# param_shapes order, then each one's two moments
+LAYOUT = param_shapes(ENC, DEC) + [
+    (f"opt.{side}.{name}", shape) for name, shape in param_shapes(ENC, DEC) for side in ("m", "v")
+]
 
 
 def _tensor_offset(path, name):
     """Where tensor ``name`` starts in the file."""
-    row = next(line for line in _manifest(path).splitlines() if line.startswith(f"tensor = {name} "))
-    return _payload_start(path.read_bytes()) + int(row.split()[5])
+    names = [n for n, _ in LAYOUT]
+    before = sum(int(np.prod(shape)) for _, shape in LAYOUT[: names.index(name)])
+    return _payload_start(path.read_bytes()) + 4 * before
 
 
 def _write_value(name, value, sign):
@@ -535,9 +571,9 @@ def _flip_bit(name):
 
 def _as_v1(path):
     """Rewrite a saved checkpoint the way format v1 wrote it: four progress
-    counters, no payload digest."""
+    counters, no digest."""
     def mutate(manifest):
-        lines = [line for line in manifest.splitlines() if not line.startswith("payload.sha256 = ")]
+        lines = [line for line in manifest.splitlines() if not line.startswith("sha256 = ")]
         at = next(i for i, line in enumerate(lines) if line.startswith("progress.step = ")) + 1
         lines[at:at] = ["progress.epoch = 0", "progress.step_in_epoch = 2", "optimizer.steps = 2"]
         return "\n".join(lines) + "\n"
@@ -546,15 +582,39 @@ def _as_v1(path):
     path.write_bytes(blob.replace(MAGIC.encode(), b"dualmae-ckpt-v1", 1))
 
 
+def _as_v2(path):
+    """Rewrite a saved checkpoint the way format v2 wrote it: a table of
+    tensor lines and a digest of the payload alone."""
+    blob = path.read_bytes()
+    payload = blob[_payload_start(blob):]
+
+    def mutate(manifest):
+        lines = [line for line in manifest.splitlines() if not line.startswith("sha256 = ")]
+        offset = 0
+        for name, shape in LAYOUT:
+            nbytes = 4 * int(np.prod(shape))
+            lines.append(f"tensor = {name} f4 {'x'.join(map(str, shape))} {offset} {nbytes}")
+            offset += nbytes
+        lines.append(f"payload.sha256 = {hashlib.sha256(payload).hexdigest()}")
+        return "\n".join(lines) + "\n"
+    _rewrite_manifest(path, mutate)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(MAGIC.encode(), b"dualmae-ckpt-v2", 1))
+
+
+DIGEST_MISMATCH = "manifest and payload do not match their sha256"
+
 PAYLOAD_DAMAGE = [
-    pytest.param(_flip_bit("enc_pos"), "payload does not match its sha256", id="flipped-bit"),
-    pytest.param(_write_value("enc_pos", 0.5, sign=False), "payload does not match its sha256", id="rewritten-value"),
+    pytest.param(_flip_bit("enc_pos"), DIGEST_MISMATCH, id="flipped-bit"),
+    pytest.param(_write_value("enc_pos", 0.5, sign=False), DIGEST_MISMATCH, id="rewritten-value"),
     pytest.param(_write_value("word_emb", np.nan, sign=True), "tensor 'word_emb' holds a non-finite value",
                  id="signed-nan-parameter"),
     pytest.param(_write_value("opt.v.dec0.ffn.b2", np.inf, sign=True),
                  "tensor 'opt.v.dec0.ffn.b2' holds a non-finite value", id="signed-inf-moment"),
-    pytest.param(_as_v1, "checkpoint format 'dualmae-ckpt-v1' is not readable, expected 'dualmae-ckpt-v2'",
+    pytest.param(_as_v1, "checkpoint format 'dualmae-ckpt-v1' is not readable, expected 'dualmae-ckpt-v3'",
                  id="format-v1"),
+    pytest.param(_as_v2, "checkpoint format 'dualmae-ckpt-v2' is not readable, expected 'dualmae-ckpt-v3'",
+                 id="format-v2"),
 ]
 
 
@@ -568,7 +628,7 @@ class TestPayloadIntegrity:
         save_checkpoint(path, params, train, ENC, DEC, opt, rng, progress, "vocab.txt")
         return path
 
-    def test_the_digest_is_the_payload_sha256(self, tmp_path):
+    def test_the_digest_covers_manifest_and_payload(self, tmp_path):
         path = self._saved(tmp_path)
         assert _signed(path.read_bytes()) == path.read_bytes()
 
@@ -610,7 +670,7 @@ def test_damaged_files_only_ever_raise_checkpoint_error(tmp_path):
     save_checkpoint(path, init_params(enc, dec, np.random.default_rng(0)), TrainConfig(), enc, dec,
                     AdamW(lr=1e-3), np.random.default_rng(1), 0, "vocab.txt")
     blob = path.read_bytes()
-    payload_start = len(blob) - 3 * 4 * sum(int(np.prod(s)) for _, s in param_shapes(enc, dec))
+    payload_start = len(blob) - _payload_bytes(enc, dec)
 
     def damaged():
         for cut in [*range(payload_start + 8), *range(payload_start + 8, len(blob), 61)]:

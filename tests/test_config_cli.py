@@ -6,6 +6,7 @@ contracts, and the artifacts left on disk.
 
 import dataclasses
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -474,7 +475,9 @@ class TestEmbedCli:
                         loaded.optimizer, loaded.rng, loaded.progress, loaded.vocab_file)
         shutil.copy(trained_run["out"] / "vocab.txt", tmp_path / "vocab.txt")
         out = tmp_path / "emb.tsv"
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the named error is the whole report: no numpy warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["embed", "--checkpoint", str(tmp_path / "model.ckpt"),
                          "--input", str(trained_run["corpus"]), "--output", str(out)])
         assert code == 2

@@ -460,7 +460,8 @@ class TestRunPretraining:
         assert loaded.progress == 6
         # the global step is the one progress count: the epoch (2), the batch
         # offset (0) and AdamW's bias-correction step all follow from it
-        manifest = ckpt.read_bytes().split(b"\ntensor = ", 1)[0].decode()
+        header, _, rest = ckpt.read_bytes().partition(b"\n")
+        manifest = rest[: int(header.split()[1])].decode()
         assert [line for line in manifest.splitlines() if line.startswith(("progress.", "optimizer."))] == [
             "progress.step = 6"
         ]
