@@ -115,7 +115,10 @@ def _coerce(key: str, raw: str, where: str) -> object:
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Read ``key = value`` lines; unknown keys are an error, not a warning."""
     values: dict[str, object] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -2,14 +2,14 @@
 
 Search is exhaustive and exact; scores are computed in double precision
 and ties are broken by ascending document id, so a ranking is a pure
-function of the store. ``search_run`` converts the document matrix to
-float64 once per run (with row norms cached for cosine) and ranks the ids
-once, then scores each query with one matrix-vector product, finds the
-k-th best score with a partition and sorts only the rows that reach it,
-ties by id rank. ``topk_search`` is the single-query reference: the same
-scores, then a full sort on (score, id string). Each query keeps its own
-matrix-vector product because a blocked matrix-matrix product can round
-differently in the last bits and so reorder near-ties.
+function of the store. ``search_run`` is the one search: it converts the
+document matrix to float64 once per run (with row norms cached for
+cosine) and ranks the ids once, then scores each query with one
+matrix-vector product, finds the k-th best score with a partition and
+sorts only the rows that reach it, ties by id rank. Each query keeps its
+own matrix-vector product because a blocked matrix-matrix product can
+round differently in the last bits and so reorder near-ties. The tests
+check every list against a full sort on (score, id string).
 
 Embedding pads each sentence to a width that depends only on its own
 length, so a vector never depends on the rest of its batch. Metrics follow
@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,20 @@ EMBED_BATCH_SIZE = 32  # sentences per encoder call within one width bucket
 
 
 class RunFormatError(ValueError):
-    """A run or label file line that cannot be used."""
+    """An embedding, run or label file that cannot be used."""
+
+
+def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Each line of a UTF-8 text file with its number, newline stripped.
+
+    A byte that is not UTF-8 raises ``RunFormatError`` naming the file.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(f, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as e:
+            raise RunFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 @dataclass
@@ -123,79 +136,27 @@ def save_embeddings(path: str | Path, store: EmbeddingStore) -> None:
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     ids: list[str] = []
     rows: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            doc_id, tab, rest = line.partition("\t")
-            if not tab:
-                raise RunFormatError(f"{path}:{lineno}: expected 'id<TAB>components'")
-            try:
-                row = np.array([np.float32(x) for x in rest.split()], dtype=np.float32)
-            except ValueError:
-                raise RunFormatError(f"{path}:{lineno}: bad vector component") from None
-            if not row.size:
-                raise RunFormatError(f"{path}:{lineno}: vector has no components")
-            if rows and len(row) != len(rows[0]):
-                raise RunFormatError(f"{path}:{lineno}: expected {len(rows[0])} components, got {len(row)}")
-            if not np.isfinite(row).all():
-                raise RunFormatError(f"{path}:{lineno}: non-finite vector component")
-            rows.append(row)
-            ids.append(doc_id)
+    for lineno, line in _text_lines(path):
+        if not line:
+            continue
+        doc_id, tab, rest = line.partition("\t")
+        if not tab:
+            raise RunFormatError(f"{path}:{lineno}: expected 'id<TAB>components'")
+        try:
+            row = np.array([np.float32(x) for x in rest.split()], dtype=np.float32)
+        except ValueError:
+            raise RunFormatError(f"{path}:{lineno}: bad vector component") from None
+        if not row.size:
+            raise RunFormatError(f"{path}:{lineno}: vector has no components")
+        if rows and len(row) != len(rows[0]):
+            raise RunFormatError(f"{path}:{lineno}: expected {len(rows[0])} components, got {len(row)}")
+        if not np.isfinite(row).all():
+            raise RunFormatError(f"{path}:{lineno}: non-finite vector component")
+        rows.append(row)
+        ids.append(doc_id)
     if not rows:
         raise RunFormatError(f"{path}: no vectors found")
     return EmbeddingStore(ids=ids, matrix=np.stack(rows))
-
-
-class _Scorer:
-    """Float64 similarity of queries against one store.
-
-    The float64 copy of the matrix, and for cosine its row norms, are made
-    once; every query then costs one matrix-vector product. ``score_all``
-    and ``search_run`` both score through this, so they agree bit for bit.
-    """
-
-    def __init__(self, store: EmbeddingStore, metric: str):
-        if metric not in ("dot", "cosine"):
-            raise ValueError(f"unknown similarity metric {metric!r}")
-        self.metric = metric
-        self.docs = store.matrix.astype(np.float64)
-        if metric == "cosine":
-            norms = np.linalg.norm(self.docs, axis=1)
-            self.zero_rows = norms == 0.0
-            self.divisors = np.where(self.zero_rows, 1.0, norms)
-
-    def __call__(self, query: np.ndarray) -> np.ndarray:
-        q = np.asarray(query, dtype=np.float64)
-        if self.metric == "dot":
-            return self.docs @ q
-        qn = float(np.linalg.norm(q))
-        if qn == 0.0:
-            return np.zeros(len(self.docs))
-        scores = self.docs @ q / qn / self.divisors
-        scores[self.zero_rows] = 0.0
-        return scores
-
-
-def score_all(query: np.ndarray, store: EmbeddingStore, metric: str = "dot") -> np.ndarray:
-    """Similarity of one query against every stored vector, in float64."""
-    return _Scorer(store, metric)(query)
-
-
-def topk_search(
-    query: np.ndarray, store: EmbeddingStore, k: int, metric: str = "dot"
-) -> list[tuple[str, float]]:
-    """The k best documents, highest score first, ties by ascending id.
-
-    A full sort of every score; ``search_run`` must return exactly this.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    scores = score_all(query, store, metric)
-    ids = np.array(store.ids)
-    order = np.lexsort((ids, -scores))
-    return [(str(ids[i]), float(scores[i])) for i in order[:k]]
 
 
 @dataclass
@@ -222,26 +183,41 @@ def search_run(
     queries: EmbeddingStore, docs: EmbeddingStore, k: int, metric: str = "dot",
     labels: dict[str, dict[str, int]] | None = None,
 ) -> RankingRun:
-    """Top k documents for every query; each list equals ``topk_search``'s.
+    """The k best documents for every query, highest score first, ties by
+    ascending id.
 
-    The store is converted and its ids ranked once for the whole run. Per
-    query, one matrix-vector product gives the scores, a partition finds
-    the k-th best, and only rows scoring at least that much are sorted, by
-    score descending and then by the rank of their id. Every row tied with
-    the k-th score is a candidate, so a tie at the cut is broken by id, as
-    the full sort would.
+    Scores are float64: ``dot`` is ``docs @ q``, and ``cosine`` divides
+    that by the query's norm and then by each row's norm; a zero query or a
+    zero row scores 0. The store is converted to float64, its cosine row
+    norms taken and its ids ranked once for the whole run. Per query, one
+    matrix-vector product gives the scores, a partition finds the k-th
+    best, and only rows scoring at least that much are sorted, by score
+    descending and then by the rank of their id. Every row tied with the
+    k-th score is a candidate, so a tie at the cut is broken by id, as a
+    full sort would.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if queries.dim != docs.dim:
         raise ValueError(f"query dim {queries.dim} does not match document dim {docs.dim}")
-    scorer = _Scorer(docs, metric)
+    if metric not in ("dot", "cosine"):
+        raise ValueError(f"unknown similarity metric {metric!r}")
+    matrix = docs.matrix.astype(np.float64)
+    if metric == "cosine":
+        norms = np.linalg.norm(matrix, axis=1)
+        zero_rows = norms == 0.0
+        divisors = np.where(zero_rows, 1.0, norms)
     n = len(docs.ids)
     id_rank = np.empty(n, dtype=np.int64)
     id_rank[np.argsort(np.array(docs.ids))] = np.arange(n)
     candidates = {}
     for qid, query in zip(queries.ids, queries.matrix):
-        scores = scorer(query)
+        q = query.astype(np.float64)
+        scores = matrix @ q
+        if metric == "cosine":
+            qn = float(np.linalg.norm(q))
+            scores = scores / qn / divisors if qn else np.zeros(n)
+            scores[zero_rows] = 0.0
         if k < n:
             kth = np.partition(scores, n - k)[n - k]
             rows = np.flatnonzero(scores >= kth)
@@ -255,29 +231,27 @@ def search_run(
 def load_run(path: str | Path, labels: dict[str, dict[str, int]] | None = None) -> RankingRun:
     candidates: dict[str, list[tuple[str, float]]] = {}
     expected_rank: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise RunFormatError(
-                    f"{path}:{lineno}: expected 'query_id<TAB>doc_id<TAB>rank<TAB>score'"
-                )
-            qid, doc, rank_s, score_s = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise RunFormatError(f"{path}:{lineno}: bad rank or score") from None
-            expected = expected_rank.get(qid, 0) + 1
-            if rank != expected:
-                raise RunFormatError(
-                    f"{path}:{lineno}: rank {rank} out of order for query {qid!r} (expected {expected})"
-                )
-            expected_rank[qid] = rank
-            candidates.setdefault(qid, []).append((doc, score))
+    for lineno, line in _text_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise RunFormatError(
+                f"{path}:{lineno}: expected 'query_id<TAB>doc_id<TAB>rank<TAB>score'"
+            )
+        qid, doc, rank_s, score_s = parts
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise RunFormatError(f"{path}:{lineno}: bad rank or score") from None
+        expected = expected_rank.get(qid, 0) + 1
+        if rank != expected:
+            raise RunFormatError(
+                f"{path}:{lineno}: rank {rank} out of order for query {qid!r} (expected {expected})"
+            )
+        expected_rank[qid] = rank
+        candidates.setdefault(qid, []).append((doc, score))
     if not candidates:
         raise RunFormatError(f"{path}: no ranking lines found")
     try:
@@ -289,27 +263,25 @@ def load_run(path: str | Path, labels: dict[str, dict[str, int]] | None = None) 
 def load_labels(path: str | Path) -> dict[str, dict[str, int]]:
     """query_id, doc_id, graded relevance; one judgment per line."""
     labels: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise RunFormatError(
-                    f"{path}:{lineno}: expected 'query_id<TAB>doc_id<TAB>relevance'"
-                )
-            qid, doc, rel_s = parts
-            try:
-                rel = int(rel_s)
-            except ValueError:
-                raise RunFormatError(f"{path}:{lineno}: relevance must be an integer") from None
-            if rel < 0:
-                raise RunFormatError(f"{path}:{lineno}: relevance cannot be negative")
-            judged = labels.setdefault(qid, {})
-            if doc in judged:
-                raise RunFormatError(f"{path}:{lineno}: duplicate judgment for query {qid!r}, document {doc!r}")
-            judged[doc] = rel
+    for lineno, line in _text_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise RunFormatError(
+                f"{path}:{lineno}: expected 'query_id<TAB>doc_id<TAB>relevance'"
+            )
+        qid, doc, rel_s = parts
+        try:
+            rel = int(rel_s)
+        except ValueError:
+            raise RunFormatError(f"{path}:{lineno}: relevance must be an integer") from None
+        if rel < 0:
+            raise RunFormatError(f"{path}:{lineno}: relevance cannot be negative")
+        judged = labels.setdefault(qid, {})
+        if doc in judged:
+            raise RunFormatError(f"{path}:{lineno}: duplicate judgment for query {qid!r}, document {doc!r}")
+        judged[doc] = rel
     if not labels:
         raise RunFormatError(f"{path}: no label lines found")
     return labels

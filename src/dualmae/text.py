@@ -174,6 +174,9 @@ def load_corpus(path: str | Path, vocab: Vocabulary, max_len: int) -> list[Token
 
 
 def corpus_lines(path: str | Path) -> list[str]:
-    """The stripped non-empty lines of a text file."""
-    with open(path, encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
+    """The stripped non-empty lines of a UTF-8 text file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return [line.strip() for line in f if line.strip()]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None

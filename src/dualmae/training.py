@@ -184,10 +184,16 @@ def run_pretraining(
     seqs = load_corpus(corpus_path, vocab, enc_config.max_len)
     batches_per_epoch = -(-len(seqs) // train.batch_size)  # as many as batch_iter yields
 
+    saved_step = None
+
     def save() -> None:
-        """Checkpoint the state after the current ``step``."""
+        """Checkpoint the state after the current ``step``, once per step."""
+        nonlocal saved_step
+        if step == saved_step:
+            return
         log.flush()  # the log never trails the checkpoint it goes with
         save_checkpoint(ckpt_path, params, train, enc_config, dec_config, optimizer, mask_rng, step, VOCAB_NAME)
+        saved_step = step
 
     with open(out_dir / LOG_NAME, "a", encoding="utf-8") as log:
         first_epoch, skip = divmod(step, batches_per_epoch)

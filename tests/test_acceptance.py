@@ -25,7 +25,7 @@ from dualmae.encoder import encode
 from dualmae.masking import MaskedBatch, build_attention_mask, mask_batch, round_half_up
 from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
 from dualmae.optim import AdamW
-from dualmae.retrieval import EmbeddingStore, RankingRun, mrr_at_k, ndcg_at_k, recall_at_k, topk_search
+from dualmae.retrieval import EmbeddingStore, RankingRun, mrr_at_k, ndcg_at_k, recall_at_k, search_run
 from dualmae.text import TokenSequence, batch_iter, make_batch
 from dualmae.training import train_step
 
@@ -340,7 +340,8 @@ def test_criterion_7_metrics_and_search_match_definitional_oracles():
         k = int(rng.integers(1, n + 1))
         scores = matrix.astype(np.float64) @ query
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
-        assert topk_search(query, store, k) == [(ids[i], float(scores[i])) for i in order[:k]]
+        got = search_run(EmbeddingStore(ids=["q"], matrix=query[None, :]), store, k).candidates["q"]
+        assert got == [(ids[i], float(scores[i])) for i in order[:k]]
     print("criterion 7 (metric and search oracles): PASS")
 
 

@@ -606,6 +606,41 @@ class TestEvalCli:
         assert "labels.tsv:2: duplicate judgment for query 'q0', document 'a'" in err and "Traceback" not in err
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command, flag", [
+        ("pretrain", "--corpus"),
+        ("pretrain", "--config"),
+        ("maskstats", "--corpus"),
+        ("embed", "--input"),
+        ("eval", "--queries"),
+        ("eval", "--docs"),
+        ("eval", "--labels"),
+        ("eval", "--run"),
+    ])
+    def test_exit_2_names_the_file(self, trained_run, tmp_path, capsys, command, flag):
+        corpus = str(trained_run["corpus"])
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("0\t1.0 2.0\n")
+        labels = _self_labels(tmp_path / "labels.tsv", 1)
+        argv = {
+            "pretrain": ["pretrain", "--preset", "desk", "--corpus", corpus, "--out", str(tmp_path / "run")],
+            "maskstats": ["maskstats", "--preset", "desk", "--corpus", corpus],
+            "embed": ["embed", "--checkpoint", str(trained_run["out"] / "model.ckpt"),
+                      "--input", corpus, "--output", str(tmp_path / "vectors.tsv")],
+            "eval": ["eval", "--queries", str(emb), "--docs", str(emb), "--labels", str(labels)],
+        }[command]
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("0\t1.0 2.0\ncaf\u00e9\n".encode("latin-1"))
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+
 class TestMaskstatsCli:
     def test_exact_coverage_on_uniform_sentences(self, tmp_path, capsys):
         # three sentences of twenty distinct content words each

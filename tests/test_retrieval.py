@@ -1,7 +1,8 @@
 """Embedding store, top-k search, run files, and ranking metrics.
 
 Each metric is checked against an oracle coded here from its definition,
-with no shared helpers between the two implementations.
+with no shared helpers between the two implementations; search is checked
+against the full sort in ``ranking.py``.
 """
 
 import logging
@@ -25,11 +26,11 @@ from dualmae.retrieval import (
     ndcg_at_k,
     recall_at_k,
     save_embeddings,
-    score_all,
     search_run,
-    topk_search,
 )
 from dualmae.text import build_vocabulary, encode_text, make_batch
+
+from ranking import full_sort_topk
 
 
 class TestEmbeddingStore:
@@ -113,6 +114,18 @@ class TestEmbeddingFiles:
             load_embeddings(path)
 
 
+def _search_one(query, store, k, metric="dot"):
+    """search_run's list for one query."""
+    queries = EmbeddingStore(ids=["q"], matrix=np.asarray(query)[None, :])
+    return search_run(queries, store, k, metric).candidates["q"]
+
+
+def _scores(query, store, metric):
+    """Every score search_run gives ``query``, in store order."""
+    scored = dict(_search_one(query, store, len(store.ids), metric))
+    return np.array([scored[doc] for doc in store.ids])
+
+
 class TestScoring:
     def _store(self, rng, n=12, d=5):
         mat = rng.standard_normal((n, d)).astype(np.float32)
@@ -123,8 +136,9 @@ class TestScoring:
         store = self._store(rng)
         q = rng.standard_normal(5)
         expected = store.matrix.astype(np.float64) @ q
-        got = score_all(q, store, "dot")
-        assert got.dtype == np.float64
+        got = _scores(q, store, "dot")
+        # bit for bit the float64 product; float32 scoring would round apart
+        assert got.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(got, expected)
 
     def test_cosine_matches_manual(self):
@@ -133,41 +147,43 @@ class TestScoring:
         q = rng.standard_normal(5)
         docs = store.matrix.astype(np.float64)
         expected = docs @ q / (np.linalg.norm(q) * np.linalg.norm(docs, axis=1))
-        np.testing.assert_allclose(score_all(q, store, "cosine"), expected, rtol=1e-12)
+        np.testing.assert_allclose(_scores(q, store, "cosine"), expected, rtol=1e-12)
 
     def test_cosine_zero_query_scores_zero(self):
         store = self._store(np.random.default_rng(3))
-        np.testing.assert_array_equal(score_all(np.zeros(5), store, "cosine"), np.zeros(12))
+        np.testing.assert_array_equal(_scores(np.zeros(5), store, "cosine"), np.zeros(12))
 
     def test_cosine_zero_document_scores_zero(self):
         mat = np.ones((3, 4), dtype=np.float32)
         mat[1] = 0.0
         store = EmbeddingStore(ids=["a", "b", "c"], matrix=mat)
-        scores = score_all(np.ones(4), store, "cosine")
+        scores = _scores(np.ones(4), store, "cosine")
         assert scores[1] == 0.0
         np.testing.assert_allclose(scores[[0, 2]], 1.0, rtol=1e-12)
 
     def test_unknown_metric(self):
         store = self._store(np.random.default_rng(4))
-        with pytest.raises(ValueError, match="euclidean"):
-            score_all(np.zeros(5), store, "euclidean")
+        for n_queries in (1, 0):  # refused before the first query is scored
+            queries = EmbeddingStore(ids=["q"][:n_queries], matrix=np.zeros((n_queries, 5), dtype=np.float32))
+            with pytest.raises(ValueError, match="euclidean"):
+                search_run(queries, store, 1, "euclidean")
 
 
 class TestTopK:
     def test_tie_broken_by_ascending_id(self):
         mat = np.array([[1.0], [1.0], [2.0]], dtype=np.float32)
         store = EmbeddingStore(ids=["zz", "aa", "mm"], matrix=mat)
-        got = topk_search(np.ones(1), store, 3)
+        got = _search_one(np.ones(1), store, 3)
         assert [doc for doc, _ in got] == ["mm", "aa", "zz"]
 
     def test_k_beyond_store_returns_everything(self):
         store = EmbeddingStore(ids=["a", "b"], matrix=np.eye(2, dtype=np.float32))
-        assert len(topk_search(np.ones(2), store, 10)) == 2
+        assert len(_search_one(np.ones(2), store, 10)) == 2
 
     def test_k_must_be_positive(self):
         store = EmbeddingStore(ids=["a"], matrix=np.ones((1, 1), dtype=np.float32))
         with pytest.raises(ValueError):
-            topk_search(np.ones(1), store, 0)
+            _search_one(np.ones(1), store, 0)
 
     def test_matches_full_sort_oracle(self):
         """Quantized scores force frequent ties; the ranking must still be
@@ -184,7 +200,7 @@ class TestTopK:
             scores = mat.astype(np.float64) @ q
             order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
             expected = [(ids[i], float(scores[i])) for i in order[:k]]
-            assert topk_search(q, store, k) == expected
+            assert _search_one(q, store, k) == expected
 
 
 class TestRunFiles:
@@ -560,11 +576,11 @@ class TestSearchRun:
         run = search_run(queries, docs, k=3)
         assert set(run.candidates) == {"qa", "qb"}
         for qid, i in (("qa", 0), ("qb", 1)):
-            assert run.candidates[qid] == topk_search(queries.matrix[i], docs, 3)
+            assert run.candidates[qid] == full_sort_topk(queries.matrix[i], docs.ids, docs.matrix, 3)
 
-    def test_matches_topk_search_exactly(self):
-        """search_run's selection must give topk_search's lists exactly, ties
-        at the cut included. Quantized values make exact ties common, some
+    def test_matches_full_sort_exactly(self):
+        """search_run's selection must give the full sort's lists exactly,
+        ties at the cut included. Quantized values make exact ties common, some
         rows repeat under a second id, some are zero (cosine scores them 0),
         and the ids are decimal strings whose string order is not their
         numeric order."""
@@ -588,11 +604,22 @@ class TestSearchRun:
                 for k in sorted({1, int(rng.integers(1, n + 1)), n, n + 3}):
                     run = search_run(queries, docs, k, metric)
                     for i, qid in enumerate(queries.ids):
-                        expected = topk_search(qmat[i], docs, k, metric)
+                        expected = full_sort_topk(qmat[i], docs.ids, mat, k, metric)
                         assert run.candidates[qid] == expected
-                        full = topk_search(qmat[i], docs, n, metric)
+                        full = full_sort_topk(qmat[i], docs.ids, mat, n, metric)
                         ties_at_cut += k < n and full[k - 1][1] == full[k][1]
         assert ties_at_cut > 100
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_empty_store_gives_every_query_an_empty_list(self, metric):
+        docs = EmbeddingStore(ids=[], matrix=np.zeros((0, 3), dtype=np.float32))
+        queries = EmbeddingStore(ids=["q0", "q1"], matrix=np.array([[1, 0, 2], [0, 0, 0]], dtype=np.float32))
+        for k in (1, 5):
+            run = search_run(queries, docs, k, metric)
+            assert run.candidates == {
+                qid: full_sort_topk(q, docs.ids, docs.matrix, k, metric) for qid, q in zip(queries.ids, queries.matrix)
+            }
+            assert run.candidates == {"q0": [], "q1": []}
 
     def test_k_must_be_positive_even_without_queries(self):
         docs = EmbeddingStore(ids=["a"], matrix=np.ones((1, 2), dtype=np.float32))

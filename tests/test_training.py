@@ -16,7 +16,7 @@ import pytest
 
 from dualmae import autodiff as ad
 from dualmae import training
-from dualmae.checkpoint import load_checkpoint
+from dualmae.checkpoint import load_checkpoint, save_checkpoint
 from dualmae.config import TrainConfig, resolve_configs
 from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_loss
 from dualmae.encoder import encode
@@ -553,6 +553,25 @@ class TestRunPretraining:
             corpus, tmp_path / "run", train, enc, dec, stop_after_steps=3, checkpoint_every=2
         )
         assert load_checkpoint(ckpt).progress == 3
+
+    def test_each_step_is_checkpointed_at_most_once(self, tmp_path, monkeypatch):
+        corpus = _write_corpus(tmp_path / "corpus.txt", n=16)  # 2 batches per epoch, 2 epochs
+        train, enc, dec = _micro_configs()
+        saved = []
+
+        def recording_save(*args):
+            saved.append(args[7])  # the global step
+            save_checkpoint(*args)
+
+        monkeypatch.setattr(training, "save_checkpoint", recording_save)
+        done = run_pretraining(corpus, tmp_path / "a", train, enc, dec, checkpoint_every=2)
+        assert saved == [2, 4]
+        saved.clear()
+        run_pretraining(corpus, tmp_path / "b", train, enc, dec, stop_after_steps=2, checkpoint_every=2)
+        assert saved == [2]
+        saved.clear()
+        run_pretraining(corpus, tmp_path / "c", train, enc, dec, resume_from=done)
+        assert saved == [4]
 
     def test_resuming_a_finished_run_is_a_no_op(self, tmp_path):
         corpus = _write_corpus(tmp_path / "corpus.txt")
