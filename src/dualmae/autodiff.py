@@ -144,10 +144,6 @@ def parameter(data, dtype=np.float32) -> Tensor:
     return t
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
-
-
 def grad_or_zeros(t: Tensor) -> np.ndarray:
     """The accumulated gradient, or zeros if the loss never touched ``t``."""
     if t.grad is None:

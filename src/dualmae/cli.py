@@ -122,10 +122,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         queries = load_embeddings(_require_file(args.queries, "query embeddings"))
         docs = load_embeddings(_require_file(args.docs, "document embeddings"))
         run = search_run(queries, docs, k=max(ks), metric=args.metric, labels=labels)
-    for k in ks:
-        print(f"mrr@{k} = {mrr_at_k(run, k):.6f}")
-        print(f"recall@{k} = {recall_at_k(run, k):.6f}")
-        print(f"ndcg@{k} = {ndcg_at_k(run, k):.6f}")
+    metrics = (("mrr", mrr_at_k), ("recall", recall_at_k), ("ndcg", ndcg_at_k))
+    try:
+        lines = [f"{name}@{k} = {metric(run, k):.6f}" for k in ks for name, metric in metrics]
+    except ValueError as e:
+        # a metric fails on its labels: none relevant, none positive, or gains that overflow
+        raise ValueError(f"{args.labels}: {e}") from None
+    print("\n".join(lines))
     return 0
 
 
@@ -136,7 +139,7 @@ def cmd_maskstats(args: argparse.Namespace) -> int:
     seqs = load_corpus(corpus, vocab, enc.max_len)
     batches = [make_batch(seqs[i : i + train.batch_size]) for i in range(0, len(seqs), train.batch_size)]
     for mode in ("mlm15", "basic", "enhanced"):
-        report = signal_coverage_stats(mode, batches, train.mask_ratio_decoder)
+        report = signal_coverage_stats(mode, batches, train.mask_ratio_decoder, np.random.default_rng(train.seed))
         for line in report.lines():
             print(line)
     return 0

@@ -7,6 +7,11 @@ side. [CLS], [SEP] and [PAD] are never maskable. Mask counts use
 round-half-up with a floor of one so every sentence always contributes at
 least one reconstruction target.
 
+``mask_batch`` is the one place a mask is drawn and ``coverage_counts``
+the one count of what a loss covers. Training and ``signal_coverage_stats``
+(``dualmae maskstats``) go through both, so the acceptance criteria that
+check the visibility matrices and the coverage check what training draws.
+
 Every mask comes from one key-draw rule: given a bool candidate array
 ``(..., L)`` and a count per row, draw one uniform key per entry in a
 single ``rng.random`` call (C order, so row by row) and keep, in each row,
@@ -72,7 +77,15 @@ def _token_request(ids: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _visibility_request(real: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates ``(B, L, L)`` and counts ``(B, L)`` of the visibility rows."""
+    """Candidates ``(B, L, L)`` and counts ``(B, L)`` of the visibility rows.
+
+    ``real`` is the batch's ``(B, L)`` non-pad mask. Each row asks for
+    max(1, round((1 - ratio) * maskable)) of the non-pad columns 1..L-1
+    other than itself, where maskable counts the non-pad positions in
+    1..L-1, so no token conditions on itself. The draw clamps a count to
+    its row's candidates, so pad rows draw nothing; ``mask_batch`` then
+    opens column 0, the sentence embedding slot, to every row.
+    """
     _check_ratio(ratio)
     B, L = real.shape
     if L < 2:
@@ -87,27 +100,6 @@ def _visibility_request(real: np.ndarray, ratio: float) -> tuple[np.ndarray, np.
     candidates = real[:, :, None] & columns[:, None, :] & ~np.eye(L, dtype=bool)
     counts = np.maximum(1, round_half_up((1.0 - ratio) * n))
     return candidates, np.broadcast_to(counts[:, None], (B, L))
-
-
-def build_attention_mask(real: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample the ``(B, L, L)`` bool visibility matrices for enhanced decoding.
-
-    ``real`` is the batch's ``(B, L)`` non-pad mask. Row i of a matrix lists
-    what position i may attend to (True = visible). Column 0, the sentence
-    embedding slot, is visible to every row. Each non-pad row i >= 1 also
-    sees round((1 - ratio) * maskable) sampled non-pad columns other than
-    itself, where maskable counts the non-pad positions in 1..L-1, so no
-    token can condition on itself. Row 0 sees column 0 plus a sample of
-    the same size. The visible count is clamped to at least 1 and at most
-    the candidate-set size. Pad columns are blocked everywhere and pad rows
-    see only column 0.
-
-    The sampled columns come from the module's key-draw rule, one key per
-    (sentence, row, column) in a single draw.
-    """
-    visible = _draw(*_visibility_request(real, ratio), rng)
-    visible[..., 0] = True
-    return visible
 
 
 @dataclass(frozen=True)
@@ -218,16 +210,17 @@ class CoverageReport:
         ]
 
 
-def signal_coverage_stats(mode: str, batches: Iterable[Batch], ratio_decoder: float) -> CoverageReport:
+def signal_coverage_stats(
+    mode: str, batches: Iterable[Batch], ratio_decoder: float, rng: np.random.Generator
+) -> CoverageReport:
     """Measure loss coverage over content tokens for one mode.
 
-    ``mlm15`` masks a plain 15% of each sentence's content tokens and
-    reconstructs only those positions from a single shared context.
-    ``basic`` covers the decoder mask. ``enhanced`` covers every content
-    token, each from its own sampled context. A drawn token mask holds
-    exactly its request's count, which never exceeds the sentence's
-    content tokens, so the figures follow from the counts and no mask is
-    drawn here.
+    Each batch's masks are drawn by ``mask_batch`` and counted by
+    ``coverage_counts``, as a training step draws and logs them. ``mlm15``
+    covers the encoder mask at a plain 15%, reconstructed from a single
+    shared context. ``basic`` covers the decoder token mask. ``enhanced``
+    covers every content token, each from its own sampled context. A drawn
+    mask holds exactly its count, so the report does not depend on ``rng``.
     """
     if mode not in ("mlm15", "basic", "enhanced"):
         raise ValueError(f"unknown coverage mode: {mode!r}")
@@ -236,18 +229,15 @@ def signal_coverage_stats(mode: str, batches: Iterable[Batch], ratio_decoder: fl
     contexts = 0
     sentences = 0
     for batch in batches:
-        batch_content = int(np.count_nonzero(_is_content(batch.ids)))
+        mbatch = mask_batch(batch, "enhanced" if mode == "enhanced" else "basic", 0.15, ratio_decoder, rng)
+        batch_content, batch_covered = coverage_counts(
+            batch.ids, mbatch.enc_masked if mode == "mlm15" else mbatch.dec_targets
+        )
         content += batch_content
+        covered += batch_covered
+        # one context per covered token (enhanced) or per sentence
+        contexts += batch_covered if mode == "enhanced" else batch.size
         sentences += batch.size
-        if mode == "enhanced":
-            # one context per content token
-            covered += batch_content
-            contexts += batch_content
-        else:
-            # one context per sentence
-            ratio = 0.15 if mode == "mlm15" else ratio_decoder
-            covered += int(_token_request(batch.ids, ratio)[1].sum())
-            contexts += batch.size
     if sentences == 0:
         raise ValueError("coverage stats need at least one sentence")
     return CoverageReport(

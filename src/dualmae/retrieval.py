@@ -20,6 +20,8 @@ oracle for each one.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -278,6 +280,8 @@ def load_labels(path: str | Path) -> dict[str, dict[str, int]]:
             raise RunFormatError(f"{path}:{lineno}: relevance must be an integer") from None
         if rel < 0:
             raise RunFormatError(f"{path}:{lineno}: relevance cannot be negative")
+        if rel >= sys.float_info.max_exp:
+            raise RunFormatError(f"{path}:{lineno}: relevance {rel} is too large, its gain 2^{rel} - 1 overflows")
         judged = labels.setdefault(qid, {})
         if doc in judged:
             raise RunFormatError(f"{path}:{lineno}: duplicate judgment for query {qid!r}, document {doc!r}")
@@ -340,7 +344,8 @@ def ndcg_at_k(run: RankingRun, k: int) -> float:
 
     Gain is 2^rel - 1 discounted by log2(rank + 1); the ideal ranking uses
     every judged document for the query, not only the retrieved ones.
-    Queries whose labels are all zero are excluded with a warning.
+    Queries whose labels are all zero are excluded with a warning, and a
+    query whose gains overflow float64 is a ``ValueError``.
     """
     queries = _require_queries(run)
     kept = 0
@@ -357,6 +362,8 @@ def ndcg_at_k(run: RankingRun, k: int) -> float:
             (2.0 ** rel.get(doc, 0) - 1.0) / np.log2(rank + 1.0)
             for rank, (doc, _) in enumerate(run.candidates[qid][:k], start=1)
         )
+        if not (math.isfinite(dcg) and math.isfinite(idcg)):
+            raise ValueError(f"ndcg@{k}: the gains of query {qid!r} overflow float64")
         total += dcg / idcg
         kept += 1
     if skipped:

@@ -48,9 +48,6 @@ class Vocabulary:
     def id_for(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def token_for(self, idx: int) -> str:
-        return self.id_to_token[idx]
-
     def save(self, path: str | Path) -> None:
         # one token per line; the line number is the id
         Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from dualmae.gradcheck import finite_difference_grad, max_rel_error
 
 
 def scalar_probe(out: Tensor, weights: np.ndarray) -> Tensor:
-    return ad.sum_all(ad.mul(out, ad.constant(weights)))
+    return ad.sum_all(ad.mul(out, ad.Tensor(weights)))
 
 
 def assert_grads_match(make_loss, leaves, tol=1e-6, h=1e-5):

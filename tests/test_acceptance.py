@@ -22,11 +22,11 @@ from dualmae.cli import main
 from dualmae.config import TrainConfig
 from dualmae.decoder import decode_basic, decode_enhanced
 from dualmae.encoder import encode
-from dualmae.masking import MaskedBatch, build_attention_mask, mask_batch, round_half_up
+from dualmae.masking import MaskedBatch, mask_batch, round_half_up
 from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
 from dualmae.optim import AdamW
 from dualmae.retrieval import EmbeddingStore, RankingRun, mrr_at_k, ndcg_at_k, recall_at_k, search_run
-from dualmae.text import TokenSequence, batch_iter, make_batch
+from dualmae.text import CLS_ID, PAD_ID, Batch, TokenSequence, batch_iter, make_batch
 from dualmae.training import train_step
 
 from reconstruction import reconstruction_accuracy
@@ -55,9 +55,14 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
         pads = list(range(length - n_pads, length))
         seed = [int(rng.integers(0, 2**31)), trial]
 
+        # the matrix training draws: [CLS], then a content id at every real
+        # position, so the encoder's token request is legal alongside it
         real = np.ones((1, length), dtype=bool)
         real[0, pads] = False
-        m = build_attention_mask(real, ratio, np.random.default_rng(seed))[0]
+        ids = np.where(real, np.arange(5, 5 + length), PAD_ID)
+        ids[0, 0] = CLS_ID
+        batch = Batch(ids=ids, real=real)
+        m = mask_batch(batch, "enhanced", 0.15, ratio, np.random.default_rng(seed)).dec_visible[0]
         assert m.shape == (length, length)
         assert np.isin(m, [True, False]).all()
 
@@ -85,7 +90,7 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
                 if 1 <= expected <= others:
                     assert visible == expected
 
-        again = build_attention_mask(real, ratio, np.random.default_rng(seed))[0]
+        again = mask_batch(batch, "enhanced", 0.15, ratio, np.random.default_rng(seed)).dec_visible[0]
         assert m.tobytes() == again.tobytes()
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
@@ -117,7 +122,7 @@ def _two_stream_setup(bottleneck_row=None):
     rng = np.random.default_rng(404)
     params = init_params(enc, dec, rng, dtype=np.float64)
     B, L, d = 2, 7, 16
-    sentence = ad.constant(rng.standard_normal((B, d)))
+    sentence = ad.Tensor(rng.standard_normal((B, d)))
     tokens = rng.standard_normal((B, L, d))
     masks = np.full((B, L, L), False)
     masks[:, :, 0] = True
@@ -146,7 +151,7 @@ def _logits(params, dec, sentence, tokens, masks):
         dec_ids=ids, dec_targets=every, dec_visible=masks,
     )
     with ad.no_grad():
-        states, _ = decode_enhanced({**params, "word_emb": ad.constant(table)}, dec, sentence, mb)
+        states, _ = decode_enhanced({**params, "word_emb": ad.Tensor(table)}, dec, sentence, mb)
         return output_logits(params, states).data.reshape(B, L, -1)
 
 
@@ -161,7 +166,7 @@ def test_criterion_4_information_flow_in_the_two_stream_decoder():
         poked[:, j] += 1.0
         moved = _logits(params, dec, sentence, poked, masks)
         assert moved[:, row].tobytes() == base[:, row].tobytes(), j
-    shifted = ad.constant(sentence.data + 0.5)
+    shifted = ad.Tensor(sentence.data + 0.5)
     assert (_logits(params, dec, shifted, tokens, masks)[:, row] != base[:, row]).all()
 
     # 4b: under full cross-visibility a token never informs its own logits
@@ -235,7 +240,7 @@ def test_criterion_5_desk_overfit_run_depends_on_the_sentence_vector():
     acc, h, mb, positions = _natural_accuracy(params, DESK_ENC, dec, "enhanced", sents)
     assert acc >= 0.95
     # reconstruct each sentence from its neighbor's vector instead of its own
-    rolled = ad.constant(np.roll(h.data, 1, axis=0))
+    rolled = ad.Tensor(np.roll(h.data, 1, axis=0))
     with ad.no_grad():
         states, _ = decode_enhanced(params, dec, rolled, mb)
         logits = output_logits(params, states)

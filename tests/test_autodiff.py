@@ -60,10 +60,10 @@ class TestBackwardMechanics:
         rng = np.random.default_rng(3)
         for case, (op, shapes, consts) in enumerate(cases):
             data = [rng.standard_normal(shape) for shape in shapes]
-            weights = rng.standard_normal(op([ad.constant(d) for d in data]).shape)
+            weights = rng.standard_normal(op([ad.Tensor(d) for d in data]).shape)
 
             def inputs_after_backward(constant_at):
-                ts = [ad.constant(d) if i in constant_at else ad.parameter(d, dtype=np.float64)
+                ts = [ad.Tensor(d) if i in constant_at else ad.parameter(d, dtype=np.float64)
                       for i, d in enumerate(data)]
                 ad.backward(scalar_probe(op(ts), weights))
                 return ts
@@ -149,7 +149,7 @@ class TestGradientOwnership:
     def test_a_second_gradient_is_added_into_a_new_array(self):
         # the first gradient x receives is y's own; the sum must not write into it
         rng = np.random.default_rng(11)
-        x = ad.mul(leaf(rng, 3), ad.constant(np.ones(3)))
+        x = ad.mul(leaf(rng, 3), ad.Tensor(np.ones(3)))
         y = ad.reshape(x, (3,))
         w = rng.standard_normal(3)
         ad.backward(scalar_probe(ad.add(y, x), w))
@@ -167,10 +167,10 @@ class TestGradientOwnership:
     def test_an_op_that_would_promote_is_refused_at_the_op(self):
         p = ad.parameter(np.ones(3), dtype=np.float32)
         with pytest.raises(TypeError, match="mul turns a float32 operand into float64"):
-            ad.mul(p, ad.constant(np.ones(3)))
+            ad.mul(p, ad.Tensor(np.ones(3)))
         with ad.no_grad():
-            assert ad.mul(p, ad.constant(np.ones(3))).dtype == np.float64
-        assert ad.mul(p, ad.constant(np.ones(3), dtype=np.float32)).dtype == np.float32
+            assert ad.mul(p, ad.Tensor(np.ones(3))).dtype == np.float64
+        assert ad.mul(p, ad.Tensor(np.ones(3), dtype=np.float32)).dtype == np.float32
 
 
 class TestElementwiseGradients:
@@ -193,7 +193,7 @@ class TestElementwiseGradients:
         assert_grads_match(lambda: scalar_probe(ad.scale(a, -1.7), w), [a])
 
     def test_gelu_values(self):
-        x = ad.constant(np.array([0.0, 6.0, -6.0]))
+        x = ad.Tensor(np.array([0.0, 6.0, -6.0]))
         y = ad.gelu(x).data
         assert y[0] == 0.0
         assert abs(y[1] - 6.0) < 1e-8
@@ -379,11 +379,11 @@ class TestLinear:
     def test_batched_rows_equal_each_sentence_alone(self):
         rng = np.random.default_rng(32)
         x = rng.standard_normal((3, 5, 8)).astype(np.float32)
-        w = ad.constant(rng.standard_normal((8, 16)).astype(np.float32))
-        b = ad.constant(rng.standard_normal(16).astype(np.float32))
-        batched = ad.linear(ad.constant(x), w, b).data
+        w = ad.Tensor(rng.standard_normal((8, 16)).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(16).astype(np.float32))
+        batched = ad.linear(ad.Tensor(x), w, b).data
         for i in range(3):
-            alone = ad.linear(ad.constant(x[i : i + 1]), w, b).data
+            alone = ad.linear(ad.Tensor(x[i : i + 1]), w, b).data
             assert alone.tobytes() == batched[i : i + 1].tobytes(), i
 
     # the desk model's widths: attention projections, the feed-forward's two
@@ -393,15 +393,15 @@ class TestLinear:
         rng = np.random.default_rng([34, d, e])
         B, L = 5, 7
         x = rng.standard_normal((B, L, d)).astype(np.float32)
-        w = ad.constant((rng.standard_normal((d, e)) / math.sqrt(d)).astype(np.float32))
-        b = ad.constant(rng.standard_normal(e).astype(np.float32))
-        grid = ad.linear(ad.constant(x), w, b).data
-        packed = ad.linear(ad.constant(x.reshape(-1, d)[::3]), w, b).data
-        firsts = ad.linear(ad.constant(x[:, :1]), w, b).data
+        w = ad.Tensor((rng.standard_normal((d, e)) / math.sqrt(d)).astype(np.float32))
+        b = ad.Tensor(rng.standard_normal(e).astype(np.float32))
+        grid = ad.linear(ad.Tensor(x), w, b).data
+        packed = ad.linear(ad.Tensor(x.reshape(-1, d)[::3]), w, b).data
+        firsts = ad.linear(ad.Tensor(x[:, :1]), w, b).data
         assert grid.dtype == np.float32
         for i in range(B):
             cell = grid[i, 0].tobytes()
-            assert ad.linear(ad.constant(x[i, :1]), w, b).data.tobytes() == cell, ("one row", i)
+            assert ad.linear(ad.Tensor(x[i, :1]), w, b).data.tobytes() == cell, ("one row", i)
             assert firsts[i, 0].tobytes() == cell, ("stacked (B, 1, d)", i)
         assert packed.tobytes() == grid.reshape(-1, e)[::3].tobytes(), "packed"
 
@@ -418,9 +418,9 @@ class TestLinear:
 class TestLayerNorm:
     def test_normalizes_last_axis(self):
         rng = np.random.default_rng(30)
-        x = ad.constant(rng.standard_normal((4, 16)) * 3.0 + 1.0)
-        gain = ad.constant(np.ones(16))
-        bias = ad.constant(np.zeros(16))
+        x = ad.Tensor(rng.standard_normal((4, 16)) * 3.0 + 1.0)
+        gain = ad.Tensor(np.ones(16))
+        bias = ad.Tensor(np.zeros(16))
         y = ad.layer_norm(x, gain, bias).data
         np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-4)
@@ -434,9 +434,9 @@ class TestLayerNorm:
         )
 
     def test_constant_row_stays_finite(self):
-        x = ad.constant(np.full((1, 8), 2.5))
-        gain = ad.constant(np.ones(8))
-        bias = ad.constant(np.zeros(8))
+        x = ad.Tensor(np.full((1, 8), 2.5))
+        gain = ad.Tensor(np.ones(8))
+        bias = ad.Tensor(np.zeros(8))
         y = ad.layer_norm(x, gain, bias).data
         np.testing.assert_array_equal(y, np.zeros((1, 8)))
 
@@ -489,7 +489,7 @@ class TestMaskedSoftmax:
         np.testing.assert_array_equal(scores.grad, expected * (w - np.sum(w * expected, axis=-1, keepdims=True)))
 
     def test_blocked_row_found_on_a_size_one_last_axis(self):
-        scores = ad.constant(np.zeros((2, 3, 4)))
+        scores = ad.Tensor(np.zeros((2, 3, 4)))
         mask = np.ones((2, 3, 1), dtype=bool)
         ad.masked_softmax(scores, mask)
         mask[1, 2, 0] = False
@@ -501,27 +501,27 @@ class TestMaskedSoftmax:
     def test_mask_may_not_enlarge_the_scores(self):
         for scores_shape, mask_shape in [((2, 3, 4), (5, 2, 3, 4)), ((2, 1, 4), (2, 3, 4)), ((2, 3, 4), (2, 3, 5))]:
             with pytest.raises(ShapeError, match="does not broadcast"):
-                ad.masked_softmax(ad.constant(np.zeros(scores_shape)), np.ones(mask_shape, dtype=bool))
+                ad.masked_softmax(ad.Tensor(np.zeros(scores_shape)), np.ones(mask_shape, dtype=bool))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(40)
         scores = rng.standard_normal((2, 3, 5, 5))
         mask = _random_mask(rng, (2, 3, 5, 5))
-        got = ad.masked_softmax(ad.constant(scores), mask).data
+        got = ad.masked_softmax(ad.Tensor(scores), mask).data
         np.testing.assert_allclose(got, _dense_softmax_oracle(scores, mask), atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(41)
         scores = rng.standard_normal((4, 6, 6))
         mask = _random_mask(rng, (4, 6, 6))
-        got = ad.masked_softmax(ad.constant(scores), mask).data
+        got = ad.masked_softmax(ad.Tensor(scores), mask).data
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_blocked_entries_are_exactly_zero(self):
         rng = np.random.default_rng(42)
         scores = rng.standard_normal((3, 5, 5))
         mask = _random_mask(rng, (3, 5, 5))
-        got = ad.masked_softmax(ad.constant(scores), mask).data
+        got = ad.masked_softmax(ad.Tensor(scores), mask).data
         assert np.all(got[mask == False] == 0.0)
 
     def test_mask_broadcasts_over_heads(self):
@@ -529,26 +529,26 @@ class TestMaskedSoftmax:
         scores = rng.standard_normal((2, 4, 5, 5))
         mask = _random_mask(rng, (2, 1, 5, 5))
         tiled = np.broadcast_to(mask, scores.shape).copy()
-        a = ad.masked_softmax(ad.constant(scores), mask).data
-        b = ad.masked_softmax(ad.constant(scores), tiled).data
+        a = ad.masked_softmax(ad.Tensor(scores), mask).data
+        b = ad.masked_softmax(ad.Tensor(scores), tiled).data
         np.testing.assert_array_equal(a, b)
 
     def test_extreme_scores_stay_finite(self):
         scores = np.array([[1e4, -1e4, 0.0], [3e4, 3e4, 3e4]])
         mask = np.full((2, 3), True)
-        got = ad.masked_softmax(ad.constant(scores), mask).data
+        got = ad.masked_softmax(ad.Tensor(scores), mask).data
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
-        scores = ad.constant(np.zeros((2, 3)))
+        scores = ad.Tensor(np.zeros((2, 3)))
         mask = np.full((2, 3), True)
         mask[1, :] = False
         with pytest.raises(MaskedRowError):
             ad.masked_softmax(scores, mask)
 
     def test_mask_entries_validated(self):
-        scores = ad.constant(np.zeros((2, 3)))
+        scores = ad.Tensor(np.zeros((2, 3)))
         mask = np.zeros((2, 3))
         mask[0, 1] = -1.0
         with pytest.raises(ValueError):
@@ -556,7 +556,7 @@ class TestMaskedSoftmax:
 
     def test_additive_float_mask_is_rejected_by_name(self):
         # an old {0, -inf} mask must not read as "everything visible"
-        scores = ad.constant(np.zeros((2, 3)))
+        scores = ad.Tensor(np.zeros((2, 3)))
         additive = np.where(np.eye(2, 3, dtype=bool), 0.0, -np.inf)
         for mask in (np.zeros((2, 3)), additive, np.ones((2, 3), dtype=np.int64)):
             with pytest.raises(MaskFormatError, match="visibility mask must be bool"):
@@ -582,14 +582,14 @@ class TestMaskedSoftmax:
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log_vocab(self):
-        logits = ad.constant(np.zeros((6, 37)))
+        logits = ad.Tensor(np.zeros((6, 37)))
         loss = ad.cross_entropy(logits, np.zeros(6, dtype=np.int64), np.ones(6, dtype=np.int64))
         assert abs(float(loss.data) - math.log(37)) < 1e-12
 
     def test_hand_computed_case(self):
         logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 10.0]])
         loss = ad.cross_entropy(
-            ad.constant(logits), np.array([2, 0]), np.ones(2, dtype=np.int64)
+            ad.Tensor(logits), np.array([2, 0]), np.ones(2, dtype=np.int64)
         )
         nll0 = math.log(math.exp(1) + math.exp(2) + math.exp(3)) - 3.0
         nll1 = math.log(1 + 1 + math.exp(10)) - 0.0
@@ -612,14 +612,14 @@ class TestCrossEntropy:
             ad.backward(sub_loss)
             np.testing.assert_array_equal(sub.grad, full.grad[weights == 1])
             assert np.all(full.grad[weights == 0] == 0.0)
-        full = ad.cross_entropy(ad.constant(logits), targets, weights)
+        full = ad.cross_entropy(ad.Tensor(logits), targets, weights)
         sub = ad.cross_entropy(
-            ad.constant(logits[weights == 1]), targets[weights == 1], np.ones(2, dtype=np.int64)
+            ad.Tensor(logits[weights == 1]), targets[weights == 1], np.ones(2, dtype=np.int64)
         )
         assert float(full.data) == float(sub.data)
         # and changing an unweighted row cannot move the loss
         logits[1] += 100.0
-        again = ad.cross_entropy(ad.constant(logits), targets, weights)
+        again = ad.cross_entropy(ad.Tensor(logits), targets, weights)
         assert float(again.data) == float(full.data)
 
     def test_zero_weight_rows_get_exactly_zero_grad(self):
@@ -651,12 +651,12 @@ class TestCrossEntropy:
         )
 
     def test_all_zero_weights_rejected(self):
-        logits = ad.constant(np.zeros((3, 4)))
+        logits = ad.Tensor(np.zeros((3, 4)))
         with pytest.raises(ValueError):
             ad.cross_entropy(logits, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64))
 
     def test_out_of_vocab_target_rejected_only_when_weighted(self):
-        logits = ad.constant(np.zeros((2, 4)))
+        logits = ad.Tensor(np.zeros((2, 4)))
         targets = np.array([0, 9])
         with pytest.raises(ValueError):
             ad.cross_entropy(logits, targets, np.array([1, 1]))
@@ -665,6 +665,6 @@ class TestCrossEntropy:
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            ad.cross_entropy(ad.constant(np.zeros((2, 3, 4))), np.zeros(2), np.ones(2))
+            ad.cross_entropy(ad.Tensor(np.zeros((2, 3, 4))), np.zeros(2), np.ones(2))
         with pytest.raises(ShapeError):
-            ad.cross_entropy(ad.constant(np.zeros((2, 3))), np.zeros(3), np.ones(3))
+            ad.cross_entropy(ad.Tensor(np.zeros((2, 3))), np.zeros(3), np.ones(3))

@@ -605,6 +605,25 @@ class TestEvalCli:
         assert code == 2
         assert "labels.tsv:2: duplicate judgment for query 'q0', document 'a'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("grades, message", [
+        # 2^1024 overflows float64 on its own
+        ([1024], "labels.tsv:1: relevance 1024 is too large"),
+        # each 2^1023 fits, but three of them overflow the ideal DCG of query q0
+        ([1023, 1023, 1023], "labels.tsv: ndcg@10: the gains of query 'q0' overflow float64"),
+    ])
+    def test_grade_whose_gain_overflows_is_exit_2(self, tmp_path, capsys, grades, message):
+        docs = "abc"[: len(grades)]
+        labels_path = tmp_path / "labels.tsv"
+        labels_path.write_text("".join(f"q0\t{doc}\t{g}\n" for doc, g in zip(docs, grades)))
+        run_path = tmp_path / "run.tsv"
+        run_path.write_text("".join(f"q0\t{doc}\t{rank}\t1.0\n" for rank, doc in enumerate(docs, start=1)))
+        code = main(["eval", "--run", str(run_path), "--labels", str(labels_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err and str(labels_path) in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestNonUtf8Input:
     @pytest.mark.parametrize("command, flag", [

@@ -78,7 +78,7 @@ class TestBasicDecoding:
         with ad.no_grad():
             states, _ = decode_basic(params, dec, sentence, mbatch)
             base = _basic_logits(params, dec, sentence, mbatch)
-            shifted = ad.constant(sentence.data + 0.25)
+            shifted = ad.Tensor(sentence.data + 0.25)
             after = _basic_logits(params, dec, shifted, mbatch)
         assert states.shape == (int(targets.sum()), D)
         assert np.all(base.data != after.data)
@@ -163,7 +163,7 @@ def _two_stream_logits(params, dec, sentence, embeddings, masks):
         dec_ids=ids, dec_targets=every, dec_visible=masks,
     )
     with ad.no_grad():
-        states, _ = decode_enhanced({**params, "word_emb": ad.constant(table)}, dec, sentence, mbatch)
+        states, _ = decode_enhanced({**params, "word_emb": ad.Tensor(table)}, dec, sentence, mbatch)
         return output_logits(params, states).data.reshape(B, L, -1)
 
 
@@ -172,7 +172,7 @@ class TestEnhancedInformationFlow:
         dec = DecoderConfig(mode="enhanced", layers=1, heads=4)
         params = init_params(ENC, dec, np.random.default_rng(seed), dtype=np.float64)
         rng = np.random.default_rng(seed + 50)
-        sentence = ad.constant(rng.standard_normal((1, D)))
+        sentence = ad.Tensor(rng.standard_normal((1, D)))
         embeddings = rng.standard_normal((1, L, D))
         return dec, params, sentence, embeddings
 
@@ -198,7 +198,7 @@ class TestEnhancedInformationFlow:
             poked[0, j] += 1.0
             got = _two_stream_logits(params, dec, sentence, poked, masks)
             np.testing.assert_array_equal(got[0, row], base[0, row])
-        moved = ad.constant(sentence.data + 0.25)
+        moved = ad.Tensor(sentence.data + 0.25)
         got = _two_stream_logits(params, dec, moved, emb, masks)
         assert np.all(got[0, row] != base[0, row])
 

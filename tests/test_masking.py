@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dualmae.masking import (
-    build_attention_mask,
-    coverage_counts,
-    mask_batch,
-    round_half_up,
-    signal_coverage_stats,
-)
-from dualmae.text import CLS_ID, MASK_ID, PAD_ID, SEP_ID, TokenSequence, make_batch
+from dualmae.masking import coverage_counts, mask_batch, round_half_up, signal_coverage_stats
+from dualmae.text import CLS_ID, MASK_ID, PAD_ID, SEP_ID, Batch, TokenSequence, make_batch
 
 
 def _seq(content_len: int, start: int = 5) -> TokenSequence:
@@ -24,11 +18,14 @@ def _seq(content_len: int, start: int = 5) -> TokenSequence:
     return TokenSequence(ids)
 
 
-def _matrix(length, ratio, pads, rng):
-    """The visibility matrix of one sentence whose ``pads`` positions are padding."""
+def _matrix(length, ratio, pads, rng, first=CLS_ID):
+    """The visibility matrix that ``mask_batch`` draws for one sentence
+    whose ``pads`` positions are padding, ``first`` at position 0 and a
+    content id at every other real position."""
     real = np.ones((1, length), dtype=bool)
     real[0, list(pads)] = False
-    return build_attention_mask(real, ratio, rng)[0]
+    ids = np.where(real, np.concatenate([[first], np.arange(6, 5 + length)]), PAD_ID)
+    return mask_batch(Batch(ids=ids, real=real), "enhanced", 0.15, ratio, rng).dec_visible[0]
 
 
 class TestRoundHalfUp:
@@ -96,7 +93,7 @@ class TestTokenMasks:
             with pytest.raises(ValueError):
                 mask_batch(batch, "enhanced", ratio, 0.5, rng)
             with pytest.raises(ValueError):
-                build_attention_mask(batch.real, ratio, rng)
+                mask_batch(batch, "enhanced", 0.15, ratio, rng)
             with pytest.raises(ValueError):
                 mask_batch(batch, "basic", ratio, 0.5, rng)
             with pytest.raises(ValueError):
@@ -193,19 +190,21 @@ class TestMaskMatrix:
 
     def test_degenerate_shapes_rejected(self):
         rng = np.random.default_rng(5)
+        # a content id at position 0 keeps the encoder's token request legal,
+        # so the visibility request's own checks are the ones that fire
         with pytest.raises(ValueError, match="at least two positions"):
-            _matrix(1, 0.5, [], rng)
+            _matrix(1, 0.5, [], rng, first=5)
         with pytest.raises(ValueError, match="cannot be pad"):
             _matrix(4, 0.5, [0], rng)
         with pytest.raises(ValueError, match="every position beyond 0 is pad"):
-            _matrix(4, 0.5, [1, 2, 3], rng)
+            _matrix(4, 0.5, [1, 2, 3], rng, first=5)
 
     def test_inclusion_rate_matches_ratio(self):
         # L=8, all real, ratio 0.5: 7 candidates, round(3.5) = 4 visible.
         # Rows 1..7 pick 4 of their 6 other columns, row 0 picks 4 of 7.
         trials = 10000
-        real = np.ones((trials, 8), dtype=bool)
-        rates = build_attention_mask(real, 0.5, np.random.default_rng(8)).mean(axis=0)
+        batch = make_batch([_seq(6)] * trials)  # [CLS], six content ids, [SEP]
+        rates = mask_batch(batch, "enhanced", 0.15, 0.5, np.random.default_rng(8)).dec_visible.mean(axis=0)
         np.testing.assert_array_equal(rates[:, 0], 1.0)
         assert np.all(np.abs(rates[0, 1:] - 4 / 7) < 0.02)
         for i in range(1, 8):
@@ -266,35 +265,64 @@ class TestMaskBatch:
                 np.testing.assert_array_equal(full.dec_visible[0], solo.dec_visible[0])
 
 
-class TestSignalCoverage:
-    def _batches(self):
-        return [make_batch([_seq(20), _seq(20)]), make_batch([_seq(40)])]
+# (content lengths per batch, decoder ratio). The even corpus divides
+# exactly at 0.15 and 0.5; 1..41 tokens exercise round-half-up's slack.
+_EVEN = ([20, 20], [40])
+_UNEVEN = (list(range(1, 21)), list(range(21, 42)))
+_INPUTS = [(_EVEN, 0.5), (_UNEVEN, 0.5), (_UNEVEN, 0.7)]
 
+
+def _report(mode, lengths, ratio, seed=0):
+    batches = [make_batch([_seq(n) for n in row]) for row in lengths]
+    return signal_coverage_stats(mode, batches, ratio, np.random.default_rng(seed))
+
+
+def _per_sentence_counts(lengths, ratio):
+    """The sum of every sentence's max(1, round_half_up(ratio * n))."""
+    return sum(max(1, int(round_half_up(ratio * n))) for row in lengths for n in row)
+
+
+class TestSignalCoverage:
     def test_enhanced_covers_everything(self):
-        report = signal_coverage_stats("enhanced", self._batches(), 0.5)
+        report = _report("enhanced", _EVEN, 0.5)
         assert report.coverage == 1.0
         assert report.content_tokens == 80
         assert report.contexts_per_sentence == pytest.approx(80 / 3)
+        for lengths, ratio in _INPUTS:
+            report = _report("enhanced", lengths, ratio)
+            content = sum(map(sum, lengths))
+            assert report.coverage == 1.0
+            assert report.content_tokens == content
+            assert report.contexts_per_sentence == pytest.approx(content / sum(map(len, lengths)))
 
     def test_basic_covers_the_decoder_ratio(self):
         # content lengths divide evenly at ratio 0.5, so no rounding slack
-        report = signal_coverage_stats("basic", self._batches(), 0.5)
+        report = _report("basic", _EVEN, 0.5)
         assert report.coverage == 0.5
         assert report.contexts_total == 3
+        for lengths, ratio in _INPUTS:
+            report = _report("basic", lengths, ratio)
+            assert report.covered_tokens == _per_sentence_counts(lengths, ratio)
+            assert report.contexts_total == sum(map(len, lengths))
 
     def test_mlm_covers_fifteen_percent(self):
-        report = signal_coverage_stats("mlm15", self._batches(), 0.5)
-        assert report.coverage == 0.15
+        assert _report("mlm15", _EVEN, 0.5).coverage == 0.15
+        for lengths, ratio in _INPUTS:
+            assert _report("mlm15", lengths, ratio).covered_tokens == _per_sentence_counts(lengths, 0.15)
+
+    def test_report_does_not_depend_on_the_seed(self):
+        for lengths, ratio in _INPUTS:
+            for mode in ("mlm15", "basic", "enhanced"):
+                assert _report(mode, lengths, ratio, seed=0) == _report(mode, lengths, ratio, seed=1)
 
     def test_report_lines_format(self):
-        report = signal_coverage_stats("enhanced", self._batches(), 0.5)
-        lines = report.lines()
+        lines = _report("enhanced", _EVEN, 0.5).lines()
         assert "enhanced.coverage = 1.000000" in lines
         assert "enhanced.content_tokens = 80" in lines
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            signal_coverage_stats("mlm", self._batches(), 0.5)
+            _report("mlm", _EVEN, 0.5)
 
     def test_counts_match_the_per_row_definition(self):
         batch = make_batch([_seq(7), _seq(3), _seq(1)])
@@ -306,4 +334,4 @@ class TestSignalCoverage:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            signal_coverage_stats("basic", [], 0.5)
+            signal_coverage_stats("basic", [], 0.5, np.random.default_rng(0))

@@ -123,7 +123,7 @@ class TestAttention:
         visible = real[:, None, None, :]
         rows = Rows(real)
 
-        packed = ad.constant(x[real])
+        packed = ad.Tensor(x[real])
         with ad.no_grad():
             got = attention(params, "enc0", packed, packed, visible, heads=1, rows=rows, kv_rows=rows).data
 
@@ -146,7 +146,7 @@ class TestAttention:
         rows, kv_rows = Rows(queries), Rows(real)
 
         with ad.no_grad():
-            got = attention(params, "enc0", ad.constant(queries_in[queries]), ad.constant(keys_in[real]),
+            got = attention(params, "enc0", ad.Tensor(queries_in[queries]), ad.Tensor(keys_in[real]),
                             visible, heads=1, rows=rows, kv_rows=kv_rows).data
 
         assert got.shape == (int(queries.sum()), 6)
@@ -157,7 +157,7 @@ class TestAttention:
         params = _one_head_params()
         real = np.array([[True, True, True, False]])
         rows = Rows(real)
-        x = ad.constant(np.random.default_rng(15).standard_normal((3, 6)))
+        x = ad.Tensor(np.random.default_rng(15).standard_normal((3, 6)))
         with pytest.raises(ad.ShapeError):
             attention(params, "enc0", x, x, np.ones((1, 1, 1, 4), dtype=bool), heads=1, rows=rows, kv_rows=rows)
 
@@ -166,7 +166,7 @@ class TestAttention:
         # dimensions may interact, so outputs must differ
         params = init_params(TINY, DEC, np.random.default_rng(9), dtype=np.float64)
         rng = np.random.default_rng(10)
-        x = ad.constant(rng.standard_normal((5, 16)))
+        x = ad.Tensor(rng.standard_normal((5, 16)))
         visible = np.ones((1, 1, 1, 5), dtype=bool)
         rows = Rows(np.ones((1, 5), dtype=bool))
         with ad.no_grad():
@@ -189,7 +189,7 @@ class TestOutputLogits:
         rng = np.random.default_rng(12)
         hidden = rng.standard_normal((2, 4, 16))
         with ad.no_grad():
-            got = output_logits(params, ad.constant(hidden)).data
+            got = output_logits(params, ad.Tensor(hidden)).data
         expected = hidden @ params["word_emb"].data.T + params["out_bias"].data
         np.testing.assert_allclose(got, expected, atol=1e-12)
 

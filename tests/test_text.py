@@ -84,7 +84,7 @@ class TestVocabulary:
         path.write_text("\n".join(RESERVED_TOKENS + ("alpha", "beta")) + "\n")
         vocab = Vocabulary.load(path)
         assert vocab.id_for("alpha") == 5
-        assert vocab.token_for(6) == "beta"
+        assert vocab.id_to_token[6] == "beta"
 
     def test_reserved_prefix_enforced(self):
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestEncodeText:
         vocab = build_vocabulary(["a b c d e"], max_size=12)
         seq = encode_text("a b c d e", vocab, max_len=4)
         assert len(seq) == 4  # [CLS] a b [SEP]
-        assert [vocab.token_for(int(i)) for i in seq.ids[1:-1]] == ["a", "b"]
+        assert [vocab.id_to_token[i] for i in seq.ids[1:-1]] == ["a", "b"]
 
     def test_unknown_words_become_unk(self):
         vocab = build_vocabulary(["a"], max_size=6)
@@ -118,9 +118,9 @@ class TestEncodeText:
         with pytest.raises(ValueError):
             encode_text("a", vocab, max_len=2)
 
-    def test_token_for_maps_reserved_and_content_ids(self):
+    def test_id_to_token_maps_reserved_and_content_ids(self):
         vocab = build_vocabulary(["a b"], max_size=10)
-        tokens = [vocab.token_for(i) for i in (CLS_ID, 5, MASK_ID, 6, SEP_ID, PAD_ID)]
+        tokens = [vocab.id_to_token[i] for i in (CLS_ID, 5, MASK_ID, 6, SEP_ID, PAD_ID)]
         assert tokens == ["[CLS]", "a", "[M]", "b", "[SEP]", "[PAD]"]
 
 
