@@ -228,10 +228,7 @@ def load_checkpoint_vocabulary(path: str | Path, loaded: LoadedCheckpoint) -> Vo
     """The vocabulary saved next to checkpoint ``path``; it must be readable
     and have one token per ``word_emb`` row."""
     vocab_path = Path(path).parent / loaded.vocab_file
-    try:
-        vocab = Vocabulary.load(vocab_path)
-    except ValueError as e:
-        raise CheckpointError(f"{vocab_path}: {e}") from None
+    vocab = Vocabulary.load(vocab_path)
     if len(vocab) != loaded.encoder.vocab_size:
         raise CheckpointError(
             f"{vocab_path} has {len(vocab)} tokens, but {path} has {loaded.encoder.vocab_size} word_emb rows"

@@ -5,7 +5,8 @@ goes to stderr. Exit codes: 0 on success, 1 when a run fails underway
 (divergence), 2 for unusable input (missing file, bad config, malformed
 run file, a checkpoint that fails validation, a model whose forward pass
 overflows outside training) and for an output path that cannot be
-written.
+written. An exit-2 message names the file or flag at fault, or the
+failing op.
 """
 
 from __future__ import annotations
@@ -55,7 +56,10 @@ def _require_file(path: str, what: str) -> Path:
 def _configs_from_args(args: argparse.Namespace):
     file_values = parse_config_file(_require_file(args.config, "config file")) if args.config else None
     overrides = parse_overrides(args.set or [])
-    return resolve_configs(preset=args.preset, file_values=file_values, overrides=overrides)
+    try:
+        return resolve_configs(preset=args.preset, file_values=file_values, overrides=overrides)
+    except ConfigError as e:  # the value the configs refuse may come from the file
+        raise ConfigError(f"{args.config}: {e}" if args.config else str(e)) from None
 
 
 def _add_config_options(p: argparse.ArgumentParser) -> None:
@@ -93,10 +97,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     input_path = _require_file(args.input, "input file")
     loaded = load_checkpoint(ckpt_path)
     vocab = load_checkpoint_vocabulary(ckpt_path, loaded)
-    sentences = corpus_lines(input_path)
-    if not sentences:
-        raise RunFormatError(f"{input_path}: no sentences to embed")
-    store = embed_corpus(sentences, loaded.params, loaded.encoder, vocab)
+    store = embed_corpus(corpus_lines(input_path), loaded.params, loaded.encoder, vocab)
     save_embeddings(args.output, store)
     print(f"embedded = {len(store.ids)}")
     print(f"dim = {store.dim}")
@@ -121,6 +122,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         queries = load_embeddings(_require_file(args.queries, "query embeddings"))
         docs = load_embeddings(_require_file(args.docs, "document embeddings"))
+        if queries.dim != docs.dim:
+            raise RunFormatError(f"{args.queries}, {args.docs}: query dim {queries.dim} "
+                                 f"does not match document dim {docs.dim}")
         run = search_run(queries, docs, k=max(ks), metric=args.metric, labels=labels)
     metrics = (("mrr", mrr_at_k), ("recall", recall_at_k), ("ndcg", ndcg_at_k))
     try:

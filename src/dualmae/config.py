@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .model import DecoderConfig, EncoderConfig
+from .text import read_lines
 
 SEED_ENV_VAR = "DUALMAE_SEED"
 
@@ -112,40 +113,32 @@ def _coerce(key: str, raw: str, where: str) -> object:
         raise ConfigError(f"bad value for {key!r} in {where}: {raw!r}") from None
 
 
+def _setting(text: str, where: str) -> tuple[str, object]:
+    """One ``key = value`` setting, its key known and its value coerced;
+    every refusal names ``where``, a ``path:line`` or ``--set``."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    key, _, raw = text.partition("=")
+    key = key.strip()
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    return key, _coerce(key, raw.strip(), where)
+
+
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Read ``key = value`` lines; unknown keys are an error, not a warning."""
     values: dict[str, object] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw, f"{path}:{lineno}")
+        if stripped and not stripped.startswith("#"):
+            key, value = _setting(stripped, f"{path}:{lineno}")
+            values[key] = value
     return values
 
 
 def parse_overrides(pairs: Iterable[str]) -> dict[str, object]:
     """--set key=value pairs from the command line."""
-    values: dict[str, object] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must look like key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw.strip(), "--set")
-    return values
+    return dict(_setting(pair, "--set") for pair in pairs)
 
 
 def _build(

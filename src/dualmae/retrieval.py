@@ -14,7 +14,9 @@ check every list against a full sort on (score, id string).
 Embedding pads each sentence to a width that depends only on its own
 length, so a vector never depends on the rest of its batch. Metrics follow
 their textbook definitions; the test suite holds an independently coded
-oracle for each one.
+oracle for each one. Embedding, run and label files hold one tab-separated
+record per non-empty line, read by ``text.read_lines``; a record that
+cannot be used is a ``RunFormatError`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import encode
 from .model import EncoderConfig, ModelParams
-from .text import Vocabulary, encode_text, make_batch
+from .text import Vocabulary, encode_text, make_batch, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -42,17 +44,27 @@ class RunFormatError(ValueError):
     """An embedding, run or label file that cannot be used."""
 
 
-def _text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Each line of a UTF-8 text file with its number, newline stripped.
+def _records(path: str | Path, layout: str) -> Iterator[tuple[str, list[str]]]:
+    """``path:line`` and the tab-separated fields of each non-empty line of
+    a text file; a line with another field count than ``layout`` names is
+    refused."""
+    names = layout.split()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(names):
+            raise RunFormatError(f"{path}:{lineno}: expected '{'<TAB>'.join(names)}'")
+        yield f"{path}:{lineno}", fields
 
-    A byte that is not UTF-8 raises ``RunFormatError`` naming the file.
-    """
-    with open(path, encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(f, start=1):
-                yield lineno, line.rstrip("\n")
-        except UnicodeDecodeError as e:
-            raise RunFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+def _check_grade(grade: int, where: str) -> None:
+    """A relevance grade is non-negative and small enough that its gain
+    2^grade - 1 is a finite float64."""
+    if grade < 0:
+        raise RunFormatError(f"{where}: relevance cannot be negative")
+    if grade >= sys.float_info.max_exp:
+        raise RunFormatError(f"{where}: relevance {grade} is too large, its gain 2^{grade} - 1 overflows")
 
 
 @dataclass
@@ -132,33 +144,29 @@ def save_embeddings(path: str | Path, store: EmbeddingStore) -> None:
     """
     with open(path, "w", encoding="utf-8") as f:
         for doc_id, row in zip(store.ids, store.matrix):
-            f.write(doc_id + "\t" + " ".join(f"{x:.8e}" for x in row) + "\n")
+            f.write(doc_id + "\t" + " ".join(map("{:.8e}".format, row.tolist())) + "\n")
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    ids: list[str] = []
-    rows: list[np.ndarray] = []
-    for lineno, line in _text_lines(path):
-        if not line:
-            continue
-        doc_id, tab, rest = line.partition("\t")
-        if not tab:
-            raise RunFormatError(f"{path}:{lineno}: expected 'id<TAB>components'")
+    vectors: dict[str, np.ndarray] = {}
+    for where, (doc_id, rest) in _records(path, "id components"):
         try:
-            row = np.array([np.float32(x) for x in rest.split()], dtype=np.float32)
+            row = np.array(rest.split(), dtype=np.float32)
         except ValueError:
-            raise RunFormatError(f"{path}:{lineno}: bad vector component") from None
+            raise RunFormatError(f"{where}: bad vector component") from None
         if not row.size:
-            raise RunFormatError(f"{path}:{lineno}: vector has no components")
-        if rows and len(row) != len(rows[0]):
-            raise RunFormatError(f"{path}:{lineno}: expected {len(rows[0])} components, got {len(row)}")
+            raise RunFormatError(f"{where}: vector has no components")
+        width = len(next(iter(vectors.values()), row))  # the first vector's
+        if len(row) != width:
+            raise RunFormatError(f"{where}: expected {width} components, got {len(row)}")
         if not np.isfinite(row).all():
-            raise RunFormatError(f"{path}:{lineno}: non-finite vector component")
-        rows.append(row)
-        ids.append(doc_id)
-    if not rows:
+            raise RunFormatError(f"{where}: non-finite vector component")
+        if doc_id in vectors:
+            raise RunFormatError(f"{where}: duplicate document id {doc_id!r}")
+        vectors[doc_id] = row
+    if not vectors:
         raise RunFormatError(f"{path}: no vectors found")
-    return EmbeddingStore(ids=ids, matrix=np.stack(rows))
+    return EmbeddingStore(ids=list(vectors), matrix=np.stack(list(vectors.values())))
 
 
 @dataclass
@@ -179,6 +187,9 @@ class RankingRun:
                 if prev is not None and score > prev:
                     raise RunFormatError(f"query {q!r}: scores increase along the ranking")
                 prev = score
+        for q, judged in self.labels.items():
+            for doc, grade in judged.items():
+                _check_grade(grade, f"query {q!r}, document {doc!r}")
 
 
 def search_run(
@@ -233,25 +244,15 @@ def search_run(
 def load_run(path: str | Path, labels: dict[str, dict[str, int]] | None = None) -> RankingRun:
     candidates: dict[str, list[tuple[str, float]]] = {}
     expected_rank: dict[str, int] = {}
-    for lineno, line in _text_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise RunFormatError(
-                f"{path}:{lineno}: expected 'query_id<TAB>doc_id<TAB>rank<TAB>score'"
-            )
-        qid, doc, rank_s, score_s = parts
+    for where, (qid, doc, rank_s, score_s) in _records(path, "query_id doc_id rank score"):
         try:
             rank = int(rank_s)
             score = float(score_s)
         except ValueError:
-            raise RunFormatError(f"{path}:{lineno}: bad rank or score") from None
+            raise RunFormatError(f"{where}: bad rank or score") from None
         expected = expected_rank.get(qid, 0) + 1
         if rank != expected:
-            raise RunFormatError(
-                f"{path}:{lineno}: rank {rank} out of order for query {qid!r} (expected {expected})"
-            )
+            raise RunFormatError(f"{where}: rank {rank} out of order for query {qid!r} (expected {expected})")
         expected_rank[qid] = rank
         candidates.setdefault(qid, []).append((doc, score))
     if not candidates:
@@ -265,26 +266,15 @@ def load_run(path: str | Path, labels: dict[str, dict[str, int]] | None = None) 
 def load_labels(path: str | Path) -> dict[str, dict[str, int]]:
     """query_id, doc_id, graded relevance; one judgment per line."""
     labels: dict[str, dict[str, int]] = {}
-    for lineno, line in _text_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise RunFormatError(
-                f"{path}:{lineno}: expected 'query_id<TAB>doc_id<TAB>relevance'"
-            )
-        qid, doc, rel_s = parts
+    for where, (qid, doc, rel_s) in _records(path, "query_id doc_id relevance"):
         try:
             rel = int(rel_s)
         except ValueError:
-            raise RunFormatError(f"{path}:{lineno}: relevance must be an integer") from None
-        if rel < 0:
-            raise RunFormatError(f"{path}:{lineno}: relevance cannot be negative")
-        if rel >= sys.float_info.max_exp:
-            raise RunFormatError(f"{path}:{lineno}: relevance {rel} is too large, its gain 2^{rel} - 1 overflows")
+            raise RunFormatError(f"{where}: relevance must be an integer") from None
+        _check_grade(rel, where)
         judged = labels.setdefault(qid, {})
         if doc in judged:
-            raise RunFormatError(f"{path}:{lineno}: duplicate judgment for query {qid!r}, document {doc!r}")
+            raise RunFormatError(f"{where}: duplicate judgment for query {qid!r}, document {doc!r}")
         judged[doc] = rel
     if not labels:
         raise RunFormatError(f"{path}: no label lines found")

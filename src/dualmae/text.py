@@ -1,9 +1,11 @@
-"""Corpus handling: vocabulary, tokenization, sequence encoding, batching.
+"""Corpus handling: text files, vocabulary, tokenization, encoding, batching.
 
-One input line is one sentence. Tokenization splits on whitespace and
-punctuation with no further normalization; the vocabulary is frequency
-ranked with lexicographic tie-breaking so two builds over the same corpus
-are identical.
+``read_lines`` reads every text input of the package. Only ``\\n``,
+``\\r\\n`` and ``\\r`` end a line, and a byte that is not UTF-8 is a
+``ValueError`` naming the file. One corpus line is one sentence.
+Tokenization splits on whitespace and punctuation with no further
+normalization; the vocabulary is frequency ranked with lexicographic
+tie-breaking so two builds over the same corpus are identical.
 """
 
 from __future__ import annotations
@@ -54,8 +56,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        """The vocabulary ``save`` wrote; a refusal names the file."""
+        lines = read_lines(path)
+        try:
+            return cls(lines)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 def build_vocabulary(lines: Iterable[str], max_size: int) -> Vocabulary:
@@ -163,17 +169,23 @@ def batch_iter(
 
 
 def load_corpus(path: str | Path, vocab: Vocabulary, max_len: int) -> list[TokenSequence]:
-    """Encode every non-empty line of a text file, as ``corpus_lines`` reads it."""
-    seqs = [encode_text(line, vocab, max_len) for line in corpus_lines(path)]
-    if not seqs:
-        raise ValueError(f"no sentences found in {path}")
-    return seqs
+    """Encode every sentence of a text file, as ``corpus_lines`` reads it."""
+    return [encode_text(line, vocab, max_len) for line in corpus_lines(path)]
 
 
 def corpus_lines(path: str | Path) -> list[str]:
-    """The stripped non-empty lines of a UTF-8 text file."""
+    """The stripped non-empty lines of a UTF-8 text file; a file with none
+    is a ``ValueError`` naming it."""
+    lines = [line.strip() for line in read_lines(path) if line.strip()]
+    if not lines:
+        raise ValueError(f"no sentences found in {path}")
+    return lines
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """Every line of a UTF-8 text file, its line end stripped."""
     try:
         with open(path, encoding="utf-8") as f:
-            return [line.strip() for line in f if line.strip()]
+            return [line.rstrip("\n") for line in f]
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None

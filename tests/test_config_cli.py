@@ -5,6 +5,7 @@ contracts, and the artifacts left on disk.
 """
 
 import dataclasses
+import re
 import shutil
 import warnings
 
@@ -62,7 +63,8 @@ class TestOverrides:
         assert parse_overrides(["epochs=3", "mode = basic"]) == {"epochs": 3, "mode": "basic"}
 
     def test_missing_equals(self):
-        with pytest.raises(ConfigError, match="key=value"):
+        # the config file's parser: same wording, with --set as the place
+        with pytest.raises(ConfigError, match=r"^--set: expected 'key = value', got 'epochs'$"):
             parse_overrides(["epochs"])
 
     def test_unknown_key(self):
@@ -380,6 +382,38 @@ class TestPretrainCli:
         assert loaded.train.seed == 11
 
 
+    @pytest.mark.parametrize("line, message", [
+        ("hidden_dim = 30", "hidden_dim must divide evenly across heads"),
+        ("epochs = 0", "epochs and batch_size must be positive"),
+        ("max_len = 2", "max_len too small for [CLS] content [SEP]"),
+    ])
+    def test_config_value_refused_after_the_merge_names_the_file(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["maskstats", "--preset", "desk", "--config", str(cfg),
+                     "--corpus", str(_write_corpus(tmp_path / "c.txt", n=8))])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"{cfg}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["pretrain", "maskstats", "embed"])
+    def test_corpus_without_sentences_names_the_file(self, trained_run, tmp_path, capsys, command):
+        empty = tmp_path / "blank.txt"
+        empty.write_text("\n  \n\t\n")
+        argv = {
+            "pretrain": ["pretrain", "--preset", "desk", "--corpus", str(empty), "--out", str(tmp_path / "run")],
+            "maskstats": ["maskstats", "--preset", "desk", "--corpus", str(empty)],
+            "embed": ["embed", "--checkpoint", str(trained_run["out"] / "model.ckpt"), "--input", str(empty),
+                      "--output", str(tmp_path / "vectors.tsv")],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"no sentences found in {empty}\n"
+        assert not (tmp_path / "run").exists() and not (tmp_path / "vectors.tsv").exists()
+
+
 class TestAblationSweep:
     def test_four_variants_from_the_same_corpus(self, tmp_path):
         corpus = _write_corpus(tmp_path / "c.txt", n=8)
@@ -466,6 +500,15 @@ class TestEmbedCli:
         assert code == 2
         assert capsys.readouterr().err == (
             f"{tmp_path / 'vocab.txt'}: vocabulary must start with the reserved tokens\n")
+
+    def test_vocabulary_that_is_not_utf8_is_named_once(self, trained_run, tmp_path, capsys):
+        shutil.copy(trained_run["out"] / "model.ckpt", tmp_path / "model.ckpt")
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes((trained_run["out"] / "vocab.txt").read_bytes() + "caf\u00e9\n".encode("latin-1"))
+        code = main(["embed", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--input", str(trained_run["corpus"]), "--output", str(tmp_path / "emb.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"{vocab}: not UTF-8 text (invalid continuation byte)\n"
 
     def test_weights_that_overflow_the_forward_pass_are_exit_2(self, trained_run, tmp_path, capsys):
         # finite weights, so the checkpoint loads; the forward pass overflows float32
@@ -583,8 +626,10 @@ class TestEvalCli:
         docs = tmp_path / "docs.tsv"
         docs.write_text("0\t1.0 2.0 3.0\n1\t3.0 2.0 1.0\n")
         code = main(["eval", "--queries", str(queries), "--docs", str(docs), "--labels", str(labels_path)])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "query dim 2 does not match document dim 3" in capsys.readouterr().err
+        assert "query dim 2 does not match document dim 3" in err
+        assert err == f"{queries}, {docs}: query dim 2 does not match document dim 3\n"
 
     def test_malformed_run_file_is_exit_2(self, tmp_path, capsys):
         labels_path = _self_labels(tmp_path / "labels.tsv", 2)
@@ -658,6 +703,91 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{bad}: not UTF-8 text" in err and "Traceback" not in err
+
+
+# what the reader fuzz inserts or substitutes: separators, non-finite and
+# overflowing numbers, a byte that is not UTF-8, NUL and a 30-digit integer
+FUZZ_TOKENS = (b"\t", b"\n", b"nan", b"1e999", b"\xff", b"\x00", b"123456789012345678901234567890")
+
+
+def _damage(data, rng):
+    """``data`` with one seeded mutation: a flipped bit, an inserted token,
+    a field replaced by a token, a deleted span, a truncation or a
+    duplicated line."""
+    at = int(rng.integers(len(data) + 1))
+    token = FUZZ_TOKENS[int(rng.integers(len(FUZZ_TOKENS)))]
+    kind = int(rng.integers(6))
+    if kind == 0 and data:
+        i = min(at, len(data) - 1)
+        return data[:i] + bytes([data[i] ^ (1 << int(rng.integers(8)))]) + data[i + 1:]
+    if kind == 1:
+        return data[:at] + token + data[at:]
+    if kind == 2:
+        parts = re.split(rb"([\t\n =]+)", data)  # fields at the even indices
+        parts[2 * int(rng.integers((len(parts) + 1) // 2))] = token
+        return b"".join(parts)
+    if kind == 3:
+        return data[:at] + data[at + int(rng.integers(1, 8)):]
+    if kind == 4:
+        return data[:at]
+    lines = data.splitlines(keepends=True) or [b""]
+    i = int(rng.integers(len(lines)))
+    return b"".join(lines[: i + 1] + lines[i:])
+
+
+class TestReaderFuzz:
+    CASES_PER_READER = 100
+
+    def test_every_exit_2_names_the_damaged_file(self, trained_run, tmp_path, capsys):
+        """Seeded damage to each input file, read through the CLI: every case
+        exits 0 or 2, with no traceback, and an exit-2 message names the file."""
+        corpus = trained_run["corpus"]
+        ckpt, vocab = trained_run["out"] / "model.ckpt", trained_run["out"] / "vocab.txt"
+        emb = tmp_path / "emb.tsv"
+        assert main(["embed", "--checkpoint", str(ckpt), "--input", str(corpus), "--output", str(emb)]) == 0
+        labels = _self_labels(tmp_path / "labels.tsv", 16)
+        store = load_embeddings(emb)
+        run = tmp_path / "run.tsv"
+        run.write_text("".join(
+            f"{qid}\t{doc}\t{rank}\t{score:.17g}\n"
+            for qid, candidates in search_run(store, store, k=3).candidates.items()
+            for rank, (doc, score) in enumerate(candidates, start=1)
+        ))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(TINY_SET[i + 1].replace("=", " = ") + "\n" for i in range(0, len(TINY_SET), 2)))
+        # each reader: the file to damage and the command line that reads the damaged copy in dir d
+        readers = {
+            "corpus": (corpus, lambda p, d: ["pretrain", "--preset", "desk", "--corpus", p, "--out", str(d / "out"),
+                                            "--stop-after-steps", "1"] + TINY_SET),
+            "config": (cfg, lambda p, d: ["maskstats", "--preset", "desk", "--config", p, "--corpus", str(corpus)]),
+            "vocab": (vocab, lambda p, d: ["embed", "--checkpoint", str(d / "model.ckpt"), "--input", str(corpus),
+                                          "--output", str(d / "out.tsv")]),
+            "input": (corpus, lambda p, d: ["embed", "--checkpoint", str(ckpt), "--input", p,
+                                           "--output", str(d / "out.tsv")]),
+            "queries": (emb, lambda p, d: ["eval", "--queries", p, "--docs", str(emb), "--labels", str(labels)]),
+            "docs": (emb, lambda p, d: ["eval", "--queries", str(emb), "--docs", p, "--labels", str(labels)]),
+            "labels": (labels, lambda p, d: ["eval", "--run", str(run), "--labels", p]),
+            "run": (run, lambda p, d: ["eval", "--run", p, "--labels", str(labels)]),
+        }
+        rng = np.random.default_rng(2)
+        failures = []
+        for name, (source, argv) in readers.items():
+            data = source.read_bytes()
+            for case in range(self.CASES_PER_READER):
+                d = tmp_path / f"{name}{case}"
+                d.mkdir()
+                if name == "vocab":
+                    shutil.copy(ckpt, d / "model.ckpt")
+                damaged = d / source.name
+                damaged.write_bytes(_damage(data, rng))
+                try:
+                    code = main(argv(str(damaged), d))
+                except Exception as e:  # any exception that escapes main is a finding
+                    code = f"{type(e).__name__}: {e}"
+                err = capsys.readouterr().err
+                if code not in (0, 2) or "Traceback" in err or (code == 2 and str(damaged) not in err):
+                    failures.append(f"{name}{case}: exit {code}: {err.strip()!r} on {damaged.read_bytes()[:200]!r}")
+        assert not failures, "\n".join(failures)
 
 
 class TestMaskstatsCli:

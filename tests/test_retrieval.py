@@ -6,6 +6,7 @@ against the full sort in ``ranking.py``.
 """
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,49 @@ class TestEmbeddingFiles:
         path.write_text(f"doc0\t1.0 2.0\ndoc1\t{bad} 2.0\n")
         with pytest.raises(RunFormatError, match=r"emb\.tsv:2: non-finite"):
             load_embeddings(path)
+
+    def test_duplicate_id_names_line(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("doc0\t1.0 2.0\ndoc1\t3.0 4.0\ndoc0\t5.0 6.0\n")
+        with pytest.raises(RunFormatError, match=r"emb\.tsv:3: duplicate document id 'doc0'$"):
+            load_embeddings(path)
+
+    def test_second_tab_is_refused_like_run_and_label_lines(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("doc0\t1.0\t2.0\n")
+        with pytest.raises(RunFormatError, match=r"emb\.tsv:1: expected 'id<TAB>components'$"):
+            load_embeddings(path)
+
+    # strings numpy's float32 scalar and array parsers both take or both refuse
+    @pytest.mark.parametrize("text", ["1_0", "+1.5", "\u0661.\u0665", "0x10", "1e999", "infinity", "1,5", "1d5"])
+    def test_a_component_parses_as_a_float32_scalar_would(self, tmp_path, text):
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"doc0\t{text} 2.0\n", encoding="utf-8")
+        try:
+            expected = np.float32(text)
+        except ValueError:
+            with pytest.raises(RunFormatError, match=r"emb\.tsv:1: bad vector component$"):
+                load_embeddings(path)
+            return
+        if not np.isfinite(expected):
+            with pytest.raises(RunFormatError, match=r"emb\.tsv:1: non-finite vector component$"):
+                load_embeddings(path)
+            return
+        assert load_embeddings(path).matrix[0, 0].tobytes() == expected.tobytes()
+
+    def test_components_are_written_as_the_scalar_format_writes_them(self, tmp_path):
+        rng = np.random.default_rng(3)
+        mat = np.concatenate([
+            rng.standard_normal((4, 6)).astype(np.float32) * np.float32(scale)
+            for scale in (1e-42, 1e-7, 1.0, 1e6, 1e37)
+        ])
+        mat[0, :3] = [0.0, -0.0, np.finfo(np.float32).max]
+        store = EmbeddingStore(ids=[f"d{i}" for i in range(len(mat))], matrix=mat)
+        path = tmp_path / "emb.tsv"
+        save_embeddings(path, store)
+        expected = "".join(f"d{i}\t" + " ".join(f"{x:.8e}" for x in row) + "\n" for i, row in enumerate(mat))
+        assert path.read_text(encoding="utf-8") == expected
+        assert load_embeddings(path).matrix.tobytes() == mat.tobytes()
 
 
 def _search_one(query, store, k, metric="dot"):
@@ -220,6 +264,16 @@ class TestRunFiles:
     def test_increasing_scores_rejected(self):
         with pytest.raises(RunFormatError, match="increase"):
             RankingRun(candidates={"q": [("a", 0.5), ("b", 0.9)]})
+
+    @pytest.mark.parametrize("grade, message", [
+        (-1, "relevance cannot be negative"),
+        (1024, "relevance 1024 is too large, its gain 2^1024 - 1 overflows"),
+    ])
+    def test_grade_outside_the_gain_range_rejected(self, grade, message):
+        with pytest.raises(RunFormatError, match=rf"^query 'q', document 'a': {re.escape(message)}$"):
+            RankingRun(candidates={"q": [("a", 1.0)]}, labels={"q": {"a": grade}})
+        run = RankingRun(candidates={"q": [("a", 1.0)]}, labels={"q": {"a": 1023}})
+        assert ndcg_at_k(run, 1) == 1.0
 
     def test_round_trip_preserves_scores_exactly(self, tmp_path):
         run = self._run()

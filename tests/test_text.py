@@ -1,8 +1,12 @@
-"""Vocabulary, tokenization, sequence encoding, and batching."""
+"""Text files, vocabulary, tokenization, sequence encoding, and batching."""
+
+import re
 
 import numpy as np
 import pytest
 
+from dualmae.config import parse_config_file
+from dualmae.retrieval import load_labels
 from dualmae.text import (
     CLS_ID,
     MASK_ID,
@@ -19,6 +23,7 @@ from dualmae.text import (
     encode_text,
     load_corpus,
     make_batch,
+    read_lines,
     tokenize,
 )
 
@@ -78,6 +83,23 @@ class TestVocabulary:
         vocab.save(path)
         again = Vocabulary.load(path)
         assert again.id_to_token == vocab.id_to_token
+
+    def test_round_trip_over_line_separator_characters(self, tmp_path):
+        # form feed, NEL, U+2028 and the file separator are whitespace to the
+        # tokenizer, so no saved token holds one; \r ends a line in the corpus
+        vocab = build_vocabulary(["a\x0cb c\x85d", "e\u2028f\x1cg", "h\ri"], max_size=20)
+        path = tmp_path / "vocab.txt"
+        vocab.save(path)
+        assert Vocabulary.load(path).id_to_token == vocab.id_to_token == list(RESERVED_TOKENS) + list("abcdefghi")
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(RESERVED_TOKENS + ("a", "a")) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: duplicate token in vocabulary$"):
+            Vocabulary.load(path)
+        path.write_bytes("\n".join(RESERVED_TOKENS).encode() + b"\ncaf\xe9\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text \(invalid continuation byte\)$"):
+            Vocabulary.load(path)
 
     def test_line_number_is_the_id(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -227,3 +249,51 @@ class TestCorpusFiles:
         vocab = build_vocabulary(["a"], max_size=6)
         with pytest.raises(ValueError):
             load_corpus(path, vocab, max_len=8)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\r\n\x0c\n"])
+    def test_file_without_sentences_is_named(self, tmp_path, text):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ValueError, match=rf"^no sentences found in {re.escape(str(path))}$"):
+            corpus_lines(path)
+
+
+class TestReadLines:
+    def test_line_ends_stripped(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"a\n\nb\r\nc\rd")
+        assert read_lines(path) == ["a", "", "b", "c", "d"]
+        path.write_bytes(b"")
+        assert read_lines(path) == []
+
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not UTF-8 text \(invalid start byte\)$"):
+            read_lines(path)
+
+    def test_one_line_rule_for_every_reader(self, tmp_path):
+        """Only \\n, \\r\\n and \\r end a line. Form feed, NEL and U+2028,
+        which ``str.splitlines`` also splits at, stay inside their line for
+        every reader."""
+        inner = ("\x0c", "\x85", "\u2028")
+
+        def write(name, lines):
+            path = tmp_path / name
+            path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+            return path
+
+        sentences = [f"w{i}{c}x{i}" for i, c in enumerate(inner)]
+        path = write("corpus.txt", sentences)
+        assert read_lines(path) == corpus_lines(path) == sentences
+
+        # a separator inside a comment must not start a setting
+        settings = [f"# off{c}heads = 3" for c in inner] + ["seed = 7"]
+        path = write("run.cfg", settings)
+        assert read_lines(path) == settings
+        assert parse_config_file(path) == {"seed": 7}
+
+        judgments = [f"q{i}\td{c}{i}\t{i}" for i, c in enumerate(inner)]
+        path = write("labels.tsv", judgments)
+        assert read_lines(path) == judgments
+        assert load_labels(path) == {f"q{i}": {f"d{c}{i}": i} for i, c in enumerate(inner)}
