@@ -61,6 +61,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
+LAYER_NORM_EPS = 1e-5  # the one epsilon of every layer norm, encoder and decoder alike
+
 
 class ShapeError(ValueError):
     """Operand shapes violate an op's contract."""
@@ -467,15 +469,16 @@ def gelu(x: Tensor) -> Tensor:
     return _make(data, (x,), back, "gelu")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (with
+    ``LAYER_NORM_EPS`` added to the variance), then affine."""
     if gain.data.shape != (x.data.shape[-1],) or bias.data.shape != (x.data.shape[-1],):
         raise ShapeError("layer_norm gain/bias must match the last axis")
     xd = x.data
     mean = xd.mean(axis=-1, keepdims=True)
     centered = xd - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(LAYER_NORM_EPS, dtype=xd.dtype))
     xhat = centered * inv
     data = xhat * gain.data + bias.data
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from . import autodiff as ad
 from .config import ConfigError, TrainConfig, config_as_flat_dict, configs_from_flat_dict
 from .model import DecoderConfig, EncoderConfig, ModelParams, param_shapes
 from .optim import AdamW
-from .text import Vocabulary
+from .text import Vocabulary, write_atomically
 
 MAGIC = "dualmae-ckpt-v3"
 
@@ -119,15 +118,7 @@ def save_checkpoint(
     for raw in payloads:
         digest.update(raw)
     manifest_bytes = signed + f"sha256 = {digest.hexdigest()}\n".encode("ascii")
-    # a kill mid-write leaves the previous checkpoint in place
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(f"{MAGIC} {len(manifest_bytes)}\n".encode("ascii"))
-        f.write(manifest_bytes)
-        for raw in payloads:
-            f.write(raw)
-    os.replace(tmp, path)
+    write_atomically(path, [f"{MAGIC} {len(manifest_bytes)}\n".encode("ascii"), manifest_bytes, *payloads])
 
 
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
@@ -210,7 +201,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             raise CheckpointError(f"{path}: tensor {name!r} holds a non-finite value")
 
     params = {name: ad.parameter(arrays[name]) for name, _ in param_shapes(encoder, decoder)}
-    optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
+    optimizer = AdamW()
     optimizer.moments = {name: (arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"]) for name in params}
     return LoadedCheckpoint(
         params=params,

@@ -23,6 +23,7 @@ from .autodiff import NonFiniteError
 from .checkpoint import load_checkpoint, load_checkpoint_vocabulary
 from .config import (
     PRESETS,
+    SEED_ENV_VAR,
     ConfigError,
     parse_config_file,
     parse_overrides,
@@ -58,8 +59,17 @@ def _configs_from_args(args: argparse.Namespace):
     overrides = parse_overrides(args.set or [])
     try:
         return resolve_configs(preset=args.preset, file_values=file_values, overrides=overrides)
-    except ConfigError as e:  # the value the configs refuse may come from the file
-        raise ConfigError(f"{args.config}: {e}" if args.config else str(e)) from None
+    except ConfigError as e:
+        # name the source the refusal stops at: the file if the preset and the
+        # file alone are refused, else --set, else the seed variable
+        source = SEED_ENV_VAR
+        for name, layer in (("--set", overrides), (args.config, None)):
+            try:
+                resolve_configs(preset=args.preset, file_values=file_values, overrides=layer, env={})
+            except ConfigError:
+                source = name
+        # a seed variable that is no integer is refused under its own name already
+        raise ConfigError(str(e) if str(e).startswith(source) else f"{source}: {e}") from None
 
 
 def _add_config_options(p: argparse.ArgumentParser) -> None:

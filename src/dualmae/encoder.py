@@ -30,13 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import (
-    LAYER_NORM_EPS,
-    EncoderConfig,
-    ModelParams,
-    Rows,
-    transformer_block,
-)
+from .model import EncoderConfig, ModelParams, Rows, transformer_block
 
 
 def encode(
@@ -71,12 +65,8 @@ def encode(
     tokens = ad.embedding_lookup(params["word_emb"], ids)
     positions = ad.narrow(params["enc_pos"], 0, 0, L)
     rows = Rows(real)
-    x = ad.layer_norm(
-        ad.gather_rows(ad.add(tokens, positions), rows.index),
-        params["enc_emb_ln.gain"],
-        params["enc_emb_ln.bias"],
-        LAYER_NORM_EPS,
-    )
+    x = ad.gather_rows(ad.add(tokens, positions), rows.index)
+    x = ad.layer_norm(x, params["enc_emb_ln.gain"], params["enc_emb_ln.bias"])
     visible = real[:, None, None, :]
     last = config.layers - 1
     for i in range(last):

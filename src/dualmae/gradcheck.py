@@ -67,7 +67,7 @@ def tiny_setup(
     return params, train, enc, dec, mbatch
 
 
-def model_gradient_errors(mode: str, seed: int = 0, h: float = DEFAULT_STEP) -> dict[str, float]:
+def model_gradient_errors(mode: str, seed: int = 0) -> dict[str, float]:
     """Max normalized error per parameter tensor for one decoding mode.
 
     Masks are drawn once up front, so the loss is a deterministic function
@@ -86,6 +86,6 @@ def model_gradient_errors(mode: str, seed: int = 0, h: float = DEFAULT_STEP) -> 
 
     errors: dict[str, float] = {}
     for name, tensor in params.items():
-        fd = finite_difference_grad(loss_value, tensor, h)
+        fd = finite_difference_grad(loss_value, tensor)
         errors[name] = max_rel_error(analytic[name], fd)
     return errors

@@ -148,12 +148,13 @@ def mask_batch(
     """
     if mode not in ("basic", "enhanced"):
         raise ValueError(f"unknown decoding mode: {mode!r}")
+    real = batch.real
     enc_candidates, enc_counts = _token_request(batch.ids, ratio_encoder)
     if mode == "basic":
         dec_candidates, dec_counts = _token_request(batch.ids, ratio_decoder)
         dec_candidates, dec_counts = dec_candidates[:, None], dec_counts[:, None]
     else:
-        dec_candidates, dec_counts = _visibility_request(batch.real, ratio_decoder)
+        dec_candidates, dec_counts = _visibility_request(real, ratio_decoder)
     picked = _draw(
         np.concatenate([enc_candidates[:, None], dec_candidates], axis=1),
         np.concatenate([enc_counts[:, None], dec_counts], axis=1),
@@ -164,9 +165,9 @@ def mask_batch(
     if mode == "basic":
         dec_targets = picked[:, 1]
         dec_ids = np.where(dec_targets, MASK_ID, batch.ids)
-        dec_visible = batch.real[:, None, :]
+        dec_visible = real[:, None, :]
     else:
-        dec_targets = batch.real.copy()
+        dec_targets = real.copy()
         dec_targets[:, 0] = False
         dec_ids = batch.ids
         dec_visible = picked[:, 1:]
@@ -174,7 +175,7 @@ def mask_batch(
     return MaskedBatch(
         mode=mode,
         ids=batch.ids,
-        real=batch.real,
+        real=real,
         enc_ids=enc_ids,
         enc_masked=enc_masked,
         dec_ids=dec_ids,

@@ -34,7 +34,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-LAYER_NORM_EPS = 1e-5
 INIT_STD = 0.02
 
 
@@ -59,10 +58,6 @@ class EncoderConfig:
             raise ValueError("vocabulary must hold the reserved ids plus content")
         if self.max_len < 3:
             raise ValueError("max_len too small for [CLS] content [SEP]")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.heads
 
 
 @dataclass(frozen=True)
@@ -244,9 +239,9 @@ def transformer_block(
     are handed to ``attention``, and the block returns ``x``'s rows.
     """
     attn_out = attention(params, prefix, x, keyvalue_in, visible, heads, rows=rows, kv_rows=kv_rows)
-    x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
+    x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
     ffn_out = feed_forward(params, prefix, x)
-    return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)
+    return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
 
 
 def output_logits(params: ModelParams, hidden: Tensor) -> Tensor:

@@ -1,7 +1,10 @@
 """AdamW with decoupled weight decay, plus gradient clipping and warmup.
 
 The update is kept as a pure function over arrays so its arithmetic can be
-pinned down in tests independently of the stateful wrapper.
+pinned down in tests independently of the stateful wrapper. The betas and
+eps are the recipe's constants; the learning rate and the weight decay
+belong to ``TrainConfig``, and the caller passes both on every step, so
+the optimizer's only state is its moments.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import numpy as np
 from .autodiff import grad_or_zeros
 from .model import ModelParams
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def adamw_update(
     param: np.ndarray,
@@ -19,10 +24,7 @@ def adamw_update(
     v: np.ndarray,
     step: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.01,
+    weight_decay: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One step for one tensor; ``step`` is 1-based for bias correction.
 
@@ -33,11 +35,11 @@ def adamw_update(
     if step < 1:
         raise ValueError("step is 1-based")
     dt = param.dtype.type
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * (grad * grad)
-    m_hat = m / dt(1.0 - beta1**step)
-    v_hat = v / dt(1.0 - beta2**step)
-    new_param = param - dt(lr * weight_decay) * param - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(eps))
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * (grad * grad)
+    m_hat = m / dt(1.0 - BETA1**step)
+    v_hat = v / dt(1.0 - BETA2**step)
+    new_param = param - dt(lr * weight_decay) * param - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(EPS))
     return new_param.astype(param.dtype), m.astype(param.dtype), v.astype(param.dtype)
 
 
@@ -76,16 +78,15 @@ def warmup_scale(step: int, warmup_steps: int) -> float:
 
 
 class AdamW:
-    """Stateful wrapper applying ``adamw_update``, with its default betas
-    and eps, across a parameter store. It keeps the moments only; the
-    caller passes the 1-based global step, which sets the bias correction."""
+    """Stateful wrapper applying ``adamw_update`` across a parameter store.
+    It keeps the moments only; the caller passes the 1-based global step,
+    which sets the bias correction, and the step's learning rate and
+    weight decay."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.01):
-        self.lr = lr
-        self.weight_decay = weight_decay
+    def __init__(self):
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self, params: ModelParams, step: int, lr_scale: float = 1.0) -> None:
+    def step(self, params: ModelParams, step: int, lr: float, weight_decay: float) -> None:
         for name, tensor in params.items():
             grad = grad_or_zeros(tensor)
             if name not in self.moments:
@@ -94,14 +95,6 @@ class AdamW:
                     np.zeros_like(tensor.data),
                 )
             m, v = self.moments[name]
-            new_data, m, v = adamw_update(
-                tensor.data,
-                grad,
-                m,
-                v,
-                step,
-                self.lr * lr_scale,
-                weight_decay=self.weight_decay,
-            )
+            new_data, m, v = adamw_update(tensor.data, grad, m, v, step, lr, weight_decay)
             tensor.data = new_data
             self.moments[name] = (m, v)

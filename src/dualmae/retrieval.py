@@ -151,7 +151,9 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     vectors: dict[str, np.ndarray] = {}
     for where, (doc_id, rest) in _records(path, "id components"):
         try:
-            row = np.array(rest.split(), dtype=np.float32)
+            # a component beyond float32's range becomes inf, refused below
+            with np.errstate(over="ignore"):
+                row = np.array(rest.split(), dtype=np.float32)
         except ValueError:
             raise RunFormatError(f"{where}: bad vector component") from None
         if not row.size:

@@ -2,14 +2,17 @@
 
 ``read_lines`` reads every text input of the package. Only ``\\n``,
 ``\\r\\n`` and ``\\r`` end a line, and a byte that is not UTF-8 is a
-``ValueError`` naming the file. One corpus line is one sentence.
+``ValueError`` naming the file; ``write_atomically`` writes every output
+that a run resumes from. One corpus line is one sentence.
 Tokenization splits on whitespace and punctuation with no further
 normalization; the vocabulary is frequency ranked with lexicographic
-tie-breaking so two builds over the same corpus are identical.
+tie-breaking so two builds over the same corpus are identical. A batch
+holds only its padded ids; its pad mask ``real`` is derived from them.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -52,7 +55,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         # one token per line; the line number is the id
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        write_atomically(path, [("\n".join(self.id_to_token) + "\n").encode("utf-8")])
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -114,28 +117,24 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int) -> TokenSequence:
 class Batch:
     """Sequences padded to a common length.
 
-    ``ids`` is (B, L) with [PAD] at unused tail positions; ``real`` is the
-    matching (B, L) mask, True where a position holds an actual token.
+    ``ids`` is (B, L) with [PAD] at unused tail positions. The pad mask
+    follows from it: ``real`` is True where a position holds an actual
+    token, which is wherever the id is not [PAD].
     """
 
     ids: np.ndarray
-    real: np.ndarray
 
     def __post_init__(self):
-        if self.ids.shape != self.real.shape or self.ids.ndim != 2:
-            raise ValueError("ids and real mask must share a (B, L) shape")
-        if np.any((self.ids == PAD_ID) & self.real):
-            raise ValueError("a real position cannot hold [PAD]")
-        if np.any((self.ids != PAD_ID) & ~self.real):
-            raise ValueError("a pad position must hold [PAD]")
+        if self.ids.ndim != 2:
+            raise ValueError("ids must be a (B, L) array")
+
+    @property
+    def real(self) -> np.ndarray:
+        return self.ids != PAD_ID
 
     @property
     def size(self) -> int:
         return self.ids.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.ids.shape[1]
 
 
 def make_batch(seqs: Sequence[TokenSequence], pad_to: int | None = None) -> Batch:
@@ -146,11 +145,9 @@ def make_batch(seqs: Sequence[TokenSequence], pad_to: int | None = None) -> Batc
     if width < longest:
         raise ValueError(f"pad_to={pad_to} shorter than longest sequence ({longest})")
     ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
-    real = np.zeros((len(seqs), width), dtype=bool)
     for row, s in enumerate(seqs):
         ids[row, : len(s)] = s.ids
-        real[row, : len(s)] = True
-    return Batch(ids=ids, real=real)
+    return Batch(ids=ids)
 
 
 def batch_iter(
@@ -189,3 +186,15 @@ def read_lines(path: str | Path) -> list[str]:
             return [line.rstrip("\n") for line in f]
     except UnicodeDecodeError as e:
         raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def write_atomically(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then rename it
+    over ``path``: a write that fails or is killed partway leaves the
+    previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+    os.replace(tmp, path)

@@ -95,7 +95,8 @@ def train_step(
     if not np.isfinite(clip_global_norm(grads, GRAD_CLIP_NORM)):
         # raised before the update, so parameters and moments stay as they were
         raise TrainingDiverged(f"step {step}: non-finite gradient norm")
-    optimizer.step(params, step, lr_scale=warmup_scale(step, train.warmup_steps))
+    lr = train.learning_rate * warmup_scale(step, train.warmup_steps)
+    optimizer.step(params, step, lr, train.weight_decay)
     # The step's graph holds no reference cycle, so it dies by reference
     # counting when this returns and drops ``loss``. Releasing it here,
     # after the update, and not right after backward is deliberate. Freed
@@ -174,7 +175,7 @@ def run_pretraining(
         # may come in under the configured cap on a small corpus
         enc_config = dataclasses.replace(enc_config, vocab_size=len(vocab))
         params = init_params(enc_config, dec_config, np.random.default_rng([train.seed, 0]))
-        optimizer = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
+        optimizer = AdamW()
         mask_rng = np.random.default_rng([train.seed, 1])
         step = 0
     out_dir.mkdir(parents=True, exist_ok=True)

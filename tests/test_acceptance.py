@@ -61,7 +61,7 @@ def test_criterion_2_mask_matrix_structure_over_random_configs():
         real[0, pads] = False
         ids = np.where(real, np.arange(5, 5 + length), PAD_ID)
         ids[0, 0] = CLS_ID
-        batch = Batch(ids=ids, real=real)
+        batch = Batch(ids=ids)
         m = mask_batch(batch, "enhanced", 0.15, ratio, np.random.default_rng(seed)).dec_visible[0]
         assert m.shape == (length, length)
         assert np.isin(m, [True, False]).all()
@@ -214,7 +214,7 @@ def _train_until(sents, mode, dec_layers, threshold, max_steps, eval_every=50):
     dec = DecoderConfig(mode=mode, layers=dec_layers, heads=4)
     train = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=32, seed=0)
     params = init_params(DESK_ENC, dec, np.random.default_rng([0, 0]))
-    opt = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
+    opt = AdamW()
     mask_rng = np.random.default_rng([0, 1])
     step = 0
     losses = []

@@ -3,9 +3,11 @@
 Every module-level function and class of ``src/dualmae`` and every method
 must be named somewhere else in the package or in the modules of
 ``perfbench/`` (not its tests), which count because the tracer swaps
-package names by their strings. A name only the tests call is API kept
-alive for them alone; it goes, and the tests call what the package runs.
-Dunders are exempt.
+package names by their strings. A method or property counts as used only
+when it is read as an attribute (``x.name``) or spelled as a string: a
+local variable that happens to share its name does not keep it. A name
+only the tests call is API kept alive for them alone; it goes, and the
+tests call what the package runs. Dunders are exempt.
 """
 
 import ast
@@ -21,37 +23,67 @@ def _trees():
 
 
 def _definitions(tree):
-    """(name, node) of each module-level function and class and each method."""
+    """(name, node, is_member) of each module-level function and class and
+    each method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield member.name, member
+                    yield member.name, member, True
 
 
 def _references(tree):
-    """Every name the tree reads, imports or spells as a string."""
+    """(bare names, attribute names) the tree uses: the first set holds the
+    names it reads as variables, the second the attributes it reads, the
+    names it imports and the strings it spells."""
+    bare, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1]
+            attributes.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+            attributes.add(node.value)
+    return bare, attributes
 
 
-def test_every_package_name_is_used_outside_the_tests():
-    trees = _trees()
-    referenced = {name for tree in trees.values() for name in _references(tree)}
-    unused = [
+def _unused(trees):
+    bare, attributes = set(), set()
+    for tree in trees.values():
+        tree_bare, tree_attributes = _references(tree)
+        bare |= tree_bare
+        attributes |= tree_attributes
+    return [
         f"{path.relative_to(ROOT)}:{node.lineno} {name}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
-        for name, node in _definitions(tree)
-        if not (name.startswith("__") and name.endswith("__")) and name not in referenced
+        for name, node, is_member in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in attributes
+        and (is_member or name not in bare)
     ]
-    assert unused == [], "defined in the package but named nowhere else in it or in perfbench/"
+
+
+def test_every_package_name_is_used_outside_the_tests():
+    assert _unused(_trees()) == [], "defined in the package but named nowhere else in it or in perfbench/"
+
+
+def test_a_local_variable_does_not_keep_a_method_alive():
+    # the module-level function and class are read as bare names, which
+    # counts; the property is only shadowed by a local, which does not
+    source = """def scale(x):
+    width = 2
+    return x * width
+
+class Config:
+    @property
+    def width(self):
+        return scale(1)
+
+CONFIG = Config()
+"""
+    assert _unused({PACKAGE / "probe.py": ast.parse(source)}) == ["src/dualmae/probe.py:7 width"]

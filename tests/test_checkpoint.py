@@ -40,7 +40,7 @@ def _trained_state(steps=2):
     the global step, the checkpoint's one progress count."""
     train = TrainConfig(learning_rate=1e-3, seed=9, epochs=1)
     params = init_params(ENC, DEC, np.random.default_rng([9, 0]))
-    opt = AdamW(lr=train.learning_rate, weight_decay=train.weight_decay)
+    opt = AdamW()
     rng = np.random.default_rng([9, 1])
     batch = _batch()
     for step in range(1, steps + 1):
@@ -113,7 +113,7 @@ class TestRoundTrip:
         dec = DecoderConfig(mode="basic", layers=2, heads=2)
         params = init_params(ENC, dec, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, TrainConfig(), ENC, dec, AdamW(lr=1e-4),
+        save_checkpoint(path, params, TrainConfig(), ENC, dec, AdamW(),
                         np.random.default_rng(1), 0, "vocab.txt")
         loaded = load_checkpoint(path)
         assert loaded.decoder == dec
@@ -125,7 +125,7 @@ class TestRoundTrip:
         train, enc, dec = resolve_configs(preset="desk", env={})
         params = init_params(enc, dec, np.random.default_rng(0))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params, train, enc, dec, AdamW(lr=train.learning_rate),
+        save_checkpoint(path, params, train, enc, dec, AdamW(),
                         np.random.default_rng(1), 0, "vocab.txt")
         lines = [line for line in _manifest(path).splitlines() if line.startswith("config.")]
         assert lines == [
@@ -152,7 +152,7 @@ class TestRoundTrip:
     def test_fresh_optimizer_saves_zero_moments(self, tmp_path):
         params = init_params(ENC, DEC, np.random.default_rng(0))
         train = TrainConfig()
-        opt = AdamW(lr=1e-4)
+        opt = AdamW()
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, train, ENC, DEC, opt, np.random.default_rng(1),
                         0, "vocab.txt")
@@ -470,7 +470,7 @@ class TestAtomicSave:
         before = path.read_bytes()
 
         params["word_emb"].data += 1.0
-        monkeypatch.setattr("dualmae.checkpoint.open", lambda p, mode: _DiesMidWrite(open(p, mode)), raising=False)
+        monkeypatch.setattr("dualmae.text.open", lambda p, mode: _DiesMidWrite(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="killed mid-write"):
             save_checkpoint(path, params, train, ENC, DEC, opt, rng, 3, "vocab.txt")
         monkeypatch.undo()
@@ -489,13 +489,13 @@ class TestSaveRefuses:
 
     def _state(self):
         params = init_params(ENC, DEC, np.random.default_rng(0))
-        return params, TrainConfig(), AdamW(lr=1e-4), np.random.default_rng(1)
+        return params, TrainConfig(), AdamW(), np.random.default_rng(1)
 
     def test_float64_parameters(self, tmp_path):
         params = init_params(ENC, DEC, np.random.default_rng(0), dtype=np.float64)
         with pytest.raises(CheckpointError, match=re.escape(
                 "cannot save tensor 'word_emb': it is float64 (40, 16), the config needs float32 (40, 16)")):
-            save_checkpoint(tmp_path / "model.ckpt", params, TrainConfig(), ENC, DEC, AdamW(lr=1e-4),
+            save_checkpoint(tmp_path / "model.ckpt", params, TrainConfig(), ENC, DEC, AdamW(),
                             np.random.default_rng(1), 0, "vocab.txt")
         assert not list(tmp_path.iterdir())
 
@@ -668,7 +668,7 @@ def test_damaged_files_only_ever_raise_checkpoint_error(tmp_path):
     dec = DecoderConfig(mode="basic", layers=1, heads=1)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(enc, dec, np.random.default_rng(0)), TrainConfig(), enc, dec,
-                    AdamW(lr=1e-3), np.random.default_rng(1), 0, "vocab.txt")
+                    AdamW(), np.random.default_rng(1), 0, "vocab.txt")
     blob = path.read_bytes()
     payload_start = len(blob) - _payload_bytes(enc, dec)
 

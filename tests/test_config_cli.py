@@ -397,6 +397,35 @@ class TestPretrainCli:
         assert captured.out == ""
         assert captured.err == f"{cfg}: {message}\n"
 
+    @pytest.mark.parametrize("with_config, sets, seed, message", [
+        (True, ["heads=3"], None, "--set: hidden_dim must divide evenly across heads"),
+        (False, ["heads=3"], None, "--set: hidden_dim must divide evenly across heads"),
+        (True, ["heads=2"], "-1", "DUALMAE_SEED: warmup_steps and seed cannot be negative"),
+        (True, ["seed=-1"], "5", None),
+        (True, [], "soon", "DUALMAE_SEED must be an integer, got 'soon'"),
+    ])
+    def test_merge_refusal_names_the_source_that_breaks_it(
+        self, tmp_path, capsys, monkeypatch, with_config, sets, seed, message
+    ):
+        # the file's hidden_dim = 16 is fine with the preset's 4 heads; a
+        # --set or seed variable on top is what the configs refuse
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("hidden_dim = 16\n")
+        if seed is None:
+            monkeypatch.delenv("DUALMAE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DUALMAE_SEED", seed)
+        argv = ["maskstats", "--preset", "desk", "--corpus", str(_write_corpus(tmp_path / "c.txt", n=8))]
+        argv += (["--config", str(cfg)] if with_config else []) + [a for s in sets for a in ("--set", s)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if message is None:  # the seed variable overrides the refused --set seed
+            assert code == 0 and captured.err == ""
+            return
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"{message}\n"
+
     @pytest.mark.parametrize("command", ["pretrain", "maskstats", "embed"])
     def test_corpus_without_sentences_names_the_file(self, trained_run, tmp_path, capsys, command):
         empty = tmp_path / "blank.txt"

@@ -10,7 +10,8 @@ import pytest
 
 from dualmae import autodiff as ad
 from dualmae.encoder import encode
-from dualmae.model import DecoderConfig, EncoderConfig, LAYER_NORM_EPS, init_params
+from dualmae.autodiff import LAYER_NORM_EPS
+from dualmae.model import DecoderConfig, EncoderConfig, init_params
 from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
 
 ENC = EncoderConfig(layers=2, hidden_dim=16, heads=4, ffn_dim=64, max_len=12, vocab_size=50)

@@ -25,7 +25,7 @@ def _matrix(length, ratio, pads, rng, first=CLS_ID):
     real = np.ones((1, length), dtype=bool)
     real[0, list(pads)] = False
     ids = np.where(real, np.concatenate([[first], np.arange(6, 5 + length)]), PAD_ID)
-    return mask_batch(Batch(ids=ids, real=real), "enhanced", 0.15, ratio, rng).dec_visible[0]
+    return mask_batch(Batch(ids=ids), "enhanced", 0.15, ratio, rng).dec_visible[0]
 
 
 class TestRoundHalfUp:

@@ -24,8 +24,23 @@ class TestConfigs:
         with pytest.raises(ValueError):
             EncoderConfig(layers=1, hidden_dim=10, heads=3, ffn_dim=16, max_len=8, vocab_size=50)
 
-    def test_head_dim(self):
-        assert TINY.head_dim == 4
+    def test_head_dim(self, monkeypatch):
+        # attention splits the width evenly: each of the 4 heads of a
+        # 16-wide model reads a 4-wide slice of q, k and v
+        layouts = []
+        real_scatter = ad.scatter_rows
+
+        def recording_scatter(a, rows, shape):
+            layouts.append(shape[-2:])
+            return real_scatter(a, rows, shape)
+
+        monkeypatch.setattr(ad, "scatter_rows", recording_scatter)
+        params = init_params(TINY, DEC, np.random.default_rng(0))
+        x = ad.Tensor(np.random.default_rng(1).standard_normal((3, 16)).astype(np.float32))
+        rows = Rows(np.ones((1, 3), dtype=bool))
+        with ad.no_grad():
+            attention(params, "enc0", x, x, np.ones((1, 1, 1, 3), dtype=bool), TINY.heads, rows=rows, kv_rows=rows)
+        assert layouts == [(4, 4)] * 3
 
     def test_encoder_floors(self):
         with pytest.raises(ValueError):

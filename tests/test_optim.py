@@ -37,7 +37,7 @@ class TestAdamWUpdate:
         lr, b1, b2, eps, wd = 3e-3, 0.9, 0.999, 1e-8, 0.05
         for step in range(1, 6):
             g = rng.standard_normal(6)
-            p, m, v = adamw_update(p, g, m, v, step, lr, b1, b2, eps, wd)
+            p, m, v = adamw_update(p, g, m, v, step, lr, wd)
             rm = b1 * rm + (1 - b1) * g
             rv = b2 * rv + (1 - b2) * g * g
             mh = rm / (1 - b1**step)
@@ -68,12 +68,12 @@ class TestAdamWUpdate:
     def test_dtype_is_preserved(self):
         p = np.ones(3, dtype=np.float32)
         new, m, v = adamw_update(p, np.ones(3, np.float32), np.zeros(3, np.float32),
-                                 np.zeros(3, np.float32), step=1, lr=0.01)
+                                 np.zeros(3, np.float32), step=1, lr=0.01, weight_decay=0.01)
         assert new.dtype == m.dtype == v.dtype == np.float32
 
     def test_step_is_one_based(self):
         with pytest.raises(ValueError):
-            adamw_update(np.ones(1), np.ones(1), np.zeros(1), np.zeros(1), step=0, lr=0.1)
+            adamw_update(np.ones(1), np.ones(1), np.zeros(1), np.zeros(1), step=0, lr=0.1, weight_decay=0.01)
 
 
 class TestClipping:
@@ -147,8 +147,8 @@ class TestOptimizerWrapper:
         ad.backward(ad.sum_all(ad.mul(target, target)))
         grad = target.grad.copy()
         before = target.data.copy()
-        opt = AdamW(lr=0.01, weight_decay=0.02)
-        opt.step(params, 1)
+        opt = AdamW()
+        opt.step(params, 1, 0.01, 0.02)
         expected, _, _ = adamw_update(before, grad, np.zeros_like(before),
                                       np.zeros_like(before), step=1, lr=0.01, weight_decay=0.02)
         np.testing.assert_array_equal(target.data, expected)
@@ -159,7 +159,7 @@ class TestOptimizerWrapper:
         ad.backward(ad.sum_all(ad.mul(target, target)))
         grad = target.grad.copy()
         before = target.data.copy()
-        AdamW(lr=0.01, weight_decay=0.02).step(params, 5)
+        AdamW().step(params, 5, 0.01, 0.02)
         zeros = np.zeros_like(before)
         expected, _, _ = adamw_update(before, grad, zeros, zeros, step=5, lr=0.01, weight_decay=0.02)
         first, _, _ = adamw_update(before, grad, zeros, zeros, step=1, lr=0.01, weight_decay=0.02)
@@ -168,34 +168,42 @@ class TestOptimizerWrapper:
 
     def test_step_is_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
-            AdamW(lr=0.01).step(self._params(), 0)
+            AdamW().step(self._params(), 0, 0.01, 0.01)
 
     def test_untouched_parameters_still_decay(self):
         params = self._params()
         before = params["enc0.attn.wq"].data.copy()
-        opt = AdamW(lr=0.1, weight_decay=0.5)
-        opt.step(params, 1)  # no gradients anywhere
+        opt = AdamW()
+        opt.step(params, 1, 0.1, 0.5)  # no gradients anywhere
         np.testing.assert_array_equal(
             params["enc0.attn.wq"].data, before - np.float32(0.1 * 0.5) * before
         )
 
-    def test_lr_scale_feeds_warmup(self):
+    def test_a_zero_lr_step_leaves_the_parameters_bit_exact(self):
+        # warmup scales the learning rate the caller passes; at zero, even
+        # the decay term vanishes
         params = self._params()
         before = params["out_bias"].data.copy()
-        opt = AdamW(lr=0.1, weight_decay=0.5)
-        opt.step(params, 1, lr_scale=0.0)
+        AdamW().step(params, 1, 0.0, 0.5)
         np.testing.assert_array_equal(params["out_bias"].data, before)
+
+    def test_the_moments_are_the_whole_state(self):
+        # the learning rate and decay live in TrainConfig alone, so a saved
+        # and loaded optimizer cannot carry a second, different copy
+        opt = AdamW()
+        opt.step(self._params(), 1, 0.01, 0.01)
+        assert list(vars(opt)) == ["moments"]
 
     def test_moments_persist_across_steps(self):
         params = self._params()
-        opt = AdamW(lr=0.01)
-        opt.step(params, 1)
+        opt = AdamW()
+        opt.step(params, 1, 0.01, 0.01)
         m1, v1 = opt.moments["out_bias"]
         p1 = params["out_bias"].data.copy()
-        opt.step(params, 2)
+        opt.step(params, 2, 0.01, 0.01)
         m2, _ = opt.moments["out_bias"]
         # the second update starts from the first one's moments, at step 2
-        expected, _, _ = adamw_update(p1, np.zeros_like(p1), m1, v1, step=2, lr=0.01)
+        expected, _, _ = adamw_update(p1, np.zeros_like(p1), m1, v1, step=2, lr=0.01, weight_decay=0.01)
         np.testing.assert_array_equal(params["out_bias"].data, expected)
         np.testing.assert_allclose(m2, 0.9 * m1, atol=1e-12)
         assert v1.shape == params["out_bias"].shape

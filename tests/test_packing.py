@@ -22,13 +22,7 @@ from dualmae.decoder import decode_basic, decode_enhanced
 from dualmae.encoder import encode
 from dualmae.gradcheck import tiny_setup
 from dualmae.masking import mask_batch
-from dualmae.model import (
-    LAYER_NORM_EPS,
-    DecoderConfig,
-    EncoderConfig,
-    init_params,
-    output_logits,
-)
+from dualmae.model import DecoderConfig, EncoderConfig, init_params, output_logits
 from dualmae.text import CLS_ID, SEP_ID, TokenSequence, make_batch
 from dualmae.training import step_loss
 
@@ -58,16 +52,16 @@ def _attention(params, prefix, query_in, keyvalue_in, visible, heads):
 
 def _block(params, prefix, x, keyvalue_in, visible, heads):
     attn_out = _attention(params, prefix, x, keyvalue_in, visible, heads)
-    x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"], LAYER_NORM_EPS)
+    x = ad.layer_norm(ad.add(x, attn_out), params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
     h = ad.gelu(ad.linear(x, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
     ffn_out = ad.linear(h, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
-    return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"], LAYER_NORM_EPS)
+    return ad.layer_norm(ad.add(x, ffn_out), params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
 
 
 def reference_encode(params, config, ids, real, states=False):
     L = ids.shape[1]
     x = ad.add(ad.embedding_lookup(params["word_emb"], ids), ad.narrow(params["enc_pos"], 0, 0, L))
-    x = ad.layer_norm(x, params["enc_emb_ln.gain"], params["enc_emb_ln.bias"], LAYER_NORM_EPS)
+    x = ad.layer_norm(x, params["enc_emb_ln.gain"], params["enc_emb_ln.bias"])
     for i in range(config.layers):
         x = _block(params, f"enc{i}", x, x, real[:, None, None, :], config.heads)
     return ad.select_index(x, 0, axis=1), (x if states else None)

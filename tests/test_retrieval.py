@@ -143,6 +143,15 @@ class TestEmbeddingFiles:
             return
         assert load_embeddings(path).matrix[0, 0].tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("text", ["1e39", "-3.5e38"])
+    def test_a_component_beyond_float32_is_refused_without_a_warning(self, tmp_path, text):
+        # finite as a float64, infinite once cast; the suite turns warnings
+        # into errors, so numpy's overflow warning would escape ahead of this
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"d\t{text} 1.0\n", encoding="utf-8")
+        with pytest.raises(RunFormatError, match=r"emb\.tsv:1: non-finite vector component$"):
+            load_embeddings(path)
+
     def test_components_are_written_as_the_scalar_format_writes_them(self, tmp_path):
         rng = np.random.default_rng(3)
         mat = np.concatenate([

@@ -171,7 +171,8 @@ class TestBatch:
     def test_pad_to_widens(self):
         a = TokenSequence(np.array([CLS_ID, 5, SEP_ID]))
         batch = make_batch([a], pad_to=6)
-        assert batch.length == 6
+        assert batch.ids.shape == (1, 6)
+        assert batch.real.tolist() == [[True, True, True, False, False, False]]
         assert (batch.ids[0, 3:] == PAD_ID).all()
 
     def test_pad_to_cannot_truncate(self):
@@ -183,14 +184,11 @@ class TestBatch:
         with pytest.raises(ValueError):
             make_batch([])
 
-    def test_pad_and_real_must_agree(self):
-        ids = np.array([[CLS_ID, 5, SEP_ID, PAD_ID]])
-        with pytest.raises(ValueError):
-            Batch(ids=ids, real=np.array([[True, True, True, True]]))
-        with pytest.raises(ValueError):
-            Batch(ids=ids, real=np.array([[True, True, False, False]]))
-        with pytest.raises(ValueError):
-            Batch(ids=ids, real=np.ones(4, dtype=bool))
+    def test_real_is_derived_from_the_ids(self):
+        ids = np.array([[CLS_ID, 5, SEP_ID, PAD_ID], [CLS_ID, SEP_ID, PAD_ID, PAD_ID]])
+        np.testing.assert_array_equal(Batch(ids=ids).real, ids != PAD_ID)
+        with pytest.raises(ValueError, match=r"\(B, L\)"):
+            Batch(ids=ids[0])
 
 
 def _corpus(n):

@@ -6,10 +6,14 @@ checkpoint and loss log, which only works if parameters, optimizer
 moments, mask generator state, and batch order all restore exactly.
 """
 
+import builtins
 import dataclasses
+import errno
 import gc
+import io
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +151,7 @@ class TestReconstructionLoss:
 
         monkeypatch.setattr("dualmae.training.mask_batch", recording_mask_batch)
         monkeypatch.setattr("dualmae.decoder.output_logits", recording_output_logits)
-        train_step(params, AdamW(lr=1e-3), train, enc, dec, batch, rng, step=1)
+        train_step(params, AdamW(), train, enc, dec, batch, rng, step=1)
         (mbatch,) = masked
         if mode == "basic":
             decoder_rows = int(mbatch.dec_targets.sum())
@@ -222,7 +226,7 @@ class TestSentenceOnlyLastBlock:
         for mode, layers in [("enhanced", 1), ("basic", 1), ("basic", 2)]:
             dec = DecoderConfig(mode=mode, layers=layers, heads=4)
             params = init_params(enc, dec, np.random.default_rng([16, 0]))
-            opt = AdamW(lr=1e-3)
+            opt = AdamW()
             for step, mlm_weight in enumerate([0.0, 0.5], start=1):
                 masked.clear()
                 rows.clear()
@@ -256,12 +260,32 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         seq = TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, 50, size=6), [SEP_ID]]))
         batch = make_batch([seq])
-        opt = AdamW(lr=1e-3)
+        opt = AdamW()
         before = params["word_emb"].data.copy()
         loss, coverage = train_step(params, opt, train, enc, dec, batch, rng, step=1)
         assert math.isfinite(loss)
         assert coverage == 1.0
         assert not np.array_equal(params["word_emb"].data, before)
+
+    def test_the_update_takes_its_rate_and_decay_from_the_config(self, monkeypatch):
+        # the optimizer holds neither: each step hands it the config's
+        # learning rate, scaled by warmup, and the config's weight decay
+        params, train, enc, dec, _ = tiny_setup("enhanced", seed=9, dtype=np.float32)
+        train = dataclasses.replace(train, learning_rate=3e-3, weight_decay=0.5, warmup_steps=4)
+        rng = np.random.default_rng(1)
+        batch = _three_sentences(rng)
+        calls = []
+        real_step = AdamW.step
+
+        def recording_step(self, params, step, lr, weight_decay):
+            calls.append((step, lr, weight_decay))
+            return real_step(self, params, step, lr, weight_decay)
+
+        monkeypatch.setattr(AdamW, "step", recording_step)
+        opt = AdamW()
+        for step in (1, 6):
+            train_step(params, opt, train, enc, dec, batch, rng, step=step)
+        assert calls == [(1, 3e-3 * 0.25, 0.5), (6, 3e-3, 0.5)]
 
     def test_divergence_is_reported_with_the_step(self):
         params, train, enc, dec, _ = tiny_setup("enhanced", seed=10, dtype=np.float32)
@@ -274,7 +298,7 @@ class TestTrainStep:
         batch = make_batch([seq])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match="step 17"):
-                train_step(params, AdamW(lr=1e-3), train, enc, dec, batch, rng, step=17)
+                train_step(params, AdamW(), train, enc, dec, batch, rng, step=17)
 
 
     def test_non_finite_gradient_stops_before_the_update(self, monkeypatch):
@@ -282,7 +306,7 @@ class TestTrainStep:
         rng = np.random.default_rng(1)
         seq = TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, 50, size=6), [SEP_ID]]))
         batch = make_batch([seq])
-        opt = AdamW(lr=1e-3)
+        opt = AdamW()
         train_step(params, opt, train, enc, dec, batch, rng, step=1)
         before = {name: t.data.copy() for name, t in params.items()}
         moments = {name: (m.copy(), v.copy()) for name, (m, v) in opt.moments.items()}
@@ -319,7 +343,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(training, "clip_global_norm", recording_clip)
         monkeypatch.setattr(training, "GRAD_CLIP_NORM", 1e-3)
-        train_step(params, AdamW(lr=1e-3), train, enc, dec, batch, rng, step=1)
+        train_step(params, AdamW(), train, enc, dec, batch, rng, step=1)
         names = list(params)
         grads = [params[name].grad for name in names]
         for i, (name, g) in enumerate(zip(names, grads)):
@@ -357,7 +381,7 @@ class TestTrainStep:
         params, train, enc, dec, _ = tiny_setup("enhanced", seed=9)
         rng = np.random.default_rng(1)
         batch = _three_sentences(rng)
-        opt = AdamW(lr=1e-3)
+        opt = AdamW()
         made = []
         real_make = ad._make
 
@@ -413,7 +437,7 @@ class TestTrainStep:
             return real_make(data, parents, backward_fn, op)
 
         monkeypatch.setattr(ad, "_make", recording_make)
-        train_step(params, AdamW(lr=1e-3), train, enc, dec, make_batch(seqs), rng, step=1)
+        train_step(params, AdamW(), train, enc, dec, make_batch(seqs), rng, step=1)
         assert len(made) == nodes
         scatters = [ndim for op, ndim in made if op == "scatter_rows"]
         assert scatters and set(scatters) == {4}
@@ -484,6 +508,52 @@ class TestRunPretraining:
         assert (tmp_path / "b" / "loss_log.tsv").read_text() == (
             tmp_path / "a" / "loss_log.tsv"
         ).read_text()
+
+    def test_a_failed_vocabulary_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        # every start rewrites vocab.txt, resumes included; a write that
+        # fails partway must not leave a truncated vocabulary beside the
+        # checkpoint, which the next resume could not load
+        corpus = _write_corpus(tmp_path / "corpus.txt")
+        train, enc, dec = _micro_configs()
+        straight = run_pretraining(corpus, tmp_path / "a", train, enc, dec)
+        interrupted = run_pretraining(corpus, tmp_path / "b", train, enc, dec, stop_after_steps=2)
+        vocab = tmp_path / "b" / "vocab.txt"
+        before = vocab.read_bytes()
+
+        class HalfWritten:
+            """A file that takes half of its first write, then runs out of space."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = builtins.open
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return HalfWritten(f) if "w" in mode and Path(file).name.startswith("vocab.txt") else f
+
+        # builtins.open serves the package's own opens, io.open pathlib's
+        monkeypatch.setattr(builtins, "open", full_disk_open)
+        monkeypatch.setattr(io, "open", full_disk_open)
+        with pytest.raises(OSError, match="No space left on device"):
+            run_pretraining(corpus, tmp_path / "b", train, enc, dec, resume_from=interrupted)
+        monkeypatch.undo()
+
+        assert vocab.read_bytes() == before
+        resumed = run_pretraining(corpus, tmp_path / "b", train, enc, dec, resume_from=interrupted)
+        assert resumed.read_bytes() == straight.read_bytes()
+        assert vocab.read_bytes() == (tmp_path / "a" / "vocab.txt").read_bytes()
+        assert (tmp_path / "b" / "loss_log.tsv").read_text() == (tmp_path / "a" / "loss_log.tsv").read_text()
 
     def test_one_step_has_one_checkpoint_whichever_save_wrote_it(self, tmp_path, monkeypatch):
         # 3 batches per epoch: a run stopped at step 3 and a run killed during
