@@ -11,4 +11,4 @@ __version__ = "0.1.0"
 
 from .config import TrainConfig, resolve_configs  # noqa: F401
 from .model import DecoderConfig, EncoderConfig, ModelParams, init_params  # noqa: F401
-from .text import Vocabulary, build_vocabulary, encode_text  # noqa: F401
+from .text import Vocabulary, build_vocabulary, encode_tokens, load_corpus  # noqa: F401

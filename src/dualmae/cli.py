@@ -43,7 +43,7 @@ from .retrieval import (
     save_embeddings,
     search_run,
 )
-from .text import build_vocabulary, corpus_lines, load_corpus, make_batch
+from .text import build_vocabulary, corpus_lines, encode_tokens, load_corpus, make_batch
 from .training import TrainingDiverged, run_pretraining
 
 
@@ -79,21 +79,24 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    train, enc, dec = _configs_from_args(args)
+    if args.resume:
+        # a resumed run retraces the original trajectory with the settings in
+        # its checkpoint: --config/--set are neither read nor validated, and
+        # the preset fills arguments that run_pretraining then ignores
+        configs = resolve_configs(preset=args.preset, env={})
+        if args.config or args.set:
+            print(
+                "note: --resume takes every setting from the checkpoint; "
+                "--config/--set are ignored",
+                file=sys.stderr,
+            )
+    else:
+        configs = _configs_from_args(args)
     corpus = _require_file(args.corpus, "corpus file")
-    if args.resume and (args.config or args.set):
-        # a resumed run must retrace the original trajectory exactly
-        print(
-            "note: --resume takes every setting from the checkpoint; "
-            "--config/--set are ignored",
-            file=sys.stderr,
-        )
     ckpt = run_pretraining(
         corpus,
         args.out,
-        train,
-        enc,
-        dec,
+        *configs,
         resume_from=args.resume,
         stop_after_steps=args.stop_after_steps,
         checkpoint_every=args.checkpoint_every,
@@ -149,8 +152,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_maskstats(args: argparse.Namespace) -> int:
     train, enc, _ = _configs_from_args(args)
     corpus = _require_file(args.corpus, "corpus file")
-    vocab = build_vocabulary(corpus_lines(corpus), enc.vocab_size)
-    seqs = load_corpus(corpus, vocab, enc.max_len)
+    sentences = load_corpus(corpus)
+    vocab = build_vocabulary(sentences, enc.vocab_size)
+    seqs = [encode_tokens(tokens, vocab, enc.max_len) for tokens in sentences]
     batches = [make_batch(seqs[i : i + train.batch_size]) for i in range(0, len(seqs), train.batch_size)]
     for mode in ("mlm15", "basic", "enhanced"):
         report = signal_coverage_stats(mode, batches, train.mask_ratio_decoder, np.random.default_rng(train.seed))

@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import encode
 from .model import EncoderConfig, ModelParams
-from .text import Vocabulary, encode_text, make_batch, read_lines
+from .text import Vocabulary, encode_tokens, make_batch, read_lines, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +113,7 @@ def embed_corpus(
         ids = [str(i) for i in range(len(sentences))]
     if len(ids) != len(sentences):
         raise ValueError("need exactly one id per sentence")
-    seqs = [encode_text(s, vocab, enc_config.max_len) for s in sentences]
+    seqs = [encode_tokens(tokenize(s), vocab, enc_config.max_len) for s in sentences]
     widths = np.array([_bucket_width(len(s), enc_config.max_len) for s in seqs], dtype=np.int64)
     matrix = np.empty((len(seqs), enc_config.hidden_dim), dtype=np.float32)
     with ad.no_grad():

@@ -28,7 +28,7 @@ from .masking import MaskedBatch, coverage_counts, mask_batch
 # output_logits stays imported: perfbench/tracer.py swaps training.output_logits by name
 from .model import DecoderConfig, EncoderConfig, ModelParams, init_params, output_logits  # noqa: F401
 from .optim import AdamW, clip_global_norm, warmup_scale
-from .text import Batch, batch_iter, build_vocabulary, corpus_lines, load_corpus
+from .text import Batch, batch_iter, build_vocabulary, encode_tokens, load_corpus
 
 GRAD_CLIP_NORM = 1.0
 CHECKPOINT_NAME = "model.ckpt"
@@ -169,8 +169,10 @@ def run_pretraining(
         if stop_after_steps is not None and stop_after_steps <= step:
             raise ValueError(f"stop_after_steps {stop_after_steps} is not past the checkpoint's step {step}")
         vocab = load_checkpoint_vocabulary(resume_from, loaded)
+        sentences = load_corpus(corpus_path)
     else:
-        vocab = build_vocabulary(corpus_lines(corpus_path), enc_config.vocab_size)
+        sentences = load_corpus(corpus_path)
+        vocab = build_vocabulary(sentences, enc_config.vocab_size)
         # the parameter table matches the vocabulary actually built, which
         # may come in under the configured cap on a small corpus
         enc_config = dataclasses.replace(enc_config, vocab_size=len(vocab))
@@ -182,7 +184,8 @@ def run_pretraining(
     vocab.save(out_dir / VOCAB_NAME)
     _cut_log(out_dir / LOG_NAME, step)
 
-    seqs = load_corpus(corpus_path, vocab, enc_config.max_len)
+    seqs = [encode_tokens(tokens, vocab, enc_config.max_len) for tokens in sentences]
+    del sentences  # the token lists are not kept through training
     batches_per_epoch = -(-len(seqs) // train.batch_size)  # as many as batch_iter yields
 
     saved_step = None

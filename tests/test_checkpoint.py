@@ -477,7 +477,7 @@ class TestAtomicSave:
 
         assert path.read_bytes() == before
         assert load_checkpoint(path).progress == progress
-        # the next save replaces the half-written temporary file
+        # the failed save removed its temporary file, and the next save succeeds
         save_checkpoint(path, params, train, ENC, DEC, opt, rng, 3, "vocab.txt")
         assert load_checkpoint(path).progress == 3
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dualmae import text
 from dualmae.checkpoint import load_checkpoint, save_checkpoint
 from dualmae.cli import main
 from dualmae.config import (
@@ -327,6 +328,17 @@ class TestPretrainCli:
         captured = capsys.readouterr()
         assert code == 0
         assert "every setting from the checkpoint" in captured.err
+
+    def test_resume_neither_reads_nor_validates_config_or_set(self, trained_run, tmp_path, capsys):
+        ckpt = trained_run["out"] / "model.ckpt"
+        out = tmp_path / "resumed"
+        code = main(["pretrain", "--preset", "desk", "--corpus", str(trained_run["corpus"]),
+                     "--out", str(out), "--resume", str(ckpt),
+                     "--config", str(tmp_path / "missing.cfg"), "--set", "heads=3"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "every setting from the checkpoint" in err
+        assert (out / "model.ckpt").read_bytes() == ckpt.read_bytes()
 
     def _assert_refused_untouched(self, argv, out, capsys):
         before = {name: (out / name).read_bytes() for name in ("model.ckpt", "loss_log.tsv", "vocab.txt")}
@@ -836,6 +848,14 @@ class TestMaskstatsCli:
     def test_missing_corpus_is_exit_2(self, tmp_path, capsys):
         code = main(["maskstats", "--preset", "desk", "--corpus", str(tmp_path / "no.txt")])
         assert code == 2
+
+    def test_each_sentence_is_tokenized_once(self, tmp_path, capsys, monkeypatch):
+        corpus = _write_corpus(tmp_path / "c.txt", n=8)
+        tokenized = []
+        tokenize = text.tokenize
+        monkeypatch.setattr(text, "tokenize", lambda line: tokenized.append(line) or tokenize(line))
+        assert main(["maskstats", "--preset", "desk", "--corpus", str(corpus)]) == 0
+        assert sorted(tokenized) == sorted(corpus.read_text().splitlines())
 
 
 class TestGradcheckCli:

@@ -29,7 +29,7 @@ from dualmae.retrieval import (
     save_embeddings,
     search_run,
 )
-from dualmae.text import build_vocabulary, encode_text, make_batch
+from dualmae.text import build_vocabulary, encode_tokens, make_batch, tokenize
 
 from ranking import full_sort_topk
 
@@ -536,7 +536,7 @@ class TestEmbedCorpus:
     def _setup(self):
         config = EncoderConfig(layers=1, hidden_dim=16, heads=2, ffn_dim=32,
                                max_len=8, vocab_size=30)
-        vocab = build_vocabulary(self.SENTENCES, max_size=30)
+        vocab = build_vocabulary(map(tokenize, self.SENTENCES), max_size=30)
         dec = DecoderConfig(mode="enhanced", layers=1, heads=2)
         params = init_params(config, dec, np.random.default_rng(0))
         return config, vocab, params
@@ -584,7 +584,7 @@ class TestEmbedBuckets:
         sentences = [" ".join(rng.choice(words, n - 2)) for n in self.LENGTHS]
         config = EncoderConfig(layers=2, hidden_dim=64, heads=4, ffn_dim=256,
                                max_len=self.MAX_LEN, vocab_size=48)
-        vocab = build_vocabulary(sentences, max_size=48)
+        vocab = build_vocabulary(map(tokenize, sentences), max_size=48)
         dec = DecoderConfig(mode="enhanced", layers=1, heads=4)
         params = init_params(config, dec, np.random.default_rng(0))
         return sentences, config, vocab, params
@@ -596,7 +596,7 @@ class TestEmbedBuckets:
 
     def test_vectors_equal_encoding_alone_at_max_len(self, monkeypatch):
         sentences, config, vocab, params = self._setup()
-        seqs = [encode_text(text, vocab, self.MAX_LEN) for text in sentences]
+        seqs = [encode_tokens(tokenize(text), vocab, self.MAX_LEN) for text in sentences]
         assert [len(s) for s in seqs] == [min(n, self.MAX_LEN) for n in self.LENGTHS]
         reference = []
         with no_grad():
@@ -616,7 +616,7 @@ class TestEmbedBuckets:
         # empty text gives the shortest input, [CLS] [SEP]
         sentences, config, vocab, params = self._setup()
         mixed = [""] + sentences + [s[: len(s) // 2] for s in sentences]
-        seqs = [encode_text(text, vocab, self.MAX_LEN) for text in mixed]
+        seqs = [encode_tokens(tokenize(text), vocab, self.MAX_LEN) for text in mixed]
         assert min(len(s) for s in seqs) == 2
         widths = {_bucket_width(len(s), self.MAX_LEN) for s in seqs}
         assert widths == {16, 32, 64, 128}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualmae.config import parse_config_file
-from dualmae.retrieval import load_labels
+from dualmae.retrieval import load_embeddings, load_labels
 from dualmae.text import (
     CLS_ID,
     MASK_ID,
@@ -20,11 +20,12 @@ from dualmae.text import (
     batch_iter,
     build_vocabulary,
     corpus_lines,
-    encode_text,
+    encode_tokens,
     load_corpus,
     make_batch,
     read_lines,
     tokenize,
+    write_atomically,
 )
 
 
@@ -45,40 +46,46 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_reserved_ids_are_pinned(self):
-        vocab = build_vocabulary(["a a b"], max_size=8)
+        vocab = build_vocabulary(map(tokenize, ["a a b"]), max_size=8)
         assert vocab.id_to_token[:5] == list(RESERVED_TOKENS)
         assert (PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID) == (0, 1, 2, 3, 4)
 
     def test_frequency_ranking(self):
-        vocab = build_vocabulary(["b b b a a c"], max_size=10)
+        vocab = build_vocabulary(map(tokenize, ["b b b a a c"]), max_size=10)
         assert vocab.id_to_token[5:] == ["b", "a", "c"]
 
     def test_frequency_ties_break_lexicographically(self):
-        vocab = build_vocabulary(["b a", "a b"], max_size=10)
+        vocab = build_vocabulary(map(tokenize, ["b a", "a b"]), max_size=10)
         assert vocab.id_to_token[5:] == ["a", "b"]
 
     def test_cap_includes_reserved_ids(self):
         lines = [" ".join(f"w{i:03d}" for _ in range(100 - i)) for i in range(100)]
-        vocab = build_vocabulary(lines, max_size=55)
+        vocab = build_vocabulary(map(tokenize, lines), max_size=55)
         assert len(vocab) == 55
         assert vocab.id_for("w000") == 5
         assert vocab.id_for("w049") == 54
         assert vocab.id_for("w050") == UNK_ID
 
     def test_unknown_token_maps_to_unk(self):
-        vocab = build_vocabulary(["a"], max_size=6)
+        vocab = build_vocabulary(map(tokenize, ["a"]), max_size=6)
         assert vocab.id_for("zzz") == UNK_ID
 
     def test_too_small_cap_rejected(self):
         with pytest.raises(ValueError):
-            build_vocabulary(["a"], max_size=5)
+            build_vocabulary(map(tokenize, ["a"]), max_size=5)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            build_vocabulary(["", "   "], max_size=10)
+            build_vocabulary(map(tokenize, ["", "   "]), max_size=10)
+
+    def test_a_text_sentence_is_refused(self):
+        # a string iterates over its characters, which would be counted as tokens
+        for sentences in (["a b"], [["a"], "b c"]):
+            with pytest.raises(TypeError, match="tokenized sentences, not text"):
+                build_vocabulary(sentences, max_size=10)
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = build_vocabulary(["the quick brown fox", "the lazy dog"], max_size=20)
+        vocab = build_vocabulary(map(tokenize, ["the quick brown fox", "the lazy dog"]), max_size=20)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         again = Vocabulary.load(path)
@@ -87,7 +94,7 @@ class TestVocabulary:
     def test_round_trip_over_line_separator_characters(self, tmp_path):
         # form feed, NEL, U+2028 and the file separator are whitespace to the
         # tokenizer, so no saved token holds one; \r ends a line in the corpus
-        vocab = build_vocabulary(["a\x0cb c\x85d", "e\u2028f\x1cg", "h\ri"], max_size=20)
+        vocab = build_vocabulary(map(tokenize, ["a\x0cb c\x85d", "e\u2028f\x1cg", "h\ri"]), max_size=20)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
         assert Vocabulary.load(path).id_to_token == vocab.id_to_token == list(RESERVED_TOKENS) + list("abcdefghi")
@@ -117,31 +124,31 @@ class TestVocabulary:
             Vocabulary(list(RESERVED_TOKENS) + ["a", "a"])
 
 
-class TestEncodeText:
+class TestEncodeTokens:
     def test_wraps_with_cls_and_sep(self):
-        vocab = build_vocabulary(["a b"], max_size=10)
-        seq = encode_text("a b", vocab, max_len=8)
+        vocab = build_vocabulary(map(tokenize, ["a b"]), max_size=10)
+        seq = encode_tokens(["a", "b"], vocab, max_len=8)
         assert seq.ids[0] == CLS_ID and seq.ids[-1] == SEP_ID
         assert len(seq) == 4
 
     def test_truncates_content_to_fit(self):
-        vocab = build_vocabulary(["a b c d e"], max_size=12)
-        seq = encode_text("a b c d e", vocab, max_len=4)
+        vocab = build_vocabulary(map(tokenize, ["a b c d e"]), max_size=12)
+        seq = encode_tokens(["a", "b", "c", "d", "e"], vocab, max_len=4)
         assert len(seq) == 4  # [CLS] a b [SEP]
         assert [vocab.id_to_token[i] for i in seq.ids[1:-1]] == ["a", "b"]
 
     def test_unknown_words_become_unk(self):
-        vocab = build_vocabulary(["a"], max_size=6)
-        seq = encode_text("a mystery", vocab, max_len=8)
+        vocab = build_vocabulary(map(tokenize, ["a"]), max_size=6)
+        seq = encode_tokens(["a", "mystery"], vocab, max_len=8)
         assert list(seq.ids) == [CLS_ID, vocab.id_for("a"), UNK_ID, SEP_ID]
 
     def test_max_len_floor(self):
-        vocab = build_vocabulary(["a"], max_size=6)
+        vocab = build_vocabulary(map(tokenize, ["a"]), max_size=6)
         with pytest.raises(ValueError):
-            encode_text("a", vocab, max_len=2)
+            encode_tokens(["a"], vocab, max_len=2)
 
     def test_id_to_token_maps_reserved_and_content_ids(self):
-        vocab = build_vocabulary(["a b"], max_size=10)
+        vocab = build_vocabulary(map(tokenize, ["a b"]), max_size=10)
         tokens = [vocab.id_to_token[i] for i in (CLS_ID, 5, MASK_ID, 6, SEP_ID, PAD_ID)]
         assert tokens == ["[CLS]", "a", "[M]", "b", "[SEP]", "[PAD]"]
 
@@ -237,16 +244,17 @@ class TestCorpusFiles:
         path = tmp_path / "corpus.txt"
         path.write_text("a b\n\n  \nc d\n")
         assert corpus_lines(path) == ["a b", "c d"]
-        vocab = build_vocabulary(corpus_lines(path), max_size=12)
-        seqs = load_corpus(path, vocab, max_len=8)
+        sentences = load_corpus(path)
+        assert sentences == [["a", "b"], ["c", "d"]]
+        vocab = build_vocabulary(sentences, max_size=12)
+        seqs = [encode_tokens(tokens, vocab, max_len=8) for tokens in sentences]
         assert len(seqs) == 2
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("\n\n")
-        vocab = build_vocabulary(["a"], max_size=6)
         with pytest.raises(ValueError):
-            load_corpus(path, vocab, max_len=8)
+            load_corpus(path)
 
     @pytest.mark.parametrize("text", ["", "\n\n", " \t\r\n\x0c\n"])
     def test_file_without_sentences_is_named(self, tmp_path, text):
@@ -263,6 +271,28 @@ class TestReadLines:
         assert read_lines(path) == ["a", "", "b", "c", "d"]
         path.write_bytes(b"")
         assert read_lines(path) == []
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("\ufeffa\n\ufeffb\n".encode("utf-8"))
+        assert read_lines(path) == ["a", "\ufeffb"]
+
+    def test_a_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("\ufeffheads = 3\n".encode("utf-8"))
+        assert parse_config_file(path) == {"heads": 3}
+
+    def test_an_embedding_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_bytes("\ufeffq1\t1.0 2.0\n".encode("utf-8"))
+        store = load_embeddings(path)
+        assert store.ids == ["q1"]
+        np.testing.assert_array_equal(store.matrix, [[1.0, 2.0]])
+
+    def test_a_labels_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_bytes("\ufeffq1\td1\t1\n".encode("utf-8"))
+        assert load_labels(path) == {"q1": {"d1": 1}}
 
     def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path):
         path = tmp_path / "lines.txt"
@@ -295,3 +325,18 @@ class TestReadLines:
         path = write("labels.tsv", judgments)
         assert read_lines(path) == judgments
         assert load_labels(path) == {f"q{i}": {f"d{c}{i}": i} for i, c in enumerate(inner)}
+
+
+class TestWriteAtomically:
+    def test_a_failed_write_removes_its_temporary_file(self, tmp_path):
+        path = tmp_path / "wa.txt"
+        write_atomically(path, [b"kept\n"])
+
+        def chunks():
+            yield b"lost"
+            raise OSError("write failed")
+
+        with pytest.raises(OSError, match="write failed"):
+            write_atomically(path, chunks())
+        assert path.read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["wa.txt"]

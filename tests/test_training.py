@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from dualmae import autodiff as ad
-from dualmae import training
+from dualmae import text, training
 from dualmae.checkpoint import load_checkpoint, save_checkpoint
 from dualmae.config import TrainConfig, resolve_configs
 from dualmae.decoder import decode_basic, decode_enhanced, reconstruction_loss
@@ -490,6 +490,14 @@ class TestRunPretraining:
             "progress.step = 6"
         ]
         assert loaded.encoder.vocab_size == len(WORDS) + 5  # capped by the real corpus
+
+    def test_a_fresh_run_tokenizes_each_sentence_once(self, tmp_path, monkeypatch):
+        corpus = _write_corpus(tmp_path / "corpus.txt")
+        tokenized = []
+        tokenize = text.tokenize
+        monkeypatch.setattr(text, "tokenize", lambda line: tokenized.append(line) or tokenize(line))
+        run_pretraining(corpus, tmp_path / "run", *_micro_configs(), stop_after_steps=1)
+        assert sorted(tokenized) == sorted(corpus.read_text().splitlines())
 
     @pytest.mark.parametrize("stop_at", [2, 3, 4])  # 3 is the end of epoch 0
     def test_interrupt_and_resume_reproduce_the_straight_run(self, tmp_path, stop_at):
