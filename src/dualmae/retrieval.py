@@ -2,14 +2,17 @@
 
 Search is exhaustive and exact; scores are computed in double precision
 and ties are broken by ascending document id, so a ranking is a pure
-function of the store. ``search_run`` is the one search: it converts the
-document matrix to float64 once per run (with row norms cached for
-cosine) and ranks the ids once, then scores each query with one
-matrix-vector product, finds the k-th best score with a partition and
-sorts only the rows that reach it, ties by id rank. Each query keeps its
-own matrix-vector product because a blocked matrix-matrix product can
-round differently in the last bits and so reorder near-ties. The tests
-check every list against a full sort on (score, id string).
+function of the store. ``search_run`` is the one search. A float32
+matrix product over a block of queries is only a filter: with an error
+bound that holds in any summation order, it keeps for each query every row
+whose exact score can reach the k-th best. Those rows alone are converted
+to float64 and scored by a matrix-vector product laid out so that each
+score equals, bit for bit, the one a product over the whole float64 store
+gives; a blocked matrix-matrix product could round differently in the last
+bits and so reorder near-ties, which is why it never scores. A partition
+then finds the k-th best score and only the rows that reach it are sorted,
+ties by id rank. The tests check every list against a full sort on
+(score, id string).
 
 Embedding pads each sentence to a width that depends only on its own
 length, so a vector never depends on the rest of its batch. Metrics follow
@@ -38,6 +41,11 @@ from .text import Vocabulary, encode_tokens, make_batch, read_lines, tokenize
 logger = logging.getLogger(__name__)
 
 EMBED_BATCH_SIZE = 32  # sentences per encoder call within one width bucket
+QUERY_BLOCK = 32  # queries per float32 filter product in search_run
+NORM_CHUNK = 4096  # store rows converted to float64 at a time for their norms
+_U = 2.0**-24  # float32 unit roundoff
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_COSINE_MARGIN = 2.0**-48  # float64 rounding of a cosine and of its filter value, with room
 
 
 class RunFormatError(ValueError):
@@ -201,15 +209,25 @@ def search_run(
     """The k best documents for every query, highest score first, ties by
     ascending id.
 
-    Scores are float64: ``dot`` is ``docs @ q``, and ``cosine`` divides
-    that by the query's norm and then by each row's norm; a zero query or a
-    zero row scores 0. The store is converted to float64, its cosine row
-    norms taken and its ids ranked once for the whole run. Per query, one
-    matrix-vector product gives the scores, a partition finds the k-th
-    best, and only rows scoring at least that much are sorted, by score
-    descending and then by the rank of their id. Every row tied with the
-    k-th score is a candidate, so a tie at the cut is broken by id, as a
-    full sort would.
+    Scores are float64: ``dot`` is ``docs @ q`` with the store converted to
+    float64, and ``cosine`` divides that by the query's norm and then by
+    each row's norm; a zero query or a zero row scores 0. The ids are ranked
+    and the cosine row norms taken once for the whole run.
+
+    For each block of ``QUERY_BLOCK`` queries one float32 matrix product
+    filters the store (see ``_Filter``): per query it keeps every row whose
+    exact score can reach the k-th best, and ``_rescore`` gives those rows
+    the float64 scores the full matrix-vector product would give, bit for
+    bit. A partition then finds the k-th best score among them, and only
+    rows scoring at least that much are sorted, by score descending and then
+    by the rank of their id. Every row tied with the k-th score survives the
+    filter, so a tie at the cut is broken by id, as a full sort would.
+
+    A query is scored by the full float64 matrix-vector product when
+    ``k`` is at least the store's size, or when its filter values or bound
+    are not finite (vectors so large that float32 overflows); the float64
+    store is made only then. A zero query under ``cosine`` scores every row
+    0 without a product.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -217,30 +235,149 @@ def search_run(
         raise ValueError(f"query dim {queries.dim} does not match document dim {docs.dim}")
     if metric not in ("dot", "cosine"):
         raise ValueError(f"unknown similarity metric {metric!r}")
-    matrix = docs.matrix.astype(np.float64)
-    if metric == "cosine":
-        norms = np.linalg.norm(matrix, axis=1)
-        zero_rows = norms == 0.0
-        divisors = np.where(zero_rows, 1.0, norms)
     n = len(docs.ids)
     id_rank = np.empty(n, dtype=np.int64)
     id_rank[np.argsort(np.array(docs.ids))] = np.arange(n)
+    if metric == "cosine":
+        norms = _row_norms(docs.matrix)
+        zero_rows = norms == 0.0
+        divisors = np.where(zero_rows, 1.0, norms)
+    filt = _Filter(docs.matrix, metric, k) if k < n else None
+    full = None  # the float64 store, for a query that takes the full product
     candidates = {}
-    for qid, query in zip(queries.ids, queries.matrix):
-        q = query.astype(np.float64)
-        scores = matrix @ q
-        if metric == "cosine":
+    for start in range(0, len(queries.ids), QUERY_BLOCK):
+        block = queries.matrix[start : start + QUERY_BLOCK]
+        products = filt.products(block) if filt is not None else None
+        for i, (qid, query) in enumerate(zip(queries.ids[start : start + QUERY_BLOCK], block)):
+            q = query.astype(np.float64)
             qn = float(np.linalg.norm(q))
-            scores = scores / qn / divisors if qn else np.zeros(n)
-            scores[zero_rows] = 0.0
-        if k < n:
-            kth = np.partition(scores, n - k)[n - k]
-            rows = np.flatnonzero(scores >= kth)
-        else:
-            rows = np.arange(n)
-        top = rows[np.lexsort((id_rank[rows], -scores[rows]))[:k]]
-        candidates[qid] = [(docs.ids[i], float(scores[i])) for i in top]
+            if metric == "cosine" and not qn:
+                rows, scores = np.arange(n), np.zeros(n)
+            else:
+                rows = filt.survivors(products[i], qn) if filt is not None else None
+                if rows is not None:
+                    scores = _rescore(docs.matrix, rows, q)
+                else:
+                    if full is None:
+                        full = docs.matrix.astype(np.float64)
+                    rows, scores = np.arange(n), full @ q
+                if metric == "cosine":
+                    scores = scores / qn / divisors[rows]
+                    scores[zero_rows[rows]] = 0.0
+            if k < len(rows):
+                kth = np.partition(scores, len(rows) - k)[len(rows) - k]
+                reach = np.flatnonzero(scores >= kth)
+                rows, scores = rows[reach], scores[reach]
+            top = np.lexsort((id_rank[rows], -scores))[:k]
+            candidates[qid] = [(docs.ids[rows[j]], float(scores[j])) for j in top]
     return RankingRun(candidates=candidates, labels=labels or {})
+
+
+class _Filter:
+    """The float32 filter in front of the exact float64 scores.
+
+    ``products`` computes ``S = Q32 @ D32.T`` for a block of queries. Each
+    cell differs from the float64 score by at most ``E = c*|q|*|d| + t*|d| +
+    t*(|q| + 1)``, where ``c = 2*(gamma_{dim+2} + dim*2^-53)`` with
+    ``gamma_m = m*u/(1 - m*u)`` and ``u = 2^-24``, and ``t = dim*2^-140``.
+    ``gamma_{dim+2}`` covers the float32 product in any summation order,
+    with or without fused multiply-adds (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.1), and the rounding of float64 inputs to
+    float32; ``dim*2^-53`` covers the float64 product's own error; the ``t``
+    terms cover float32 underflow; the factor 2 covers the rounding of the
+    norms and of the bound itself. ``survivors`` takes the k-th largest
+    ``S - E`` of a query's row as a floor under its k-th best exact score
+    and keeps every row with ``S + E`` at or above it, so the rows tied at
+    the cut are kept too. Under ``cosine`` both sides are divided by
+    ``|q|*|d|``, the row term is bounded by the store's smallest non-zero
+    norm, and a margin covers the float64 divisions.
+    """
+
+    def __init__(self, matrix: np.ndarray, metric: str, k: int):
+        dim = matrix.shape[1]
+        self.metric, self.k = metric, k
+        m = (dim + 2) * _U
+        self.c = 2.0 * (m / (1.0 - m) + dim * 2.0**-53) if m < 0.5 else math.inf
+        self.t = dim * 2.0**-140
+        # a row beyond float32's range overflows its products, which sends
+        # each query to the full product
+        with np.errstate(over="ignore"):
+            self.matrix = matrix.astype(np.float32, copy=False)
+            norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
+            if metric == "dot":
+                # rounded up, so no float32 norm is below the float64 one
+                self.norms = np.nextafter(norms.astype(np.float32), np.float32(np.inf))
+        if metric == "cosine":
+            self.inverse_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms != 0.0)
+            self.largest_inverse = float(self.inverse_norms.max())
+
+    def products(self, block: np.ndarray) -> np.ndarray:
+        """The float32 products of a block of queries with every row."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return block.astype(np.float32) @ self.matrix.T
+
+    def survivors(self, s: np.ndarray, qn: float) -> np.ndarray | None:
+        """The rows whose exact score can reach the k-th best, given a
+        query's products ``s`` and its float64 norm ``qn``; None when a
+        filter value or the bound is not finite."""
+        cut = len(s) - self.k
+        with np.errstate(over="ignore"):
+            if self.metric == "dot":
+                f = self.c * qn + self.t
+                if not (f <= _FLOAT32_MAX and np.isfinite(s).all()):
+                    return None
+                bound = self.norms * np.float32(f)
+                bound += np.float32(self.t * (qn + 1.0))
+                lower = s - bound
+                upper = np.add(s, bound, out=bound)
+            else:
+                e = self.c + _COSINE_MARGIN + self.t / qn * (1.0 + self.largest_inverse) + self.t * self.largest_inverse
+                if not math.isfinite(e):
+                    return None
+                x = s.astype(np.float64)
+                x /= qn
+                x *= self.inverse_norms
+                if not np.isfinite(x).all():
+                    return None
+                lower = x - e
+                upper = x + e
+        lower.partition(cut)
+        return np.flatnonzero(upper >= lower[cut])
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(matrix.astype(np.float64), axis=1)`` bit for bit,
+    converting ``NORM_CHUNK`` rows at a time."""
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), NORM_CHUNK):
+        chunk = matrix[start : start + NORM_CHUNK].astype(np.float64)
+        norms[start : start + NORM_CHUNK] = np.linalg.norm(chunk, axis=1)
+    return norms
+
+
+def _rescore(matrix: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``(matrix.astype(np.float64) @ q)[rows]`` bit for bit, converting only
+    the rows it scores.
+
+    OpenBLAS's matrix-vector product (0.3.31) scores rows in blocks of four
+    and the last ``n mod 4`` rows on a path of their own, and a row's bits
+    depend only on which path scores it. So rows before the store's last
+    ``n mod 4`` are gathered and padded to a multiple of four by repeating
+    one, and rows among the last ``n mod 4`` are scored from the store's
+    last ``4 + n mod 4`` rows, which lie out like the full store's tail.
+    """
+    n = len(matrix)
+    head_end = n - n % 4
+    head = rows < head_end
+    scores = np.empty(len(rows))
+    if head.any():
+        picked = rows[head]
+        padded = np.concatenate([picked, np.repeat(picked[:1], -len(picked) % 4)])
+        scores[head] = (matrix[padded].astype(np.float64) @ q)[: len(picked)]
+    if not head.all():
+        start = max(0, head_end - 4)
+        scores[~head] = (matrix[start:].astype(np.float64) @ q)[rows[~head] - start]
+    return scores
 
 
 def load_run(path: str | Path, labels: dict[str, dict[str, int]] | None = None) -> RankingRun:

@@ -181,6 +181,12 @@ def run_pretraining(
         mask_rng = np.random.default_rng([train.seed, 1])
         step = 0
     out_dir.mkdir(parents=True, exist_ok=True)
+    if resume_from is None:
+        # an older run's checkpoint would not match the vocabulary written
+        # next, so it goes first: a kill before this run's first save leaves
+        # no checkpoint at all
+        ckpt_path.unlink(missing_ok=True)
+        ckpt_path.with_name(ckpt_path.name + ".tmp").unlink(missing_ok=True)
     vocab.save(out_dir / VOCAB_NAME)
     _cut_log(out_dir / LOG_NAME, step)
 

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from dualmae import retrieval
 from dualmae.autodiff import no_grad
 from dualmae.encoder import encode
 from dualmae.model import DecoderConfig, EncoderConfig, init_params
@@ -19,6 +20,8 @@ from dualmae.retrieval import (
     RankingRun,
     RunFormatError,
     _bucket_width,
+    _rescore,
+    _row_norms,
     embed_corpus,
     load_embeddings,
     load_labels,
@@ -695,3 +698,126 @@ class TestSearchRun:
         queries = EmbeddingStore(ids=["q"], matrix=np.ones((1, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="^query dim 2 does not match document dim 3$"):
             search_run(queries, docs, k=1)
+
+
+class TestGemvRowRule:
+    """The float64 matrix-vector product rule that ``_rescore`` relies on,
+    pinned as ``linear``'s row rule is. On OpenBLAS 0.3.31 the kernel scores
+    rows in blocks of four and the last ``n mod 4`` rows on a path of their
+    own, and a row's bits depend only on which path scores it. So a gathered
+    subset padded to a multiple of four by repeating a row, and the last
+    ``4 + n mod 4`` rows, give the full product's bits."""
+
+    @pytest.mark.parametrize("d", [16, 64, 256, 768])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_a_row_keeps_its_bits_in_a_padded_subset_and_in_the_tail(self, d, r):
+        rng = np.random.default_rng([41, d, r])
+        n = 200 + r
+        matrix = rng.standard_normal((n, d)).astype(np.float32)
+        wide = matrix.astype(np.float64)
+        head = n - r
+        for q in rng.standard_normal((3, d)):
+            full = wide @ q
+            for size in range(1, 10):
+                rows = rng.choice(head, size=size, replace=False)
+                padded = np.concatenate([rows, np.repeat(rows[:1], -size % 4)])
+                assert (wide[padded] @ q)[:size].tobytes() == full[rows].tobytes(), ("subset", size)
+            assert (wide[head - 4 :] @ q)[4:].tobytes() == full[head:].tobytes(), "tail"
+            rows = rng.permutation(n)[:37]
+            assert _rescore(matrix, rows, q).tobytes() == full[rows].tobytes(), "_rescore"
+
+
+def test_row_norms_taken_in_chunks_equal_the_whole_store_norms():
+    """The cosine divisors are the norms of the whole float64 store, bit for
+    bit, although ``_row_norms`` converts the store a chunk at a time."""
+    rng = np.random.default_rng(42)
+    matrix = rng.standard_normal((retrieval.NORM_CHUNK * 2 + 3, 64)).astype(np.float32)
+    expected = np.linalg.norm(matrix.astype(np.float64), axis=1)
+    assert _row_norms(matrix).tobytes() == expected.tobytes()
+
+
+def _count_rescored_rows(monkeypatch):
+    """The row count of every ``_rescore`` call search_run makes from now on."""
+    counts = []
+    monkeypatch.setattr(retrieval, "_rescore", lambda m, rows, q: counts.append(len(rows)) or _rescore(m, rows, q))
+    return counts
+
+
+class TestSearchLargeStore:
+    """search_run against the full sort on stores where the float32 filter
+    does the work, at a preset width and the widest, at every ``n mod 4``.
+    The rounded store holds exact ties (rows repeated under second ids,
+    values on a 0.1 grid, zero rows) and rows so large that a query's
+    float32 products overflow and it takes the full product; the tiny
+    store's values are float32 subnormals, whose products underflow; the
+    queries include copies of store rows, a zero query and a float64 query
+    store."""
+
+    @staticmethod
+    def _stores(rng, d, n):
+        gaussian = rng.standard_normal((n, d)).astype(np.float32)
+        base = np.round(rng.standard_normal((n - n // 4, d)), 1)
+        base[rng.random(len(base)) < 0.05] = 0.0
+        huge = np.float32(np.finfo(np.float32).max / d)
+        base[0], base[1] = huge, -huge
+        rounded = np.concatenate([base, base[rng.integers(0, len(base), size=n // 4)]]).astype(np.float32)
+        tiny = (rng.integers(-3, 4, size=(n, d)) * 2.0**-149).astype(np.float32)  # the smallest subnormals
+        return {"gaussian": gaussian, "rounded": rounded, "tiny": tiny}
+
+    @staticmethod
+    def _queries(rng, mat):
+        d = mat.shape[1]
+        # rows 0 and 1 of the rounded store are its huge rows
+        picked = mat[np.concatenate([[0], rng.choice(np.arange(2, len(mat)), size=2, replace=False)])]
+        rows = np.concatenate([rng.standard_normal((4, d)).astype(np.float32), picked])
+        wide = rng.standard_normal((3, d))  # float64 values that float32 cannot hold
+        return {
+            "float32": EmbeddingStore(ids=[f"q{i}" for i in range(len(rows))], matrix=rows),
+            "zero": EmbeddingStore(ids=["zero"], matrix=np.zeros((1, d), dtype=np.float32)),
+            "float64": EmbeddingStore(ids=[f"w{i}" for i in range(len(wide))], matrix=wide),
+        }
+
+    @pytest.mark.parametrize("d, n_base", [(64, 600), (768, 152)])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_matches_full_sort_exactly(self, d, n_base, r, monkeypatch):
+        rng = np.random.default_rng([43, d, r])
+        n = n_base + r
+        rescored = _count_rescored_rows(monkeypatch)
+        ties_at_cut = 0
+        for name, mat in self._stores(rng, d, n).items():
+            docs = EmbeddingStore(ids=[str(i) for i in rng.permutation(n) * 7], matrix=mat)
+            for kind, queries in self._queries(rng, mat).items():
+                for metric in ("dot", "cosine"):
+                    full = {
+                        qid: full_sort_topk(q, docs.ids, mat, n, metric) for qid, q in zip(queries.ids, queries.matrix)
+                    }
+                    for k in (1, 10, n - 1, n, n + 3):
+                        rescored.clear()
+                        run = search_run(queries, docs, k, metric)
+                        for qid, expected in full.items():
+                            assert run.candidates[qid] == expected[:k], (name, metric, k, qid)
+                            ties_at_cut += k < n and expected[k - 1][1] == expected[k][1]
+                        if name == "gaussian" and kind != "zero" and k <= 10:
+                            # every query went through the filter, which
+                            # rescored fewer rows than the store holds
+                            assert len(rescored) == len(queries.ids) and max(rescored) < n, (kind, metric, k)
+                        if name == "rounded" and kind == "float32" and metric == "dot" and k < n:
+                            # the copy of a huge row took the full product
+                            assert len(rescored) == len(queries.ids) - 1, (metric, k)
+        assert ties_at_cut > 0
+
+    def test_a_query_whose_products_overflow_takes_the_full_product(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        d, n = 64, 101
+        mat = np.round(rng.standard_normal((n, d)), 1).astype(np.float32)
+        mat[7] = np.finfo(np.float32).max / d * np.resize([1, -1], d)
+        docs = EmbeddingStore(ids=[f"d{i:03d}" for i in range(n)], matrix=mat)
+        # products of row 7 overflow to inf, and to inf - inf for "mixed"
+        rows = np.stack([mat[7], np.abs(mat[7]), mat[8]])
+        queries = EmbeddingStore(ids=["huge", "mixed", "plain"], matrix=rows)
+        rescored = _count_rescored_rows(monkeypatch)
+        for metric in ("dot", "cosine"):
+            run = search_run(queries, docs, 3, metric)
+            for i, qid in enumerate(queries.ids):
+                assert run.candidates[qid] == full_sort_topk(rows[i], docs.ids, mat, 3, metric)
+        assert len(rescored) == 2, "only the plain query goes through the filter"

@@ -12,6 +12,9 @@ import errno
 import gc
 import io
 import math
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -466,6 +469,9 @@ def _micro_configs():
     return train, enc, dec
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestRunPretraining:
     def test_leaves_checkpoint_vocab_and_log(self, tmp_path):
         corpus = _write_corpus(tmp_path / "corpus.txt")
@@ -623,6 +629,61 @@ class TestRunPretraining:
         assert [line.split("\t")[0] for line in log.splitlines()] == ["1", "2", "3"]
         assert log == (tmp_path / "a" / "loss_log.tsv").read_text()
         assert again.read_bytes() == straight.read_bytes()
+
+    def test_a_fresh_run_leaves_no_older_checkpoint_beside_its_vocabulary(self, tmp_path, monkeypatch):
+        """A fresh run on another corpus into an old run's directory, killed
+        at its first step, must not leave the old weights beside the new
+        vocabulary; a left-over temporary checkpoint goes too."""
+        train, enc, dec = _micro_configs()
+        old = tmp_path / "old.txt"
+        old.write_text("\n".join(" ".join(WORDS[i : i + 4]) for i in range(0, 8)) + "\n")
+        new = tmp_path / "new.txt"
+        new.write_text("\n".join(f"fresh{i} word{i} token{i}" for i in range(8)) + "\n")
+        run_dir = tmp_path / "run"
+        run_pretraining(old, run_dir, train, enc, dec)
+        (run_dir / "model.ckpt.tmp").write_bytes(b"left by a killed save")
+
+        class Killed(Exception):
+            pass
+
+        def killed(*args):
+            raise Killed
+
+        monkeypatch.setattr(training, "train_step", killed)
+        with pytest.raises(Killed):
+            run_pretraining(new, run_dir, train, enc, dec)
+        assert sorted(p.name for p in run_dir.iterdir()) == ["loss_log.tsv", "vocab.txt"]
+        assert "fresh0" in (run_dir / "vocab.txt").read_text()
+        assert (run_dir / "loss_log.tsv").read_text() == ""
+
+    def test_training_bytes_do_not_depend_on_a_blas_thread_variable(self, tmp_path):
+        """``dualmae pretrain`` writes the same checkpoint with no thread
+        variable set as with ``OPENBLAS_NUM_THREADS=1``, because importing
+        the package pins one thread. A desk batch of 32 sentences of 25-40
+        words passes about 1,000 rows to each weight gradient, past the 464
+        rows from which OpenBLAS splits that sum differently at two threads.
+        On a one-CPU host OpenBLAS may start no second thread, and then this
+        test cannot show the defect."""
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(300)]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "\n".join(" ".join(rng.choice(words, size=int(rng.integers(25, 41)))) for _ in range(64)) + "\n"
+        )
+        src = str(Path(training.__file__).resolve().parents[1])
+        checkpoints = []
+        for name, threads in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            out = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-m", "dualmae.cli", "pretrain", "--preset", "desk", "--corpus", str(corpus),
+                 "--out", str(out), "--stop-after-steps", "1"],
+                env=env | threads, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            checkpoints.append((out / "model.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_periodic_checkpoints(self, tmp_path):
         corpus = _write_corpus(tmp_path / "corpus.txt")
