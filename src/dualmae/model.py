@@ -140,7 +140,7 @@ def init_params(
     for name, shape in param_shapes(enc, dec):
         if name.endswith(".gain"):
             data = np.ones(shape, dtype=dtype)
-        elif name.endswith(("bias", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")) or name == "out_bias":
+        elif name.endswith(("bias", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
             data = np.zeros(shape, dtype=dtype)
         else:
             data = _truncated_normal(rng, shape, INIT_STD, dtype)

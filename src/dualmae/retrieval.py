@@ -2,17 +2,17 @@
 
 Search is exhaustive and exact; scores are computed in double precision
 and ties are broken by ascending document id, so a ranking is a pure
-function of the store. ``search_run`` is the one search. A float32
-matrix product over a block of queries is only a filter: with an error
-bound that holds in any summation order, it keeps for each query every row
-whose exact score can reach the k-th best. Those rows alone are converted
+function of the store. ``search_run`` is the one search, with one scoring
+path and one sort. A float32 matrix product over a block of queries is
+only a filter: with an error bound that holds in any summation order, it
+keeps for each query every row whose exact score can reach the k-th best.
+Those rows alone (every row, when the filter cannot decide) are converted
 to float64 and scored by a matrix-vector product laid out so that each
 score equals, bit for bit, the one a product over the whole float64 store
 gives; a blocked matrix-matrix product could round differently in the last
 bits and so reorder near-ties, which is why it never scores. A partition
-then finds the k-th best score and only the rows that reach it are sorted,
-ties by id rank. The tests check every list against a full sort on
-(score, id string).
+then finds the k-th best score and only the rows that reach it are sorted
+on (score descending, id ascending), the key of the tests' full sort.
 
 Embedding pads each sentence to a width that depends only on its own
 length, so a vector never depends on the rest of its batch. Metrics follow
@@ -148,8 +148,14 @@ def save_embeddings(path: str | Path, store: EmbeddingStore) -> None:
     """One line per vector: id, tab, space-separated components.
 
     Components are written with enough digits that reading them back
-    reproduces the float32 values bit for bit.
+    reproduces the float32 values bit for bit. An id that ``load_embeddings``
+    would read back otherwise is refused before the file is opened: one
+    holding a tab or a line break, or a first id starting with a byte-order
+    mark, which the reader drops.
     """
+    for i, doc_id in enumerate(store.ids):
+        if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id or (i == 0 and doc_id.startswith("\ufeff")):
+            raise ValueError(f"id {doc_id!r} cannot be read back from an embedding file")
     with open(path, "w", encoding="utf-8") as f:
         for doc_id, row in zip(store.ids, store.matrix):
             f.write(doc_id + "\t" + " ".join(map("{:.8e}".format, row.tolist())) + "\n")
@@ -211,23 +217,21 @@ def search_run(
 
     Scores are float64: ``dot`` is ``docs @ q`` with the store converted to
     float64, and ``cosine`` divides that by the query's norm and then by
-    each row's norm; a zero query or a zero row scores 0. The ids are ranked
-    and the cosine row norms taken once for the whole run.
+    each row's norm; a zero query or a zero row scores 0. The cosine row
+    norms are taken once for the whole run.
 
     For each block of ``QUERY_BLOCK`` queries one float32 matrix product
     filters the store (see ``_Filter``): per query it keeps every row whose
-    exact score can reach the k-th best, and ``_rescore`` gives those rows
-    the float64 scores the full matrix-vector product would give, bit for
-    bit. A partition then finds the k-th best score among them, and only
-    rows scoring at least that much are sorted, by score descending and then
-    by the rank of their id. Every row tied with the k-th score survives the
-    filter, so a tie at the cut is broken by id, as a full sort would.
-
-    A query is scored by the full float64 matrix-vector product when
-    ``k`` is at least the store's size, or when its filter values or bound
-    are not finite (vectors so large that float32 overflows); the float64
-    store is made only then. A zero query under ``cosine`` scores every row
-    0 without a product.
+    exact score can reach the k-th best. ``_rescore`` gives those rows the
+    float64 scores the full matrix-vector product would give, bit for bit;
+    it scores every row when ``k`` is at least the store's size or when the
+    query's filter values or bound are not finite (vectors so large that
+    float32 overflows). A zero query under ``cosine`` scores every row 0
+    without a product. A partition then finds the k-th best score, and only
+    rows scoring at least that much are sorted, on (score descending, id
+    ascending) as Python orders the pairs. Every row tied with the k-th
+    score survives the filter, so a tie at the cut is broken by id, as a
+    full sort would.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -236,14 +240,12 @@ def search_run(
     if metric not in ("dot", "cosine"):
         raise ValueError(f"unknown similarity metric {metric!r}")
     n = len(docs.ids)
-    id_rank = np.empty(n, dtype=np.int64)
-    id_rank[np.argsort(np.array(docs.ids))] = np.arange(n)
+    every_row = np.arange(n)
     if metric == "cosine":
         norms = _row_norms(docs.matrix)
         zero_rows = norms == 0.0
         divisors = np.where(zero_rows, 1.0, norms)
     filt = _Filter(docs.matrix, metric, k) if k < n else None
-    full = None  # the float64 store, for a query that takes the full product
     candidates = {}
     for start in range(0, len(queries.ids), QUERY_BLOCK):
         block = queries.matrix[start : start + QUERY_BLOCK]
@@ -252,15 +254,12 @@ def search_run(
             q = query.astype(np.float64)
             qn = float(np.linalg.norm(q))
             if metric == "cosine" and not qn:
-                rows, scores = np.arange(n), np.zeros(n)
+                rows, scores = every_row, np.zeros(n)
             else:
                 rows = filt.survivors(products[i], qn) if filt is not None else None
-                if rows is not None:
-                    scores = _rescore(docs.matrix, rows, q)
-                else:
-                    if full is None:
-                        full = docs.matrix.astype(np.float64)
-                    rows, scores = np.arange(n), full @ q
+                if rows is None:
+                    rows = every_row
+                scores = _rescore(docs.matrix, rows, q)
                 if metric == "cosine":
                     scores = scores / qn / divisors[rows]
                     scores[zero_rows[rows]] = 0.0
@@ -268,8 +267,8 @@ def search_run(
                 kth = np.partition(scores, len(rows) - k)[len(rows) - k]
                 reach = np.flatnonzero(scores >= kth)
                 rows, scores = rows[reach], scores[reach]
-            top = np.lexsort((id_rank[rows], -scores))[:k]
-            candidates[qid] = [(docs.ids[rows[j]], float(scores[j])) for j in top]
+            ranked = sorted(zip((-scores).tolist(), [docs.ids[r] for r in rows.tolist()]))[:k]
+            candidates[qid] = [(doc_id, -negated) for negated, doc_id in ranked]
     return RankingRun(candidates=candidates, labels=labels or {})
 
 
@@ -299,8 +298,8 @@ class _Filter:
         m = (dim + 2) * _U
         self.c = 2.0 * (m / (1.0 - m) + dim * 2.0**-53) if m < 0.5 else math.inf
         self.t = dim * 2.0**-140
-        # a row beyond float32's range overflows its products, which sends
-        # each query to the full product
+        # a row beyond float32's range overflows its products, and then
+        # each query rescores every row
         with np.errstate(over="ignore"):
             self.matrix = matrix.astype(np.float32, copy=False)
             norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64))
@@ -389,6 +388,8 @@ def load_run(path: str | Path, labels: dict[str, dict[str, int]] | None = None) 
             score = float(score_s)
         except ValueError:
             raise RunFormatError(f"{where}: bad rank or score") from None
+        if not math.isfinite(score):
+            raise RunFormatError(f"{where}: score {score_s!r} is not finite")
         expected = expected_rank.get(qid, 0) + 1
         if rank != expected:
             raise RunFormatError(f"{where}: rank {rank} out of order for query {qid!r} (expected {expected})")

@@ -681,6 +681,18 @@ class TestEvalCli:
         assert "run.tsv" in capsys.readouterr().err
 
 
+    def test_run_file_with_a_nan_score_is_exit_2(self, tmp_path, capsys):
+        labels_path = tmp_path / "labels.tsv"
+        labels_path.write_text("q0\ta\t1\n")
+        run_path = tmp_path / "run.tsv"
+        # without the nan the scores rise along the ranking, which is refused too
+        run_path.write_text("q0\ta\t1\t1.0\nq0\tb\t2\tnan\nq0\tc\t3\t5.0\n")
+        code = main(["eval", "--run", str(run_path), "--labels", str(labels_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{run_path}:2: score 'nan' is not finite" in captured.err
+
     def test_duplicate_judgment_is_exit_2(self, tmp_path, capsys):
         labels_path = tmp_path / "labels.tsv"
         labels_path.write_text("q0\ta\t1\nq0\ta\t0\n")

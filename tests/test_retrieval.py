@@ -155,6 +155,25 @@ class TestEmbeddingFiles:
         with pytest.raises(RunFormatError, match=r"emb\.tsv:1: non-finite vector component$"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("ids, bad", [
+        (["a", "b\tc"], "b\tc"),
+        (["a\nb", "c"], "a\nb"),
+        (["a", "b\rc"], "b\rc"),
+        (["\ufeffa", "b"], "\ufeffa"),
+    ])
+    def test_an_id_the_loader_cannot_read_back_is_refused_before_writing(self, tmp_path, ids, bad):
+        store = EmbeddingStore(ids=ids, matrix=np.ones((2, 3), dtype=np.float32))
+        path = tmp_path / "emb.tsv"
+        with pytest.raises(ValueError, match=f"^id {re.escape(repr(bad))} cannot be read back"):
+            save_embeddings(path, store)
+        assert not path.exists()
+
+    def test_a_byte_order_mark_after_the_first_id_reads_back(self, tmp_path):
+        store = EmbeddingStore(ids=["a", "\ufeffb"], matrix=np.eye(2, dtype=np.float32))
+        path = tmp_path / "emb.tsv"
+        save_embeddings(path, store)
+        assert load_embeddings(path).ids == store.ids
+
     def test_components_are_written_as_the_scalar_format_writes_them(self, tmp_path):
         rng = np.random.default_rng(3)
         mat = np.concatenate([
@@ -329,6 +348,14 @@ class TestRunFiles:
         path = tmp_path / "run.tsv"
         path.write_text("")
         with pytest.raises(RunFormatError, match="no ranking lines"):
+            load_run(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_a_score_that_is_not_finite_names_line(self, tmp_path, bad):
+        # a nan between 1.0 and 5.0 would hide the rise that 1.0, 5.0 shows
+        path = tmp_path / "run.tsv"
+        path.write_text(f"q0\ta\t1\t1.0\nq0\tb\t2\t{bad}\nq0\tc\t3\t5.0\n")
+        with pytest.raises(RunFormatError, match=rf"run\.tsv:2: score '{bad}' is not finite$"):
             load_run(path)
 
     def test_increasing_scores_caught_on_load(self, tmp_path):
@@ -677,6 +704,24 @@ class TestSearchRun:
         assert ties_at_cut > 100
 
     @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    @pytest.mark.parametrize("tied", [["a", "a\x00"], ["a\x00", "a"]])
+    def test_ids_that_differ_by_a_trailing_nul_keep_the_full_sort_order(self, tied, metric, monkeypatch):
+        """Rows tied under "a" and "a\\x00" come back "a" first, as Python
+        orders the strings, in either store order, through the filter and
+        with k at least the store's size."""
+        mat = np.array([[2, 1], [2, 1], [1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.float32)
+        ids = tied + ["b", "c", "d", "e"]
+        docs = EmbeddingStore(ids=ids, matrix=mat)
+        queries = EmbeddingStore(ids=["q"], matrix=np.array([[2, 1]], dtype=np.float32))
+        rescored = _count_rescored_rows(monkeypatch)
+        for k in (1, 2, 3, 6, 9):
+            rescored.clear()
+            got = search_run(queries, docs, k, metric).candidates["q"]
+            assert got == full_sort_topk(queries.matrix[0], ids, mat, k, metric), k
+            assert [doc for doc, _ in got][:2] == ["a", "a\x00"][:k], k
+            assert (rescored[0] < len(ids)) == (k < len(ids)), "the filter narrows k < n, k >= n rescores every row"
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
     def test_empty_store_gives_every_query_an_empty_list(self, metric):
         docs = EmbeddingStore(ids=[], matrix=np.zeros((0, 3), dtype=np.float32))
         queries = EmbeddingStore(ids=["q0", "q1"], matrix=np.array([[1, 0, 2], [0, 0, 0]], dtype=np.float32))
@@ -802,8 +847,11 @@ class TestSearchLargeStore:
                             # rescored fewer rows than the store holds
                             assert len(rescored) == len(queries.ids) and max(rescored) < n, (kind, metric, k)
                         if name == "rounded" and kind == "float32" and metric == "dot" and k < n:
-                            # the copy of a huge row took the full product
-                            assert len(rescored) == len(queries.ids) - 1, (metric, k)
+                            # the copy of a huge row (q4) took the full product:
+                            # it rescored every row, and at k <= 10 each Gaussian
+                            # query fewer (a copy of a zero row keeps them all)
+                            assert len(rescored) == len(queries.ids) and rescored[4] == n, (metric, k)
+                            assert k > 10 or max(rescored[:4]) < n, (metric, k)
         assert ties_at_cut > 0
 
     def test_a_query_whose_products_overflow_takes_the_full_product(self, monkeypatch):
@@ -820,4 +868,5 @@ class TestSearchLargeStore:
             run = search_run(queries, docs, 3, metric)
             for i, qid in enumerate(queries.ids):
                 assert run.candidates[qid] == full_sort_topk(rows[i], docs.ids, mat, 3, metric)
-        assert len(rescored) == 2, "only the plain query goes through the filter"
+        # huge and mixed rescore every row, for each metric
+        assert [count == n for count in rescored] == [True, True, False] * 2, "only the plain query goes through the filter"
