@@ -25,10 +25,12 @@ reconstructs, so both modes run one body on the same fields:
 
 The modes differ only in the last layer's queries: the stream's own rows
 at the loss cells (basic) or the sentence embedding plus positions there
-(enhanced). The full score, softmax and ``weights @ v`` products stay, and
-only their output narrows, the rule the encoder's last block follows for
-position 0. Pad columns are blocked in every attention and no loss reads
-a row outside ``dec_targets``, so this loses nothing observable.
+(enhanced). The last layer's scores, softmax and ``weights @ v`` run on
+those query rows alone, on ``attention``'s slot grid, the rule the
+encoder's last block follows for position 0; in basic mode that is about
+half the real rows. Pad columns are blocked in every attention and no
+loss reads a row outside ``dec_targets``, so this loses nothing
+observable.
 
 Both decoders return their final hidden states with the loss, packed: one
 (N, d) row per ``dec_targets`` cell in row-major order, the rows the loss

@@ -11,14 +11,16 @@ one sum over the batch axis (looked up per packed row it would take an
 the batch's real rows are gathered once into a packed (N, d) stream.
 Every block then runs its
 projections, residuals, layer norms and feed-forward on those N rows, and
-only attention's per-sentence products see the grid (``model`` explains
+only attention's per-sentence products see a grid (``model`` explains
 the packing). A packed product gives each real row the bits the stacked
 one gives it, so no forward value changes.
 
 The decoder and retrieval read nothing but that vector, so the last block
-queries position 0 alone: its keys and values are every real row, and its
-output projection, residuals, layer norms and feed-forward run on one row
-per sentence, the (B, d) sentence vectors. A caller that reads other
+queries position 0 alone: its keys and values are every real row, its
+scores, softmax and ``weights @ v`` run on two query slots per sentence
+(the product floor) instead of L, and its output projection, residuals,
+layer norms and feed-forward run on one row per sentence, the (B, d)
+sentence vectors. A caller that reads other
 final states (the encoder-side MLM loss) names their cells with
 ``states_at``, and the last block queries those cells as well. Either way
 the sentence vector takes the same bits.

@@ -12,17 +12,22 @@ A stream is packed: (N, d), the rows of the (B, L) grid cells a ``Rows``
 names, with no pad rows at all. A block runs its position-wise work
 (projections, residuals, layer norms, feed-forward) on the rows it is
 given. Only attention's per-sentence products (the scores, the masked
-softmax and ``weights @ v``) need the grid: the projected queries, keys
-and values are scattered into it, with exact zeros in the cells the
-stream lacks, and the attended context is gathered back to the query rows
-right after ``weights @ v``. A key/value stream must therefore hold every
-cell that the mask lets a query read, and the query stream may hold
-fewer: the last block of the encoder queries position 0 and the cells
-whose states a caller reads, the last decoder layer its loss rows. A block
-returns its query rows, still packed, and that is what the encoder and the
-decoders hand on: no state goes back to the grid. ``linear`` gives a row
-the same bits whatever its row count, so narrowing the query rows changes
-no bit of theirs.
+softmax and ``weights @ v``) need a grid: the projected keys and values
+are scattered into the (B, L) grid, with exact zeros in the cells the
+stream lacks, and the projected queries into a (B, Lq) slot grid that
+holds each sentence's query rows in order, Lq being the most query rows
+of one sentence (at least 2, and L itself when that is not less). The
+attended context is gathered back to the query rows right after
+``weights @ v``. A key/value stream must therefore hold every cell that
+the mask lets a query read, and the query stream may hold fewer: the last
+block of the encoder queries position 0 and the cells whose states a
+caller reads, the last decoder layer its loss rows, and their scores,
+softmax and ``weights @ v`` run on those rows alone. A block returns its
+query rows, still packed, and that is what the encoder and the decoders
+hand on: no state goes back to the grid. ``linear`` gives a row the same
+bits whatever its row count, and at the desk widths attention's batched
+products do the same for a query row whatever its slot count (see
+``attention``), so narrowing the query rows changes no bit of theirs.
 """
 
 from __future__ import annotations
@@ -172,7 +177,8 @@ class Rows:
 
 def _projected(params: ModelParams, prefix: str, name: str, x: Tensor, rows: Rows, heads: int) -> Tensor:
     """The ``name`` (q, k or v) projection of ``x``, taken on its packed
-    rows and scattered straight into the (B, heads, L, head_dim) layout."""
+    rows and scattered straight into the (B, heads, G, head_dim) layout of
+    ``rows``' (B, G) grid."""
     y = ad.linear(x, params[f"{prefix}.attn.w{name}"], params[f"{prefix}.attn.b{name}"])
     d = y.shape[-1]
     return ad.transpose(ad.scatter_rows(y, rows.index, (*rows.grid, heads, d // heads)), (0, 2, 1, 3))
@@ -182,6 +188,26 @@ def _merge_heads(x: Tensor) -> Tensor:
     B, h, L, hd = x.shape
     x = ad.transpose(x, (0, 2, 1, 3))
     return ad.reshape(x, (B, L, h * hd))
+
+
+def _query_slots(rows: Rows, visible: np.ndarray) -> tuple[Rows, np.ndarray]:
+    """The (B, Lq) slot grid of ``rows``, a sentence's k-th row in slot k,
+    and ``visible`` narrowed to it; ``rows`` and ``visible`` themselves
+    when Lq = max(2, most rows of one sentence) is not less than L. A
+    key-row mask fits any query count as it is; a per-row mask keeps the
+    rows of the query cells, and a free slot reads column 0 alone."""
+    B, L = rows.grid
+    counts = rows.held.sum(axis=1)
+    width = max(2, int(counts.max()))
+    if width >= L:
+        return rows, visible
+    slots = Rows(np.arange(width) < counts[:, None])
+    if visible.shape[-2] == 1:
+        return slots, visible
+    narrow = np.zeros((B, 1, width, L), dtype=visible.dtype)
+    narrow[..., 0] = True
+    narrow.reshape(B * width, L)[slots.index] = visible.reshape(B * L, L)[rows.index]
+    return slots, narrow
 
 
 def attention(
@@ -199,19 +225,34 @@ def attention(
 
     ``visible`` is a bool array that broadcasts against the (B, heads, L, L)
     score tensor; row i of it lists the key positions query i may read.
-    ``query_in`` is packed at ``rows`` and ``keyvalue_in`` at ``kv_rows``,
-    which must hold every cell ``visible`` opens (``ShapeError``
-    otherwise). The output is packed at ``rows``, (N, d).
+    It is either a key-row mask, (B, 1, 1, L), or a per-row mask whose
+    heads axis is 1, (B, 1, L, L). ``query_in`` is packed at ``rows`` and
+    ``keyvalue_in`` at ``kv_rows``, which must hold every cell ``visible``
+    opens (``ShapeError`` otherwise). The output is packed at ``rows``,
+    (N, d).
+
+    The scores, the masked softmax and ``weights @ v`` run on the query
+    rows alone, laid out on the (B, Lq) slot grid of ``_query_slots``; Lq
+    is at least 2 because a 1-row product takes another BLAS path
+    (``linear``'s rule). A free slot's output is never gathered, so it
+    sends back a zero gradient. With OpenBLAS (checked on 0.3.31) a query
+    row keeps its bits on the slot grid at the desk and gradcheck head
+    widths (16 in float32, 4 in float64): in the score and ``weights @ v``
+    products, and in the key and value gradients, whose products lose only
+    all-zero query rows. At head_dim 32 and 64 the scores differed for
+    small query counts, so this exactness, like ``linear``'s row rule,
+    holds at the desk widths only (``TestQuerySlotRule`` in the tests).
     """
     if (visible & ~kv_rows.held[:, None, None, :]).any():
         raise ad.ShapeError("the mask lets a query read a cell the key/value stream does not hold")
-    q = _projected(params, prefix, "q", query_in, rows, heads)
+    slots, visible = _query_slots(rows, visible)
+    q = _projected(params, prefix, "q", query_in, slots, heads)
     k = _projected(params, prefix, "k", keyvalue_in, kv_rows, heads)
     v = _projected(params, prefix, "v", keyvalue_in, kv_rows, heads)
     head_dim = q.shape[-1]
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
     weights = ad.masked_softmax(scores, visible)
-    context = ad.gather_rows(_merge_heads(ad.matmul(weights, v)), rows.index)
+    context = ad.gather_rows(_merge_heads(ad.matmul(weights, v)), slots.index)
     return ad.linear(context, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
 
 

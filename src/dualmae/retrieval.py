@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +47,8 @@ NORM_CHUNK = 4096  # store rows converted to float64 at a time for their norms
 _U = 2.0**-24  # float32 unit roundoff
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 _COSINE_MARGIN = 2.0**-48  # float64 rounding of a cosine and of its filter value, with room
+# a tab or line break splits an embedding-file record; UTF-8 cannot encode a lone surrogate
+_UNWRITABLE_ID = re.compile("[\t\n\r\ud800-\udfff]")
 
 
 class RunFormatError(ValueError):
@@ -149,12 +152,13 @@ def save_embeddings(path: str | Path, store: EmbeddingStore) -> None:
 
     Components are written with enough digits that reading them back
     reproduces the float32 values bit for bit. An id that ``load_embeddings``
-    would read back otherwise is refused before the file is opened: one
-    holding a tab or a line break, or a first id starting with a byte-order
+    would read back otherwise, or cannot write at all, is refused before
+    the file is opened: one holding a tab, a line break or a lone surrogate
+    (which UTF-8 cannot encode), or a first id starting with a byte-order
     mark, which the reader drops.
     """
     for i, doc_id in enumerate(store.ids):
-        if "\t" in doc_id or "\n" in doc_id or "\r" in doc_id or (i == 0 and doc_id.startswith("\ufeff")):
+        if _UNWRITABLE_ID.search(doc_id) or (i == 0 and doc_id.startswith("\ufeff")):
             raise ValueError(f"id {doc_id!r} cannot be read back from an embedding file")
     with open(path, "w", encoding="utf-8") as f:
         for doc_id, row in zip(store.ids, store.matrix):

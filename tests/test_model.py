@@ -144,20 +144,33 @@ class TestAttention:
 
         np.testing.assert_allclose(got, _oracle_attention(params, x, x, visible)[real], atol=1e-12)
 
-    def test_queries_on_a_strict_subset_of_the_key_rows_match_numpy_oracle(self):
-        # the enhanced decoder's layout: keys and values at every real row,
-        # queries from another stream at the real rows past position 0, each
-        # under its own visibility row
+    @pytest.mark.parametrize("mask", ["per-row", "key-row"])
+    @pytest.mark.parametrize("layout", [
+        # the enhanced decoder's: the real rows past position 0
+        [[False, True, True, True, True], [False, True, True, False, False]],
+        # a sentence with no query rows
+        [[False, True, True, True, True], [False] * 5],
+        # a sentence whose only query is its last real cell
+        [[False, True, True, True, False], [False, False, True, False, False]],
+        # one query per sentence: the slot grid's floor of two rows
+        [[False, False, False, False, True], [True, False, False, False, False]],
+    ], ids=["past-position-0", "a-sentence-without-queries", "only-the-last-real-cell", "one-per-sentence"])
+    def test_queries_on_a_strict_subset_of_the_key_rows_match_numpy_oracle(self, layout, mask):
+        # keys and values at every real row, queries from another stream
+        # at a subset of them, each under its own visibility row or under
+        # the key-row mask the encoder and the basic decoder use
         params = _one_head_params()
         rng = np.random.default_rng(14)
         queries_in = rng.standard_normal((2, 5, 6))
         keys_in = rng.standard_normal((2, 5, 6))
         real = np.array([[True] * 5, [True, True, True, False, False]])
-        queries = real.copy()
-        queries[:, 0] = False
-        visible = (rng.random((2, 5, 5)) < 0.6) & real[:, None, :]
-        visible[..., 0] = True
-        visible = visible[:, None]
+        queries = np.array(layout)
+        if mask == "per-row":
+            visible = (rng.random((2, 5, 5)) < 0.6) & real[:, None, :]
+            visible[..., 0] = True
+            visible = visible[:, None]
+        else:
+            visible = real[:, None, None, :]
         rows, kv_rows = Rows(queries), Rows(real)
 
         with ad.no_grad():
@@ -188,6 +201,91 @@ class TestAttention:
             four = attention(params, "enc0", x, x, visible, heads=4, rows=rows, kv_rows=rows).data
             one = attention(params, "enc0", x, x, visible, heads=1, rows=rows, kv_rows=rows).data
         assert not np.allclose(four, one)
+
+
+def _laid_out(packed, cells, grid, heads):
+    """Packed (n, d) rows at flat ``cells`` of a zero (B, G) grid, viewed
+    as attention's (B, heads, G, head_dim) per-head layout."""
+    B, G = grid
+    full = np.zeros((B * G, packed.shape[1]), dtype=packed.dtype)
+    full[cells] = packed
+    return full.reshape(B, G, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _query_rows(x, cells):
+    """The rows of a (B, heads, G, w) product at flat ``cells`` of its (B, G) grid."""
+    B, heads, G, w = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B * G, heads * w)[cells]
+
+
+class TestQuerySlotRule:
+    """The batched-product rule ``attention``'s query slot grid relies on,
+    pinned as ``linear``'s row rule is. A (B, L) grid's query rows are laid
+    out on a (B, Lq) slot grid, Lq = max(2, most query rows of a sentence),
+    and every other query cell holds zeros and gets a zero gradient. On
+    OpenBLAS 0.3.31, in float32 at head_dim 16 (desk) and float64 at
+    head_dim 4 (gradcheck), a query row then keeps its bits in the score
+    and ``weights @ v`` products and in the query and weight gradients, and
+    the key and value gradients, whose products only lose all-zero query
+    rows, keep theirs. This is a property of the widths: in float32 at
+    head_dim 32 and 64 the scores (and the weight gradients, the same inner
+    width) differed for small query counts at L in {40, 62, 128}."""
+
+    @pytest.mark.parametrize("dtype, head_dim", [(np.float32, 16), (np.float64, 4)], ids=["desk", "gradcheck"])
+    @pytest.mark.parametrize("L", [8, 40, 62, 128])
+    def test_a_query_row_keeps_its_bits_on_the_slot_grid(self, dtype, head_dim, L):
+        rng = np.random.default_rng([43, head_dim, L])
+        B, heads = 4, 4
+        d = heads * head_dim
+        k = _laid_out(rng.standard_normal((B * L, d)).astype(dtype), np.arange(B * L), (B, L), heads)
+        v = _laid_out(rng.standard_normal((B * L, d)).astype(dtype), np.arange(B * L), (B, L), heads)
+        for most in [*range(1, min(L, 12)), L // 2, L - 1]:
+            counts = np.concatenate([[most], rng.integers(0, most + 1, size=B - 1)])
+            held = np.zeros((B, L), dtype=bool)
+            for b, n in enumerate(counts):
+                held[b, rng.choice(L, size=n, replace=False)] = True
+            slots = Rows(np.arange(max(2, most)) < counts[:, None])
+            cells = Rows(held).index
+            n = cells.size
+
+            def both(packed):
+                # the packed rows on the full grid and on the slot grid
+                return (_laid_out(packed, cells, (B, L), heads),
+                        _laid_out(packed, slots.index, slots.grid, heads))
+
+            def by_row(full_rows, free_slot):
+                # softmax-side arrays: contiguous (B, heads, rows, L), one
+                # (heads, L) block per grid row; a query cell's block moves to
+                # its slot, and a free slot holds ``free_slot``
+                free = np.broadcast_to(free_slot, (B * slots.grid[1], heads, L)).copy()
+                free[slots.index] = full_rows[cells]
+                return (np.ascontiguousarray(full_rows.reshape(B, L, heads, L).transpose(0, 2, 1, 3)),
+                        np.ascontiguousarray(free.reshape(B, -1, heads, L).transpose(0, 2, 1, 3)))
+
+            q_full, q_slots = both(rng.standard_normal((n, d)).astype(dtype))
+            dcontext_full, dcontext_slots = both(rng.standard_normal((n, d)).astype(dtype))
+            # every grid row holds weights, a free slot reads column 0 alone
+            w_full, w_slots = by_row(rng.random((B * L, heads, L)).astype(dtype), np.eye(1, L, dtype=dtype))
+            # only a query row gets a score gradient
+            dscores = np.zeros((B * L, heads, L), dtype=dtype)
+            dscores[cells] = rng.standard_normal((n, heads, L))
+            dscores_full, dscores_slots = by_row(dscores, np.zeros(L, dtype=dtype))
+            kt = np.swapaxes(k, -1, -2)
+            vt = np.swapaxes(v, -1, -2)
+            for name, full, narrow in [
+                ("scores", q_full @ kt, q_slots @ kt),
+                ("weights @ v", w_full @ v, w_slots @ v),
+                ("query gradient", dscores_full @ k, dscores_slots @ k),
+                ("weight gradient", dcontext_full @ vt, dcontext_slots @ vt),
+            ]:
+                assert _query_rows(full, cells).tobytes() == _query_rows(narrow, slots.index).tobytes(), (name, most)
+            for name, full, narrow in [
+                ("key gradient", np.swapaxes(q_full, -1, -2) @ dscores_full,
+                 np.swapaxes(q_slots, -1, -2) @ dscores_slots),
+                ("value gradient", np.swapaxes(w_full, -1, -2) @ dcontext_full,
+                 np.swapaxes(w_slots, -1, -2) @ dcontext_slots),
+            ]:
+                assert full.tobytes() == narrow.tobytes(), (name, most)
 
 
 class TestRows:

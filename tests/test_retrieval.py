@@ -160,6 +160,8 @@ class TestEmbeddingFiles:
         (["a\nb", "c"], "a\nb"),
         (["a", "b\rc"], "b\rc"),
         (["\ufeffa", "b"], "\ufeffa"),
+        (["a", "\ud800"], "\ud800"),
+        (["a", "b\udfffc"], "b\udfffc"),
     ])
     def test_an_id_the_loader_cannot_read_back_is_refused_before_writing(self, tmp_path, ids, bad):
         store = EmbeddingStore(ids=ids, matrix=np.ones((2, 3), dtype=np.float32))

@@ -257,6 +257,18 @@ class TestBatchCoverage:
         assert batch_coverage(mbatch) == mbatch.dec_targets.sum() / content
 
 
+def _desk_step_setup(mode, layers, mlm_weight):
+    """Desk configs, fresh parameters and a padded batch of eight sentences
+    of 5 to 41 tokens, with the generator the step draws its masks from."""
+    overrides = {"mode": mode, "decoder_layers": layers, "encoder_mlm_weight": mlm_weight}
+    train, enc, dec = resolve_configs(preset="desk", overrides=overrides, env={})
+    params = init_params(enc, dec, np.random.default_rng([train.seed, 0]))
+    rng = np.random.default_rng(7)
+    seqs = [TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, enc.vocab_size, size=n), [SEP_ID]]))
+            for n in rng.integers(3, 40, size=8)]
+    return params, train, enc, dec, make_batch(seqs), rng
+
+
 class TestTrainStep:
     def test_updates_parameters(self):
         params, train, enc, dec, _ = tiny_setup("enhanced", seed=9)
@@ -424,14 +436,9 @@ class TestTrainStep:
         ("basic", 1, 0.5, 98),
     ])
     def test_a_desk_step_scatters_only_into_attention(self, mode, layers, mlm_weight, nodes, monkeypatch):
-        # states stay packed up to the loss: the only (B, L) grids scattered
-        # into are attention's (B, L, heads, head_dim) queries, keys and values
-        overrides = {"mode": mode, "decoder_layers": layers, "encoder_mlm_weight": mlm_weight}
-        train, enc, dec = resolve_configs(preset="desk", overrides=overrides, env={})
-        params = init_params(enc, dec, np.random.default_rng([train.seed, 0]))
-        rng = np.random.default_rng(7)
-        seqs = [TokenSequence(np.concatenate([[CLS_ID], rng.integers(5, enc.vocab_size, size=n), [SEP_ID]]))
-                for n in rng.integers(3, 40, size=8)]
+        # states stay packed up to the loss: the only grids scattered into
+        # are attention's (B, rows, heads, head_dim) queries, keys and values
+        params, train, enc, dec, batch, rng = _desk_step_setup(mode, layers, mlm_weight)
         made = []
         real_make = ad._make
 
@@ -440,10 +447,27 @@ class TestTrainStep:
             return real_make(data, parents, backward_fn, op)
 
         monkeypatch.setattr(ad, "_make", recording_make)
-        train_step(params, AdamW(), train, enc, dec, make_batch(seqs), rng, step=1)
+        train_step(params, AdamW(), train, enc, dec, batch, rng, step=1)
         assert len(made) == nodes
         scatters = [ndim for op, ndim in made if op == "scatter_rows"]
         assert scatters and set(scatters) == {4}
+
+    @pytest.mark.parametrize("mode, layers", [("enhanced", 1), ("basic", 1), ("basic", 2)])
+    def test_attention_scores_only_the_query_rows_a_block_returns(self, mode, layers, monkeypatch):
+        # the encoder's last block and the last decoder layer score their
+        # query rows on a (B, max(2, most query rows of one sentence)) slot
+        # grid; every other block queries every cell of the (B, L) grid
+        params, train, enc, dec, batch, rng = _desk_step_setup(mode, layers, 0.0)
+        drawn, shapes = [], []
+        real_mask_batch, real_softmax = training.mask_batch, ad.masked_softmax
+        monkeypatch.setattr(training, "mask_batch", lambda *args: drawn.append(real_mask_batch(*args)) or drawn[-1])
+        monkeypatch.setattr(ad, "masked_softmax",
+                            lambda scores, visible: shapes.append(scores.shape) or real_softmax(scores, visible))
+        train_step(params, AdamW(), train, enc, dec, batch, rng, step=1)
+        B, L = batch.ids.shape
+        last = max(2, int(drawn[0].dec_targets.sum(axis=1).max()))
+        assert last < L
+        assert shapes == [(B, 4, rows, L) for rows in [L, 2, *[L] * (layers - 1), last]]
 
 
 WORDS = [
