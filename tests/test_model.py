@@ -144,7 +144,7 @@ class TestAttention:
 
         np.testing.assert_allclose(got, _oracle_attention(params, x, x, visible)[real], atol=1e-12)
 
-    @pytest.mark.parametrize("mask", ["per-row", "key-row"])
+    @pytest.mark.parametrize("mask", ["per-row", "key-row", "per-row-shared-by-the-batch"])
     @pytest.mark.parametrize("layout", [
         # the enhanced decoder's: the real rows past position 0
         [[False, True, True, True, True], [False, True, True, False, False]],
@@ -157,8 +157,9 @@ class TestAttention:
     ], ids=["past-position-0", "a-sentence-without-queries", "only-the-last-real-cell", "one-per-sentence"])
     def test_queries_on_a_strict_subset_of_the_key_rows_match_numpy_oracle(self, layout, mask):
         # keys and values at every real row, queries from another stream
-        # at a subset of them, each under its own visibility row or under
-        # the key-row mask the encoder and the basic decoder use
+        # at a subset of them, each under its own visibility row, under one
+        # set of rows shared by the batch, or under the key-row mask the
+        # encoder and the basic decoder use
         params = _one_head_params()
         rng = np.random.default_rng(14)
         queries_in = rng.standard_normal((2, 5, 6))
@@ -169,8 +170,11 @@ class TestAttention:
             visible = (rng.random((2, 5, 5)) < 0.6) & real[:, None, :]
             visible[..., 0] = True
             visible = visible[:, None]
-        else:
+        elif mask == "key-row":
             visible = real[:, None, None, :]
+        else:
+            visible = (rng.random((1, 1, 5, 5)) < 0.6) & real.all(axis=0)
+            visible[..., 0] = True
         rows, kv_rows = Rows(queries), Rows(real)
 
         with ad.no_grad():
@@ -180,6 +184,39 @@ class TestAttention:
         assert got.shape == (int(queries.sum()), 6)
         expected = _oracle_attention(params, queries_in, keys_in, visible)[queries]
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("queries", [
+        [[True] * 5, [True, True, True, False, False]],
+        [[True, True, True, True, False], [True, True, True, False, False]],
+    ], ids=["every-real-cell", "all-but-the-last-of-the-longest"])
+    def test_a_mask_row_nothing_queries_is_never_checked(self, queries):
+        # the per-row mask blocks every column of pad row (1, 4); whether the
+        # queries fill the (B, L) grid or not, no query reads that row
+        params = _one_head_params()
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 5, 6))
+        real = np.array([[True] * 5, [True, True, True, False, False]])
+        visible = (rng.random((2, 5, 5)) < 0.6) & real[:, None, :]
+        visible[..., 0] = True
+        blocked = visible.copy()
+        blocked[1, 4] = False
+        queries = np.array(queries)
+        rows, kv_rows = Rows(queries), Rows(real)
+
+        with ad.no_grad():
+            got = attention(params, "enc0", ad.Tensor(x[queries]), ad.Tensor(x[real]),
+                            blocked[:, None], heads=1, rows=rows, kv_rows=kv_rows).data
+
+        np.testing.assert_allclose(got, _oracle_attention(params, x, x, visible[:, None])[queries], atol=1e-12)
+
+    def test_the_containment_check_covers_mask_rows_nothing_queries(self):
+        params = _one_head_params()
+        real = np.array([[True, True, True, False]])
+        visible = np.tril(np.ones((4, 4), dtype=bool)) & real
+        visible[3, 3] = True  # a pad row, not queried, opens a pad cell
+        x = ad.Tensor(np.random.default_rng(17).standard_normal((3, 6)))
+        with pytest.raises(ad.ShapeError):
+            attention(params, "enc0", x, x, visible[None, None], heads=1, rows=Rows(real), kv_rows=Rows(real))
 
     def test_a_mask_that_opens_a_cell_the_key_rows_lack_is_refused(self):
         params = _one_head_params()

@@ -13,8 +13,10 @@ import gc
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -428,16 +430,18 @@ class TestTrainStep:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("mode, layers, mlm_weight, nodes", [
-        ("enhanced", 1, 0.0, 92),
-        ("basic", 1, 0.0, 91),
-        ("basic", 2, 0.0, 116),
-        ("enhanced", 1, 0.5, 99),
-        ("basic", 1, 0.5, 98),
+    @pytest.mark.parametrize("mode, layers, mlm_weight, nodes, transposes", [
+        ("enhanced", 1, 0.0, 89, 13),
+        ("basic", 1, 0.0, 88, 13),
+        ("basic", 2, 0.0, 112, 17),
+        ("enhanced", 1, 0.5, 96, 14),
+        ("basic", 1, 0.5, 95, 14),
     ])
-    def test_a_desk_step_scatters_only_into_attention(self, mode, layers, mlm_weight, nodes, monkeypatch):
+    def test_a_desk_step_scatters_only_into_attention(self, mode, layers, mlm_weight, nodes, transposes, monkeypatch):
         # states stay packed up to the loss: the only grids scattered into
-        # are attention's (B, rows, heads, head_dim) queries, keys and values
+        # are attention's (B, rows, heads, head_dim) queries, keys and values;
+        # an attention transposes each of them and its context once, and each
+        # vocabulary head transposes the embedding table
         params, train, enc, dec, batch, rng = _desk_step_setup(mode, layers, mlm_weight)
         made = []
         real_make = ad._make
@@ -451,6 +455,7 @@ class TestTrainStep:
         assert len(made) == nodes
         scatters = [ndim for op, ndim in made if op == "scatter_rows"]
         assert scatters and set(scatters) == {4}
+        assert sum(op == "transpose" for op, _ in made) == transposes
 
     @pytest.mark.parametrize("mode, layers", [("enhanced", 1), ("basic", 1), ("basic", 2)])
     def test_attention_scores_only_the_query_rows_a_block_returns(self, mode, layers, monkeypatch):
@@ -708,6 +713,81 @@ class TestRunPretraining:
             assert done.returncode == 0, done.stderr
             checkpoints.append((out / "model.ckpt").read_bytes())
         assert checkpoints[0] == checkpoints[1]
+
+    @pytest.mark.parametrize("seed", [1])
+    def test_runs_killed_at_seeded_moments_resume_onto_the_straight_run(self, tmp_path, seed):
+        """Real kills. ``dualmae pretrain`` on a tiny model, checkpointing
+        every step, runs in a subprocess that gets SIGKILL after a seeded
+        delay; the next one resumes from whatever ``model.ckpt`` is left,
+        or starts afresh when there is none, until a run ends (after
+        ``kills`` kills the last one runs to its end). The final checkpoint and
+        log must equal the straight run's. The second directory first holds
+        a finished run on another corpus: there a kill may leave that run's
+        checkpoint only beside that run's vocabulary, and a fresh start
+        follows. Where a kill lands is not reproducible, so the assertions
+        must hold at every kill point; a failure names the seed and the
+        delays. Start-up (the numpy and scipy imports) is about half of
+        each run, so some kills land before any training."""
+        kills = 5
+        rng = np.random.default_rng(seed)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "\n".join(" ".join(rng.choice(WORDS, size=int(rng.integers(3, 9)))) for _ in range(64)) + "\n"
+        )
+        other = tmp_path / "other.txt"
+        other.write_text("\n".join(f"old{i} word{i} token{i}" for i in range(16)) + "\n")
+        src = str(Path(training.__file__).resolve().parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        tiny = [f"--set={key}" for key in ("layers=1", "hidden_dim=16", "heads=2", "decoder_heads=2", "ffn_dim=32",
+                                           "vocab_size=64", "batch_size=4", "epochs=8")]
+
+        def start(out, text, resume=None):
+            args = ["--resume", str(resume)] if resume else []
+            return subprocess.Popen(
+                [sys.executable, "-m", "dualmae.cli", "pretrain", "--preset", "desk", *tiny, "--corpus", str(text),
+                 "--out", str(out), "--checkpoint-every", "1", *args],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            )
+
+        def finish(proc, note=""):
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, (note, err)
+
+        began = time.perf_counter()
+        finish(start(tmp_path / "straight", corpus))
+        span = time.perf_counter() - began
+        finish(start(tmp_path / "old", other))
+        old_checkpoint = (tmp_path / "old" / "model.ckpt").read_bytes()
+        old_vocab = (tmp_path / "old" / "vocab.txt").read_bytes()
+
+        for name in ("new", "old"):
+            out = tmp_path / name
+            ckpt = out / "model.ckpt"
+            delays = []
+            while True:
+                note = f"{name} directory, seed {seed}, delays {delays}"
+                resume = ckpt if ckpt.exists() else None
+                if resume and ckpt.read_bytes() == old_checkpoint:
+                    # the fresh run was killed before it replaced anything
+                    assert (out / "vocab.txt").read_bytes() == old_vocab, note
+                    resume = None
+                proc = start(out, corpus, resume)
+                if len(delays) == kills:
+                    finish(proc, note)
+                    break
+                delays.append(round(float(rng.uniform(0.0, span)), 3))
+                try:
+                    proc.wait(timeout=delays[-1])
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                _, err = proc.communicate(timeout=120)
+                if proc.returncode == 0:
+                    break
+                assert proc.returncode == -signal.SIGKILL, (note, err)
+
+            note = f"{name} directory, seed {seed}, delays {delays}"
+            assert ckpt.read_bytes() == (tmp_path / "straight" / "model.ckpt").read_bytes(), note
+            assert (out / "loss_log.tsv").read_bytes() == (tmp_path / "straight" / "loss_log.tsv").read_bytes(), note
 
     def test_periodic_checkpoints(self, tmp_path):
         corpus = _write_corpus(tmp_path / "corpus.txt")
